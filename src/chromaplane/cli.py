@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -30,17 +28,6 @@ class UsageError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
-
-
-def _workers() -> int:
-    raw = os.environ.get("CHROMA_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise UsageError(f"CHROMA_THREADS must be a positive integer, got {raw!r}")
-    if w < 1:
-        raise UsageError(f"CHROMA_THREADS must be >= 1, got {w}")
-    return w
 
 
 def _emit(text: str, out_path: str | None):
@@ -148,18 +135,10 @@ def cmd_threshold(args) -> str:
     return head + "\n" + ",".join(vals) + "\n"
 
 
-def _hex_b_max_pair(pq):
-    return hexcolor.hex_b_max(pq[0], pq[1])
-
-
 def cmd_hex_table(args) -> str:
-    workers = _workers()
-    b_values = None
-    if workers > 1:
-        pairs = hexcolor.sweep_pairs(args.p_max, args.q_max)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            b_values = dict(zip(pairs, pool.map(_hex_b_max_pair, pairs)))
-    rows = hexcolor.pareto_table(args.p_max, args.q_max, b_values=b_values)
+    if args.p_max < 0 or args.q_max < 0:
+        raise UsageError("--p-max and --q-max must be >= 0")
+    rows = hexcolor.pareto_table(args.p_max, args.q_max)
     if args.format == "json":
         payload = [
             {"b": r.b, "n_colors": r.n_colors, "p": r.p, "q": r.q} for r in rows
@@ -173,6 +152,8 @@ def cmd_min_colors(args) -> str:
         raise UsageError(f"--step must be positive, got {args.step}")
     if args.b_hi < args.b_lo:
         raise UsageError("need --b-lo <= --b-hi")
+    if args.search_max < 0:
+        raise UsageError(f"--search-max must be >= 0, got {args.search_max}")
     grid = np.arange(args.b_lo, args.b_hi + args.step / 2, args.step)
     rows = hexcolor.min_colors_curve(grid, args.search_max)
     if args.format == "json":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -152,35 +153,43 @@ def color_count(scheme: HexScheme) -> int:
     return scheme.color_count_formula
 
 
-def min_same_color_distance(p: int, q: int) -> float:
-    """Minimum distance between distinct same-colored tiles.
+def _same_color_offsets(
+    scheme: HexScheme, limit: Callable[[], float]
+) -> Iterator[tuple[float, float]]:
+    """Same-color tile center offsets k*v + l*vbar, ring by ring.
 
-    Enumerates same-color center offsets k*v + l*vbar in expanding rings;
-    a ring whose smallest center distance exceeds the running minimum + 1
-    cannot improve it (tile diameter is 1), so the search stops there.
+    Ring r holds the offsets with max(|k|, |l|) = r. Offsets farther than
+    limit() are skipped, and since k^2 + kl + l^2 >= 3/4 * max(|k|,|l|)^2
+    bounds a ring's center distances from below, the walk ends at the first
+    ring that lies wholly beyond limit(). limit() is read again for every
+    ring and every offset, so a caller may shrink it while walking.
     """
-    scheme = HexScheme(p, q)
     v, vb = scheme.v, scheme.vbar
     vlen = math.hypot(v.x, v.y)
-    base = BASE_TILE
-    best = math.inf
     ring = 1
-    while True:
-        # k^2 + kl + l^2 >= 3/4 * max(|k|,|l|)^2 bounds the ring's center distances
-        if vlen * (SQRT3 / 2.0) * ring > best + TILE_DIAMETER:
-            break
+    while vlen * (SQRT3 / 2.0) * ring <= limit():
         for k in range(-ring, ring + 1):
             for l in range(-ring, ring + 1):
                 if max(abs(k), abs(l)) != ring:
                     continue
                 ox = k * v.x + l * vb.x
                 oy = k * v.y + l * vb.y
-                if math.hypot(ox, oy) > best + TILE_DIAMETER:
-                    continue
-                d = polygon_min_distance(base, base.translated(ox, oy))
-                if d < best:
-                    best = d
+                if math.hypot(ox, oy) <= limit():
+                    yield ox, oy
         ring += 1
+
+
+def min_same_color_distance(p: int, q: int) -> float:
+    """Minimum distance between distinct same-colored tiles.
+
+    A tile whose center lies farther than the running minimum + 1 cannot
+    improve it (tile diameter is 1), so the walk's limit shrinks with it.
+    """
+    best = math.inf
+    for ox, oy in _same_color_offsets(HexScheme(p, q), lambda: best + TILE_DIAMETER):
+        d = polygon_min_distance(BASE_TILE, BASE_TILE.translated(ox, oy))
+        if d < best:
+            best = d
     return best
 
 
@@ -217,6 +226,18 @@ def sweep_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
     ]
 
 
+def _scheme_rows(
+    p_max: int, q_max: int, b_values: dict[tuple[int, int], float | None] | None = None
+) -> list[SchemeRow]:
+    """One row per swept (p, q) that has a reach, in sweep order."""
+    rows = []
+    for p, q in sweep_pairs(p_max, q_max):
+        b = b_values[(p, q)] if b_values is not None else hex_b_max(p, q)
+        if b is not None:
+            rows.append(SchemeRow(b, p * p + p * q + q * q, p, q))
+    return rows
+
+
 def pareto_table(
     p_max: int = 10,
     q_max: int = 10,
@@ -226,15 +247,10 @@ def pareto_table(
 
     A row survives unless some other scheme reaches at least as far
     (b' >= b, up to float slack) with strictly fewer colors. Sorted by b.
-    b_values may carry precomputed hex_b_max results (e.g. from a worker
-    pool); missing pairs are computed here.
+    b_values, when given, holds the precomputed hex_b_max reach of every
+    swept pair; otherwise the reaches are computed here.
     """
-    pairs = sweep_pairs(p_max, q_max)
-    rows: list[SchemeRow] = []
-    for p, q in pairs:
-        b = b_values[(p, q)] if b_values is not None else hex_b_max(p, q)
-        if b is not None:
-            rows.append(SchemeRow(b, p * p + p * q + q * q, p, q))
+    rows = _scheme_rows(p_max, q_max, b_values)
     keep = [
         r
         for r in rows
@@ -244,24 +260,23 @@ def pareto_table(
     return keep
 
 
+def _fewest_colors(rows: list[SchemeRow], b: float) -> tuple[int, int, int] | None:
+    """Smallest (n_colors, p, q) among rows whose reach covers b, or None.
+
+    Selects from every swept row, not only the Pareto rows: the Pareto
+    filter's B_TOL slack is not transitive.
+    """
+    if b <= 1.0:
+        raise ValueError(f"need b > 1, got {b}")
+    return min(((r.n_colors, r.p, r.q) for r in rows if r.b >= b - B_TOL), default=None)
+
+
 def best_scheme_for_b(b: float, search_max: int = 10) -> tuple[int, int, int] | None:
     """Scheme with the fewest colors whose reach covers b, or None.
 
     Ties break to the lexicographically smallest (p, q).
     """
-    if b <= 1.0:
-        raise ValueError(f"need b > 1, got {b}")
-    best: tuple[int, int, int] | None = None  # (n_colors, p, q)
-    for q in range(search_max + 1):
-        for p in range(q + 1):
-            if p == 0 and q == 0:
-                continue
-            reach = hex_b_max(p, q)
-            if reach is None or reach < b - B_TOL:
-                continue
-            key = (p * p + p * q + q * q, p, q)
-            if best is None or key < best:
-                best = key
+    best = _fewest_colors(_scheme_rows(search_max, search_max), b)
     if best is None:
         return None
     return best[1], best[2], best[0]
@@ -355,25 +370,11 @@ def _strata_violation(scheme: HexScheme, b: float, band: float) -> bool:
     invalid at width b shows up here without luck.
     """
     pts = _boundary_strata()
-    v, vb = scheme.v, scheme.vbar
-    vlen = math.hypot(v.x, v.y)
-    ring = 1
-    while vlen * (SQRT3 / 2.0) * ring <= b + TILE_DIAMETER:
-        for k in range(-ring, ring + 1):
-            for l in range(-ring, ring + 1):
-                if max(abs(k), abs(l)) != ring:
-                    continue
-                ox = k * v.x + l * vb.x
-                oy = k * v.y + l * vb.y
-                if math.hypot(ox, oy) > b + TILE_DIAMETER:
-                    continue
-                shifted = pts + np.array([ox, oy])
-                d = np.sqrt(
-                    ((pts[:, None, :] - shifted[None, :, :]) ** 2).sum(axis=2)
-                )
-                if np.any((d > 1.0 + band) & (d < b - band)):
-                    return True
-        ring += 1
+    for ox, oy in _same_color_offsets(scheme, lambda: b + TILE_DIAMETER):
+        shifted = pts + np.array([ox, oy])
+        d = np.sqrt(((pts[:, None, :] - shifted[None, :, :]) ** 2).sum(axis=2))
+        if np.any((d > 1.0 + band) & (d < b - band)):
+            return True
     return False
 
 
@@ -435,10 +436,11 @@ def pareto_table_csv(rows: list[SchemeRow]) -> str:
 
 def min_colors_curve(b_values, search_max: int = 10) -> list[tuple[float, int | None]]:
     """Fewest colors reachable at each b of the grid (None when out of range)."""
+    rows = _scheme_rows(search_max, search_max)
     out = []
     for b in b_values:
-        choice = best_scheme_for_b(b, search_max)
-        out.append((b, choice[2] if choice is not None else None))
+        best = _fewest_colors(rows, b)
+        out.append((b, best[0] if best is not None else None))
     return out
 
 

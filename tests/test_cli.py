@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,15 +12,11 @@ from chromaplane.cli import main
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "chromaplane.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
         cwd=PKG_ROOT,
         timeout=300,
     )
@@ -93,16 +90,6 @@ def test_hex_table_small():
     assert proc.stdout == "b,n_colors,p,q\n1.32287566,7,1,2\n2,12,2,2\n"
 
 
-def test_hex_table_respects_chroma_threads():
-    serial = run_cli("hex-table", "--p-max", "3", "--q-max", "3")
-    parallel = run_cli("hex-table", "--p-max", "3", "--q-max", "3", env_extra={"CHROMA_THREADS": "2"})
-    assert parallel.returncode == 0
-    assert parallel.stdout == serial.stdout
-
-    bad = run_cli("hex-table", env_extra={"CHROMA_THREADS": "zero"})
-    assert bad.returncode == 2
-
-
 def test_min_colors_points():
     proc = run_cli("min-colors", "--b-lo", "2.0", "--b-hi", "2.0", "--step", "0.1")
     assert proc.returncode == 0
@@ -110,6 +97,22 @@ def test_min_colors_points():
 
     proc = run_cli("min-colors", "--b-lo", "1.01", "--b-hi", "1.01", "--step", "0.1")
     assert proc.stdout == "b,min_colors\n1.01,7\n"
+
+
+# sha256 of the full-size outputs, as recorded in perfbench/expected.json
+PINNED_STDOUT = [
+    (("hex-table", "--p-max", "10", "--q-max", "10"),
+     "756277c26e1e3d5dce05169d492f9f730c2102a4afefe016268bcc6195069562"),
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "14", "--step", "0.1"),
+     "87700bee587eff91a7d25122a664b89f1bbecfbdeaba3b6298a4df863e4344fd"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_STDOUT, ids=["hex-table", "min-colors"])
+def test_hex_commands_pinned_bytes(args, digest):
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_eight_opt_json():
@@ -165,6 +168,12 @@ def test_usage_errors():
     assert proc.returncode == 2
     proc = run_cli("min-colors", "--b-lo", "1.2", "--b-hi", "1.1")
     assert proc.returncode == 2
+    proc = run_cli("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--search-max", "-1")
+    assert proc.returncode == 2
+    assert "--search-max" in proc.stderr
+    proc = run_cli("hex-table", "--p-max", "-1")
+    assert proc.returncode == 2
+    assert "--p-max" in proc.stderr
 
 
 def test_main_callable_in_process(capsys):

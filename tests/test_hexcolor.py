@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from chromaplane import hexcolor
 from chromaplane.geom import dist
 from chromaplane.hexcolor import (
+    B_TOL,
     BASE_TILE,
     HexScheme,
     S1,
@@ -292,6 +294,42 @@ def test_min_colors_curve():
     assert rows[1][1] == 12
     assert rows[2][1] == 300
     assert rows[3][1] is None
+
+
+def _reference_fewest_colors(reach, b, search_max=10):
+    """Per-b double loop over the (p, q) sweep: smallest (N, p, q) covering b."""
+    best = None
+    for q in range(search_max + 1):
+        for p in range(q + 1):
+            if p == 0 and q == 0:
+                continue
+            r = reach[(p, q)]
+            if r is None or r < b - B_TOL:
+                continue
+            key = (p * p + p * q + q * q, p, q)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def test_min_colors_selection_matches_reference(monkeypatch):
+    reach = {(p, q): hex_b_max(p, q) for p, q in sweep_pairs(10, 10)}
+    # the selection under test sees the same reaches without recomputing them
+    monkeypatch.setattr(hexcolor, "hex_b_max", lambda p, q: reach[(p, q)])
+
+    grid = list(np.arange(1.3, 14 + 0.05, 0.1))  # the README grid
+    covered = [r + B_TOL / 2 for r in reach.values() if r is not None]
+    uncovered = [r + 2 * B_TOL for r in reach.values() if r is not None]
+    points = grid + [r for r in reach.values() if r is not None] + covered + uncovered
+    want = [_reference_fewest_colors(reach, b) for b in points]
+    # the B_TOL edge decides some answers
+    assert any(_reference_fewest_colors(reach, c) != _reference_fewest_colors(reach, u)
+               for c, u in zip(covered, uncovered))
+
+    assert min_colors_curve(points) == [(b, None if w is None else w[0])
+                                        for b, w in zip(points, want)]
+    for b, w in zip(points, want):
+        assert best_scheme_for_b(b) == (None if w is None else (w[1], w[2], w[0]))
 
 
 def test_named_families():

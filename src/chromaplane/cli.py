@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -30,12 +31,31 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _render(record: dict, fmt: str) -> str:
+    """One record as indented JSON, or as a CSV header of its keys and one row."""
+    if fmt == "json":
+        return json.dumps(record, indent=2) + "\n"
+    cells = [
+        "" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in record.values()
+    ]
+    return ",".join(record) + "\n" + ",".join(cells) + "\n"
+
+
 def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    """Print text, or write it to out_path through a temporary file and a rename."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    tmp = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, out_path)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _heartbeat(nodes: int, elapsed: float):
@@ -51,18 +71,12 @@ def cmd_annulus_upper(args) -> str:
         s, b = best
         _, _, binding = annulus.radial_max_b_detail(args.k, s)
         record = {"k": args.k, "s": s, "b_max": b, "binding": binding}
-    if args.format == "json":
-        return json.dumps(record, indent=2) + "\n"
-    vals = [
-        str(record["k"]),
-        "" if record["s"] is None else str(record["s"]),
-        "" if record["b_max"] is None else _fmt(record["b_max"]),
-        record["binding"],
-    ]
-    return "k,s,b_max,binding\n" + ",".join(vals) + "\n"
+    return _render(record, args.format)
 
 
 def cmd_annulus_lower(args) -> str:
+    if args.k < 2:
+        raise UsageError(f"--k must be >= 2, got {args.k}")
     eps = args.eps if args.eps is not None else distgraph.default_eps(args.b)
     outcome = annulus.annulus_verdict(
         args.case,
@@ -88,23 +102,12 @@ def cmd_annulus_lower(args) -> str:
         "plane_lower_bound": plane,
     }
     print(f"solver: nodes={outcome.search_nodes}", file=sys.stderr)
-    if args.format == "json":
-        return json.dumps(record, indent=2) + "\n"
-    head = "case,b,points,k,eps,verdict,annulus_lower_bound,plane_lower_bound"
-    vals = [
-        str(args.case),
-        _fmt(args.b),
-        str(n_points),
-        str(args.k),
-        _fmt(eps),
-        outcome.status,
-        str(args.k) if refuted else "",
-        str(plane) if refuted else "",
-    ]
-    return head + "\n" + ",".join(vals) + "\n"
+    return _render(record, args.format)
 
 
 def cmd_threshold(args) -> str:
+    if args.k < 2:
+        raise UsageError(f"--k must be >= 2, got {args.k}")
     b_star = annulus.threshold_bisect(
         args.case,
         args.n,
@@ -122,17 +125,7 @@ def cmd_threshold(args) -> str:
         "tol": args.tol,
         "b_star": b_star,
     }
-    if args.format == "json":
-        return json.dumps(record, indent=2) + "\n"
-    head = "case,k,n_override,tol,b_star"
-    vals = [
-        str(args.case),
-        str(args.k),
-        "" if args.n is None else str(args.n),
-        _fmt(args.tol),
-        _fmt(b_star),
-    ]
-    return head + "\n" + ",".join(vals) + "\n"
+    return _render(record, args.format)
 
 
 def cmd_hex_table(args) -> str:
@@ -166,18 +159,22 @@ def cmd_eight_opt(args) -> str:
     if args.tol <= 0:
         raise UsageError(f"--tol must be positive, got {args.tol}")
     opt = eightcol.maximize_b(args.tol)
-    if args.format == "csv":
-        head = "b,x,y,active_constraints,slack_1,slack_2,slack_3,slack_4"
-        vals = [_fmt(opt.b), _fmt(opt.x), _fmt(opt.y), ";".join(map(str, opt.active_constraints))]
-        vals += [_fmt(s) for s in opt.slacks]
-        return head + "\n" + ",".join(vals) + "\n"
-    return eightcol.optimum_json(opt)
+    if args.format == "json":
+        return eightcol.optimum_json(opt)
+    record = {"b": opt.b, "x": opt.x, "y": opt.y,
+              "active_constraints": ";".join(map(str, opt.active_constraints))}
+    record.update((f"slack_{i}", s) for i, s in enumerate(opt.slacks, 1))
+    return _render(record, "csv")
 
 
 def cmd_export(args) -> str:
     if args.config:
-        with open(args.config) as fh:
-            config, b, eps = distgraph.config_from_json(fh.read())
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --config {args.config}: {exc.strerror or exc}") from exc
+        config, b, eps = distgraph.config_from_json(text)
     else:
         if args.case is None or args.b is None:
             raise UsageError("export needs either --config or --case with --b")
@@ -201,16 +198,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="csv"):
+    def output(p, fmt_default="csv"):
         p.add_argument("--out", default=None, help="write primary output here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
+        if fmt_default:
+            p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
+
+    def search(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
 
     p = sub.add_parser("annulus-upper", help="best radial coloring bound for k colors")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s-max", type=int, default=None)
-    common(p)
+    output(p)
     p.set_defaults(fn=cmd_annulus_upper)
 
     p = sub.add_parser("annulus-lower", help="solve a lower-bound configuration")
@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="annulus colors to certify")
     p.add_argument("--n", type=int, default=None, help="override points per circle")
     p.add_argument("--eps", type=float, default=None)
-    common(p)
+    output(p)
+    search(p)
     p.set_defaults(fn=cmd_annulus_lower)
 
     p = sub.add_parser("threshold", help="bisect the b where a config starts needing k colors")
@@ -229,13 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-lo", type=float, required=True)
     p.add_argument("--b-hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-4)
-    common(p)
+    output(p)
+    search(p)
     p.set_defaults(fn=cmd_threshold)
 
     p = sub.add_parser("hex-table", help="Pareto table of hexagonal (p,q) colorings")
     p.add_argument("--p-max", type=int, default=10)
     p.add_argument("--q-max", type=int, default=10)
-    common(p)
+    output(p)
     p.set_defaults(fn=cmd_hex_table)
 
     p = sub.add_parser("min-colors", help="fewest colors vs b over a grid")
@@ -243,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-hi", type=float, required=True)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--search-max", type=int, default=10)
-    common(p)
+    output(p)
     p.set_defaults(fn=cmd_min_colors)
 
     p = sub.add_parser("eight-opt", help="optimize the eight-coloring parameters")
     p.add_argument("--tol", type=float, default=1e-6)
-    common(p, fmt_default="json")
+    output(p, fmt_default="json")
     p.set_defaults(fn=cmd_eight_opt)
 
     p = sub.add_parser("export", help="write a configuration graph as dimacs/cnf/lp")
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--config", default=None, help="JSON config {circles:[{n,r}], b, eps}")
-    common(p)
+    output(p, fmt_default=None)
     p.set_defaults(fn=cmd_export)
 
     return ap

@@ -85,13 +85,6 @@ class DistanceGraph:
             masks[j] |= 1 << i
         return masks
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
 
 def circle_points(n: int, r: float, center: Point2 = Point2(0.0, 0.0)) -> list[Point2]:
     """n points evenly spaced on the radius-r circle, point 0 at the top."""

@@ -1,10 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from chromaplane import annulus
 from chromaplane.annulus import (
     CASE_THRESHOLDS,
     BracketInvalid,
+    EpsInstability,
+    NonMonotoneDetected,
     RadialScheme,
     annulus_verdict,
     case_graph,
@@ -23,7 +27,7 @@ from chromaplane.annulus import (
     threshold_bisect,
 )
 from chromaplane.distgraph import CircleSpec
-from chromaplane.solver import NOT_COLORABLE
+from chromaplane.solver import COLORABLE, NOT_COLORABLE
 
 
 def test_radial_scheme_validation():
@@ -202,6 +206,34 @@ def test_threshold_bisect_bracket_validation():
         threshold_bisect(1, 65, 4, b_lo=1.38, b_hi=1.4, tol=1e-3, eps_scales=(1e-6,))
     with pytest.raises(BracketInvalid):
         threshold_bisect(1, 65, 4, b_lo=1.05, b_hi=1.1, tol=1e-3, eps_scales=(1e-6,))
+
+
+def _fake_verdicts(monkeypatch, needs):
+    """Make annulus_verdict answer needs(b, eps_scale) without building a graph."""
+
+    def fake(case, b, k, n_override=None, eps=None, time_budget=None, seed=0):
+        return SimpleNamespace(status=NOT_COLORABLE if needs(b, eps / (b - 1.0)) else COLORABLE)
+
+    monkeypatch.setattr(annulus, "annulus_verdict", fake)
+
+
+# binary fractions, so the probes are exact: the bisection of [1.25, 1.5] to
+# 2^-6 around a step at 1.4 probes 1.375, 1.4375, 1.40625, 1.390625 and
+# returns 1.3984375, then re-checks 1.4140625 and 1.3828125
+BRACKET = dict(b_lo=1.25, b_hi=1.5, tol=2.0**-6)
+
+
+def test_threshold_bisect_detects_non_monotone_verdicts(monkeypatch):
+    _fake_verdicts(monkeypatch, lambda b, scale: b >= 1.4 and not 1.41 < b < 1.42)
+    with pytest.raises(NonMonotoneDetected):
+        threshold_bisect(1, 65, 4, eps_scales=(1e-6,), **BRACKET)
+
+
+def test_threshold_bisect_detects_eps_instability(monkeypatch):
+    _fake_verdicts(monkeypatch, lambda b, scale: b >= (1.4 if scale < 1e-4 else 1.3))
+    assert threshold_bisect(1, 65, 4, eps_scales=(1e-6, 1e-7), **BRACKET) == 1.3984375
+    with pytest.raises(EpsInstability):
+        threshold_bisect(1, 65, 4, eps_scales=(1e-6, 1e-3), **BRACKET)
 
 
 def test_annulus_bounds_rows_structure():

@@ -115,6 +115,35 @@ def test_hex_commands_pinned_bytes(args, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+# exact stdout of the one-record commands, None cells included
+ONE_RECORD_STDOUT = [
+    (("annulus-upper", "--k", "2"), "k,s,b_max,binding\n2,,,no_valid_b\n"),
+    (("annulus-upper", "--k", "2", "--format", "json"),
+     '{\n  "k": 2,\n  "s": null,\n  "b_max": null,\n  "binding": "no_valid_b"\n}\n'),
+    (("annulus-lower", "--case", "1", "--b", "1.35", "--k", "4", "--n", "65", "--format", "json"),
+     '{\n  "case": 1,\n  "b": 1.35,\n  "points": 130,\n  "k": 4,\n'
+     '  "eps": 3.500000000000001e-07,\n  "verdict": "not_colorable",\n'
+     '  "annulus_lower_bound": 4,\n  "plane_lower_bound": 7\n}\n'),
+    (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25", "--b-hi", "1.4",
+      "--tol", "1e-3", "--format", "json"),
+     '{\n  "case": 1,\n  "k": 4,\n  "n_override": 65,\n  "tol": 0.001,\n'
+     '  "b_star": 1.32646484375\n}\n'),
+    (("eight-opt", "--format", "csv"),
+     "b,x,y,active_constraints,slack_1,slack_2,slack_3,slack_4\n"
+     "1.37542932,0.108194188,0.514884326,1;3;4,0,0.299988118,2.22044605e-16,-4.4408921e-16\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,stdout", ONE_RECORD_STDOUT,
+    ids=["upper-csv", "upper-json", "lower-json", "threshold-json", "eight-csv"],
+)
+def test_one_record_pinned_stdout(args, stdout):
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout
+
+
 def test_eight_opt_json():
     proc = run_cli("eight-opt", "--tol", "1e-6")
     assert proc.returncode == 0
@@ -141,6 +170,17 @@ def test_export_dimacs_and_out_file(tmp_path):
     assert proc.stdout == ""
     text = out.read_text()
     assert text.startswith("p edge 12 ")
+    assert [p.name for p in tmp_path.iterdir()] == ["g.dimacs"]
+
+
+def test_out_write_failure_leaves_no_temporary(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    proc = run_cli("annulus-upper", "--k", "3", "--out", str(target))
+    assert proc.returncode == 2
+    assert "--out" in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert target.is_dir() and not any(target.iterdir())
 
 
 def test_export_cnf_requires_k():
@@ -161,19 +201,33 @@ def test_export_lp_from_config_json(tmp_path):
     assert proc.stdout.rstrip().endswith("End")
 
 
-def test_usage_errors():
-    proc = run_cli("annulus-lower", "--case", "9", "--b", "1.3", "--k", "4")
-    assert proc.returncode == 2
-    proc = run_cli("no-such-command")
-    assert proc.returncode == 2
-    proc = run_cli("min-colors", "--b-lo", "1.2", "--b-hi", "1.1")
-    assert proc.returncode == 2
-    proc = run_cli("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--search-max", "-1")
-    assert proc.returncode == 2
-    assert "--search-max" in proc.stderr
-    proc = run_cli("hex-table", "--p-max", "-1")
-    assert proc.returncode == 2
-    assert "--p-max" in proc.stderr
+def test_usage_errors(tmp_path):
+    missing = str(tmp_path / "missing")
+    cases = [
+        (("annulus-lower", "--case", "9", "--b", "1.3", "--k", "4"), None),
+        (("no-such-command",), None),
+        (("min-colors", "--b-lo", "1.2", "--b-hi", "1.1"), None),
+        (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--search-max", "-1"), "--search-max"),
+        (("hex-table", "--p-max", "-1"), "--p-max"),
+        (("export", "--what", "dimacs", "--config", missing + ".json"), "--config"),
+        (("annulus-upper", "--k", "3", "--out", missing + "/dir/x"), "--out"),
+        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "1"), "--k"),
+        (("threshold", "--case", "1", "--k", "1", "--b-lo", "1.25", "--b-hi", "1.4"), "--k"),
+        # each flag parses only on the commands that read it
+        (("hex-table", "--seed", "1"), "--seed"),
+        (("min-colors", "--b-lo", "2", "--b-hi", "2", "--budget", "1"), "--budget"),
+        (("eight-opt", "--seed", "0"), "--seed"),
+        (("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--n", "4",
+          "--format", "json"), "--format"),
+    ]
+    for args, flag in cases:
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        if flag is not None:
+            assert flag in proc.stderr, (args, proc.stderr)
+    assert not (tmp_path / "missing").exists()
+    proc = run_cli("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--n", "4", "--k", "3")
+    assert proc.returncode == 0
 
 
 def test_main_callable_in_process(capsys):

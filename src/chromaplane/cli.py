@@ -169,6 +169,9 @@ def cmd_eight_opt(args) -> str:
 
 def cmd_export(args) -> str:
     if args.config:
+        extra = [f"--{f}" for f in ("case", "b", "n", "eps") if getattr(args, f) is not None]
+        if extra:
+            raise UsageError(f"--config takes the graph from the file; drop {', '.join(extra)}")
         try:
             with open(args.config) as fh:
                 text = fh.read()

@@ -6,6 +6,14 @@ colors up to one past the highest color used so far, and fail fast when
 any uncolored vertex has every color in its neighborhood. A greedily
 found clique is pre-colored with distinct colors to break color symmetry.
 All decisions are deterministic for a fixed seed.
+
+The search relabels vertices by rank, sorted by (-degree, index), so the
+lowest set bit of any mask of ranks is its highest-degree, lowest-index
+vertex. Uncolored ranks sit in saturation buckets (bucket[s] holds those
+with s distinct neighbor colors); the branch vertex is the lowest set bit
+of the highest nonempty bucket, an O(k) pick. Per-color masks of the
+ranks that already see each color let a newly colored vertex touch only
+the uncolored neighbors whose saturation actually grows.
 """
 from __future__ import annotations
 
@@ -98,7 +106,8 @@ def k_colorable(
 ) -> ColoringOutcome:
     """Decide whether the graph admits a proper coloring with <= k colors.
 
-    Returns an exact verdict with a certificate assignment when colorable.
+    Returns an exact verdict with a certificate assignment when colorable;
+    the assignment is checked with verify_coloring before it is returned.
     Raises BudgetExhausted if query.time_budget runs out; a budget cut is
     never reported as not_colorable. `progress(nodes, elapsed)` is invoked
     roughly every `progress_interval` seconds when supplied.
@@ -115,23 +124,31 @@ def k_colorable(
     if len(clique) > k:
         return ColoringOutcome(NOT_COLORABLE, None, 0, time.monotonic() - start)
 
-    full = (1 << k) - 1
+    # the search runs on ranks: rank r is the r-th vertex by (-degree, index)
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n), key=lambda v: (-deg[v], v))):
+        rank[v] = r
+    radj = [0] * n
+    for i, j in g.edges:
+        radj[rank[i]] |= 1 << rank[j]
+        radj[rank[j]] |= 1 << rank[i]
+
     color = [-1] * n
-    sat = [0] * n
-    uncolored = set(range(n))
+    sat = [0] * n  # bit c set: some neighbor has color c
+    seen = [0] * k  # seen[c]: ranks with bit c set in sat
+    unc = (1 << n) - 1  # uncolored ranks
     for idx, v in enumerate(clique):
-        color[v] = idx
-        uncolored.discard(v)
-        bit = 1 << idx
-        c = adj[v]
+        color[rank[v]] = idx
+        unc ^= 1 << rank[v]
+        seen[idx] = c = radj[rank[v]]
         while c:
-            u = (c & -c).bit_length() - 1
-            c &= c - 1
-            sat[u] |= bit
-    # a pre-colored clique can already strand a shared neighbor
-    for v in uncolored:
-        if sat[v] == full:
-            return ColoringOutcome(NOT_COLORABLE, None, 0, time.monotonic() - start)
+            low = c & -c
+            c ^= low
+            sat[low.bit_length() - 1] |= 1 << idx
+    bucket = [0] * (k + 1)  # bucket[s]: uncolored ranks with s bits set in sat
+    for r in range(n):
+        if color[r] == -1:
+            bucket[sat[r].bit_count()] |= 1 << r
 
     nodes = 0
     next_check = _BUDGET_CHECK_INTERVAL
@@ -148,32 +165,54 @@ def k_colorable(
             progress(nodes, now - start)
             next_progress = now + progress_interval
 
-    def pick() -> int:
-        best, best_key = -1, (-1, -1, 0)
-        for v in uncolored:
-            key = (sat[v].bit_count(), deg[v], -v)
-            if key > best_key:
-                best, best_key = v, key
-        return best
+    # each frame: [rank, remaining candidate mask, ranks it saturated, saved max_used]
+    stack = []
 
-    max_used = len(clique)
-    if not uncolored:
-        return ColoringOutcome(COLORABLE, tuple(color), 0, time.monotonic() - start)
+    def descend(max_used: int) -> bool:
+        """Push the most saturated uncolored rank, lowest on ties; False if none."""
+        nonlocal unc
+        for s in range(k, -1, -1):
+            b = bucket[s]
+            if b:
+                low = b & -b
+                bucket[s] = b ^ low
+                unc ^= low
+                w = low.bit_length() - 1
+                stack.append([w, ~sat[w] & ((1 << min(k, max_used + 1)) - 1), 0, max_used])
+                return True
+        return False
 
-    # each frame: [vertex, remaining candidate mask, undo list, saved max_used]
-    v0 = pick()
-    uncolored.discard(v0)
-    stack = [[v0, ~sat[v0] & ((1 << min(k, max_used + 1)) - 1), [], max_used]]
-    answer = False
+    def outcome(status: str) -> ColoringOutcome:
+        elapsed = time.monotonic() - start
+        if status == NOT_COLORABLE:
+            return ColoringOutcome(status, None, nodes, elapsed)
+        assignment = tuple(color[r] for r in rank)
+        if not verify_coloring(g, assignment):
+            raise RuntimeError("search produced an improper coloring")
+        return ColoringOutcome(status, assignment, nodes, elapsed)
+
+    if not descend(len(clique)):
+        return outcome(COLORABLE)
     while stack:
         frame = stack[-1]
         v, cand, changed, saved_max = frame
-        for u in changed:
-            sat[u] &= ~(1 << color[v])
-        changed.clear()
+        if changed:
+            ci = color[v]
+            bit = 1 << ci
+            seen[ci] ^= changed
+            frame[2] = 0
+            while changed:
+                low = changed & -changed
+                changed ^= low
+                u = low.bit_length() - 1
+                s = sat[u].bit_count()
+                sat[u] ^= bit
+                bucket[s] ^= low
+                bucket[s - 1] |= low
         if cand == 0:
             color[v] = -1
-            uncolored.add(v)
+            bucket[sat[v].bit_count()] |= 1 << v
+            unc |= 1 << v
             stack.pop()
             continue
         bit = cand & -cand
@@ -183,30 +222,20 @@ def k_colorable(
         nodes += 1
         if nodes >= next_check:
             tick()
-        dead = False
-        c = adj[v]
+        c = frame[2] = radj[v] & unc & ~seen[ci]
+        seen[ci] |= c
         while c:
-            u = (c & -c).bit_length() - 1
-            c &= c - 1
-            if color[u] == -1 and not (sat[u] & bit):
-                sat[u] |= bit
-                changed.append(u)
-                if sat[u] == full:
-                    dead = True
-        if dead:
-            continue
-        if not uncolored:
-            answer = True
-            break
-        max_used = max(saved_max, ci + 1)
-        w = pick()
-        uncolored.discard(w)
-        stack.append([w, ~sat[w] & ((1 << min(k, max_used + 1)) - 1), [], max_used])
-
-    elapsed = time.monotonic() - start
-    if answer:
-        return ColoringOutcome(COLORABLE, tuple(color), nodes, elapsed)
-    return ColoringOutcome(NOT_COLORABLE, None, nodes, elapsed)
+            low = c & -c
+            c ^= low
+            u = low.bit_length() - 1
+            s = sat[u].bit_count()
+            sat[u] |= bit
+            bucket[s] ^= low
+            bucket[s + 1] |= low
+        # a rank in bucket[k] has no color left: try the next color for v
+        if not bucket[k] and not descend(max(saved_max, ci + 1)):
+            return outcome(COLORABLE)
+    return outcome(NOT_COLORABLE)
 
 
 def verify_coloring(graph: DistanceGraph, assignment) -> bool:

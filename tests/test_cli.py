@@ -203,6 +203,8 @@ def test_export_lp_from_config_json(tmp_path):
 
 def test_usage_errors(tmp_path):
     missing = str(tmp_path / "missing")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"circles": [{"n": 4, "r": 1.0001}], "b": 1.25, "eps": 0.0001}))
     cases = [
         (("annulus-lower", "--case", "9", "--b", "1.3", "--k", "4"), None),
         (("no-such-command",), None),
@@ -210,6 +212,9 @@ def test_usage_errors(tmp_path):
         (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--search-max", "-1"), "--search-max"),
         (("hex-table", "--p-max", "-1"), "--p-max"),
         (("export", "--what", "dimacs", "--config", missing + ".json"), "--config"),
+        # --config gives the whole graph, so the flags that also give it are refused
+        (("export", "--what", "dimacs", "--config", str(cfg), "--case", "1", "--b", "1.9",
+          "--n", "50", "--eps", "0.01"), "--case, --b, --n, --eps"),
         (("annulus-upper", "--k", "3", "--out", missing + "/dir/x"), "--out"),
         (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "1"), "--k"),
         (("threshold", "--case", "1", "--k", "1", "--b-lo", "1.25", "--b-hi", "1.4"), "--k"),

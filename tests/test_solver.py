@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from chromaplane.distgraph import CircleSpec, PointConfig, build_graph, graph_from_points
+from chromaplane.annulus import case_graph
+from chromaplane.distgraph import (
+    CircleSpec,
+    DistanceGraph,
+    PointConfig,
+    build_graph,
+    graph_from_points,
+)
+from chromaplane.geom import Point2
 from chromaplane.solver import (
     COLORABLE,
     NOT_COLORABLE,
@@ -13,6 +21,7 @@ from chromaplane.solver import (
     chromatic_number,
     export_cnf,
     export_lp,
+    greedy_clique,
     k_colorable,
     verify_coloring,
 )
@@ -58,23 +67,129 @@ def test_oracle_agreement_random_circulants():
             assert got == want, f"n={g.n} edges={g.edges} k={k}"
 
 
-def test_oracle_agreement_random_dense_graphs():
+def random_dense_graph(rng, max_n=11):
     # non-symmetric structure, unlike the circulant family
-    from chromaplane.distgraph import DistanceGraph
-    from chromaplane.geom import Point2
+    n = rng.randint(4, max_n)
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5)
+    return DistanceGraph(tuple(Point2(3.0 * i, 0.0) for i in range(n)), edges, b=1.0)
 
+
+def test_oracle_agreement_random_dense_graphs():
     rng = random.Random(314)
     for _ in range(60):
-        n = rng.randint(4, 11)
-        edges = tuple(
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
-        )
-        pts = tuple(Point2(3.0 * i, 0.0) for i in range(n))
-        g = DistanceGraph(pts, edges, b=1.0)
+        g = random_dense_graph(rng)
         for k in (2, 3, 4):
             got = k_colorable(KColorQuery(g, k)).colorable
-            want = brute_force_k_colorable(n, edges, k)
-            assert got == want, f"n={n} edges={edges} k={k}"
+            want = brute_force_k_colorable(g.n, g.edges, k)
+            assert got == want, f"n={g.n} edges={g.edges} k={k}"
+
+
+def test_greedy_clique_is_maximal():
+    # so a seeded clique of k colors leaves no uncolored vertex that already
+    # sees all k of them, and k_colorable needs no check for one
+    rng = random.Random(61)
+    graphs = [random_circulant(rng, max_n=20) for _ in range(40)]
+    graphs += [random_dense_graph(rng, max_n=20) for _ in range(40)]
+    for g in graphs:
+        adj = g.adjacency_masks()
+        for seed in (0, 1, 2):
+            clique = greedy_clique(adj, seed=seed)
+            members = 0
+            for v in clique:
+                members |= 1 << v
+            for v in clique:
+                assert members & ~(adj[v] | 1 << v) == 0, (g.edges, clique)
+            for u in range(g.n):
+                if not members >> u & 1:
+                    assert adj[u] & members != members, (g.edges, clique, u)
+
+
+def reference_dsatur(g, k, seed=0, use_clique_seed=True):
+    """The O(n) pick() search that k_colorable replaced; returns (status, assignment, nodes)."""
+    n = g.n
+    if n == 0:
+        return COLORABLE, (), 0
+    adj = g.adjacency_masks()
+    deg = [a.bit_count() for a in adj]
+    clique = greedy_clique(adj, seed=seed) if use_clique_seed else []
+    if len(clique) > k:
+        return NOT_COLORABLE, None, 0
+    full = (1 << k) - 1
+    color = [-1] * n
+    sat = [0] * n
+    uncolored = set(range(n))
+    for idx, v in enumerate(clique):
+        color[v] = idx
+        uncolored.discard(v)
+        for u in range(n):
+            if adj[v] >> u & 1:
+                sat[u] |= 1 << idx
+    if any(sat[v] == full for v in uncolored):
+        return NOT_COLORABLE, None, 0
+
+    def pick():
+        return max(uncolored, key=lambda v: (sat[v].bit_count(), deg[v], -v))
+
+    if not uncolored:
+        return COLORABLE, tuple(color), 0
+    nodes = 0
+    max_used = len(clique)
+    v0 = pick()
+    uncolored.discard(v0)
+    stack = [[v0, ~sat[v0] & ((1 << min(k, max_used + 1)) - 1), [], max_used]]
+    while stack:
+        frame = stack[-1]
+        v, cand, changed, saved_max = frame
+        for u in changed:
+            sat[u] &= ~(1 << color[v])
+        changed.clear()
+        if cand == 0:
+            color[v] = -1
+            uncolored.add(v)
+            stack.pop()
+            continue
+        bit = cand & -cand
+        frame[1] = cand ^ bit
+        ci = bit.bit_length() - 1
+        color[v] = ci
+        nodes += 1
+        dead = False
+        for u in range(n):
+            if adj[v] >> u & 1 and color[u] == -1 and not (sat[u] & bit):
+                sat[u] |= bit
+                changed.append(u)
+                dead = dead or sat[u] == full
+        if dead:
+            continue
+        if not uncolored:
+            return COLORABLE, tuple(color), nodes
+        max_used = max(saved_max, ci + 1)
+        w = pick()
+        uncolored.discard(w)
+        stack.append([w, ~sat[w] & ((1 << min(k, max_used + 1)) - 1), [], max_used])
+    return NOT_COLORABLE, None, nodes
+
+
+def test_search_matches_reference_dsatur():
+    # same branch vertex at every node, so same verdict, certificate and node count
+    rng = random.Random(88)
+    graphs = [random_circulant(rng, max_n=24) for _ in range(40)]
+    graphs += [random_dense_graph(rng, max_n=20) for _ in range(40)]
+    for g in graphs:
+        for k in (2, 3, 4):
+            for use_clique_seed in (True, False):
+                out = k_colorable(KColorQuery(g, k), use_clique_seed=use_clique_seed)
+                want = reference_dsatur(g, k, use_clique_seed=use_clique_seed)
+                assert (out.status, out.assignment, out.search_nodes) == want, (g.edges, k)
+    # the desk-scale instances the benchmark times
+    for case, b, n, k, seed, nodes in (
+        (2, 1.48, 95, 4, 1, 225),
+        (2, 1.48, 95, 4, 3, 2416),
+        (1, 1.35, 130, 3, 0, 7706),
+    ):
+        out = k_colorable(KColorQuery(case_graph(case, b, None, n), k), seed=seed)
+        assert out.search_nodes == nodes, (case, seed)
+        assert out.colorable == (case == 2)
 
 
 def test_colorable_monotone_in_k():
@@ -106,6 +221,19 @@ def test_certificates_verify():
         if out.colorable:
             assert verify_coloring(g, out.assignment)
             assert max(out.assignment) < 4
+
+
+def test_colorable_answer_is_verified(monkeypatch, capsys):
+    import chromaplane.solver as solver_module
+    from chromaplane.cli import main
+
+    monkeypatch.setattr(solver_module, "verify_coloring", lambda graph, assignment: False)
+    with pytest.raises(RuntimeError):
+        k_colorable(KColorQuery(six_cycle(), 2))
+    # not_colorable answers carry no assignment to check
+    assert k_colorable(KColorQuery(five_cycle(), 2)).status == NOT_COLORABLE
+    assert main(["annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--n", "8"]) == 4
+    assert "internal: RuntimeError" in capsys.readouterr().err
 
 
 def test_verify_coloring_examples():

@@ -3,7 +3,7 @@
 The package studies colorings of the plane in which no two points at
 distance in [1, b] share a color. It provides:
 
-- geom: points, chords, convex polygons and polygon distances;
+- geom: points, distances, chords;
 - distgraph: finite distance graphs on circle point configurations;
 - solver: exact k-colorability plus DIMACS/CNF/LP exports;
 - annulus: radial annulus colorings, lower-bound configurations,
@@ -14,7 +14,7 @@ distance in [1, b] share a color. It provides:
 """
 
 from . import annulus, distgraph, eightcol, geom, hexcolor, solver
-from .geom import ConvexPolygon, Point2, chord, dist, mixed_chord, polygon_diameter, polygon_min_distance
+from .geom import Point2, chord, dist, mixed_chord
 from .distgraph import (
     CircleSpec,
     DistanceGraph,
@@ -44,7 +44,6 @@ __all__ = [
     "COLORABLE",
     "CircleSpec",
     "ColoringOutcome",
-    "ConvexPolygon",
     "DistanceGraph",
     "KColorQuery",
     "NOT_COLORABLE",
@@ -61,7 +60,5 @@ __all__ = [
     "graph_from_points",
     "k_colorable",
     "mixed_chord",
-    "polygon_diameter",
-    "polygon_min_distance",
     "verify_coloring",
 ]

@@ -3,8 +3,9 @@
 Every command is deterministic for fixed flags and seed: primary output
 (stdout or --out) is byte-identical across runs, progress and errors go
 to stderr. Exit codes: 0 ok, 2 usage, 3 budget exhausted, 4 internal.
-Floats in CSV/JSON are printed with 9 significant digits, enough to
-separate every constant the package produces.
+Floats in CSV are printed with 9 significant digits, enough to separate
+every constant the package produces; JSON prints Python's shortest repr
+that round-trips (for example "eps": 4.8e-07).
 """
 from __future__ import annotations
 
@@ -177,7 +178,10 @@ def cmd_export(args) -> str:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read --config {args.config}: {exc.strerror or exc}") from exc
-        config, b, eps = distgraph.config_from_json(text)
+        try:
+            config, b, eps = distgraph.config_from_json(text)
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"bad --config {args.config}: {exc}") from exc
     else:
         if args.case is None or args.b is None:
             raise UsageError("export needs either --config or --case with --b")

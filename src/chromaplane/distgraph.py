@@ -49,7 +49,9 @@ class PointConfig:
         if not self.circles:
             raise ValueError("config needs at least one circle")
         circles = tuple(CircleSpec(int(n), float(r)) for n, r in self.circles)
-        for n, r in circles:
+        for (n, r), (given, _) in zip(circles, self.circles):
+            if n != given:
+                raise ValueError(f"circle point count must be an integer, got {given!r}")
             if n < 1:
                 raise ValueError(f"circle point count must be >= 1, got {n}")
             if r <= 0:
@@ -156,6 +158,10 @@ def config_to_json(config: PointConfig, b: float, eps: float) -> str:
 
 
 def config_from_json(text: str) -> tuple[PointConfig, float, float]:
+    """Parse {"circles": [{"n", "r"}, ...], "b", "eps"}; a missing field raises ValueError."""
     payload = json.loads(text)
-    circles = tuple(CircleSpec(c["n"], c["r"]) for c in payload["circles"])
-    return PointConfig(circles), float(payload["b"]), float(payload["eps"])
+    try:
+        circles = tuple(CircleSpec(c["n"], c["r"]) for c in payload["circles"])
+        return PointConfig(circles), float(payload["b"]), float(payload["eps"])
+    except KeyError as exc:
+        raise ValueError(f"config lacks field {exc.args[0]!r}") from exc

@@ -1,4 +1,4 @@
-"""Planar geometry primitives: points, circle chords, convex polygons.
+"""Planar geometry primitives: points, distances, circle chords.
 
 Everything here works in plain double precision. Threshold comparisons
 elsewhere in the package use absolute tolerances; no exact arithmetic.
@@ -6,11 +6,7 @@ elsewhere in the package use absolute tolerances; no exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
-# Normalized turn-angle sine below this counts as a degenerate corner.
-CONVEXITY_TOL = 1e-12
+from typing import NamedTuple
 
 
 class Point2(NamedTuple):
@@ -45,128 +41,3 @@ def mixed_chord(r1: float, r2: float, angle: float) -> float:
     if r1 <= 0 or r2 <= 0:
         raise ValueError(f"radii must be positive, got {r1}, {r2}")
     return math.sqrt(max(0.0, r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(angle)))
-
-
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Strictly convex polygon with counterclockwise vertex order."""
-
-    vertices: tuple[Point2, ...]
-
-    def __init__(self, vertices: Sequence[Sequence[float]]):
-        pts = tuple(Point2(float(v[0]), float(v[1])) for v in vertices)
-        if len(pts) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        n = len(pts)
-        for i in range(n):
-            a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-            ux, uy = b.x - a.x, b.y - a.y
-            vx, vy = c.x - b.x, c.y - b.y
-            lu = math.hypot(ux, uy)
-            lv = math.hypot(vx, vy)
-            if lu == 0.0 or lv == 0.0:
-                raise ValueError("repeated vertex")
-            # cross product normalized to the sine of the turn angle
-            turn = (ux * vy - uy * vx) / (lu * lv)
-            if turn <= CONVEXITY_TOL:
-                raise ValueError("vertices must be strictly convex and counterclockwise")
-        object.__setattr__(self, "vertices", pts)
-
-    def translated(self, dx: float, dy: float) -> "ConvexPolygon":
-        return ConvexPolygon([(p.x + dx, p.y + dy) for p in self.vertices])
-
-    def edges(self) -> list[tuple[Point2, Point2]]:
-        v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
-
-def polygon_diameter(poly: ConvexPolygon) -> float:
-    """Largest pairwise vertex distance."""
-    vs = poly.vertices
-    return max(dist(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs)))
-
-
-def _point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    ax, ay = a
-    dx, dy = b[0] - ax, b[1] - ay
-    L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return dist(p, a)
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / L2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(p[0] - (ax + t * dx), p[1] - (ay + t * dy))
-
-
-def _segments_intersect(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> bool:
-    """Proper (interior) crossing test.
-
-    Near-degenerate cases (collinear or touching) deliberately report
-    False: cross products there are pure float noise, and the caller's
-    endpoint-to-segment distances already return 0 for genuine contact.
-    """
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    scale = (
-        abs(p2[0] - p1[0]) + abs(p2[1] - p1[1]) + abs(q2[0] - q1[0]) + abs(q2[1] - q1[1])
-        + abs(q1[0] - p1[0]) + abs(q1[1] - p1[1])
-    )
-    eps = 1e-12 * scale * scale
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    if min(abs(d1), abs(d2), abs(d3), abs(d4)) <= eps:
-        return False
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def segment_distance(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> float:
-    """Minimum distance between two closed segments."""
-    if _segments_intersect(p1, p2, q1, q2):
-        return 0.0
-    return min(
-        _point_segment_distance(p1, q1, q2),
-        _point_segment_distance(p2, q1, q2),
-        _point_segment_distance(q1, p1, p2),
-        _point_segment_distance(q2, p1, p2),
-    )
-
-
-def _projection_gap(axis: tuple[float, float], A: ConvexPolygon, B: ConvexPolygon) -> float:
-    ax, ay = axis
-    a_lo = min(v.x * ax + v.y * ay for v in A.vertices)
-    a_hi = max(v.x * ax + v.y * ay for v in A.vertices)
-    b_lo = min(v.x * ax + v.y * ay for v in B.vertices)
-    b_hi = max(v.x * ax + v.y * ay for v in B.vertices)
-    return max(b_lo - a_hi, a_lo - b_hi)
-
-
-def _convex_overlap(A: ConvexPolygon, B: ConvexPolygon) -> bool:
-    # separating axis theorem over both polygons' edge normals
-    for poly in (A, B):
-        vs = poly.vertices
-        for i in range(len(vs)):
-            ex = vs[(i + 1) % len(vs)].x - vs[i].x
-            ey = vs[(i + 1) % len(vs)].y - vs[i].y
-            if _projection_gap((-ey, ex), A, B) > 0.0:
-                return False
-    return True
-
-
-def polygon_min_distance(A: ConvexPolygon, B: ConvexPolygon) -> float:
-    """Minimum distance between two closed convex polygons.
-
-    Zero when they intersect or touch; otherwise the smallest
-    segment-to-segment distance over all edge pairs. Exhaustive edge
-    pairs are fine here: the package only measures hexagons and other
-    tiny polygons, so clarity beats asymptotics.
-    """
-    if _convex_overlap(A, B):
-        return 0.0
-    return min(
-        segment_distance(a1, a2, b1, b2)
-        for a1, a2 in A.edges()
-        for b1, b2 in B.edges()
-    )

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geom import ConvexPolygon, Point2, polygon_min_distance
+from .geom import Point2
 
 SQRT3 = math.sqrt(3.0)
 
@@ -28,12 +28,10 @@ S2 = Point2(SQRT3 / 4.0, -0.75)
 
 TILE_DIAMETER = 1.0
 
-# circumradius 1/2, vertices at 30 + 60k degrees: two sides vertical
-BASE_TILE = ConvexPolygon(
-    [
-        (0.5 * math.cos(math.radians(a)), 0.5 * math.sin(math.radians(a)))
-        for a in (30, 90, 150, 210, 270, 330)
-    ]
+# circumradius 1/2, vertices at 30 + 60k degrees, counterclockwise: two sides vertical
+BASE_TILE = tuple(
+    Point2(0.5 * math.cos(math.radians(a)), 0.5 * math.sin(math.radians(a)))
+    for a in (30, 90, 150, 210, 270, 330)
 )
 
 # equality slack when comparing scheme distances against requested b values
@@ -71,11 +69,6 @@ def tile_center(i: int, j: int) -> Point2:
     return Point2(i * S1.x + j * S2.x, i * S1.y + j * S2.y)
 
 
-def hex_tile(i: int, j: int) -> ConvexPolygon:
-    c = tile_center(i, j)
-    return BASE_TILE.translated(c.x, c.y)
-
-
 def point_to_tile(p) -> tuple[int, int]:
     """Tile index (i, j) owning the point.
 
@@ -84,20 +77,8 @@ def point_to_tile(p) -> tuple[int, int]:
     lexicographically smallest index, which keeps the assignment a
     partition (every point gets exactly one tile).
     """
-    x, y = float(p[0]), float(p[1])
-    j0 = -y / 0.75
-    i0 = (x - j0 * S2.x) / S1.x
-    bi, bj = round(i0), round(j0)
-    best = None
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            i, j = bi + di, bj + dj
-            c = tile_center(i, j)
-            d2 = (x - c.x) ** 2 + (y - c.y) ** 2
-            key = (d2, i, j)
-            if best is None or key < best:
-                best = key
-    return best[1], best[2]
+    ii, jj = _tile_indices_vectorized(np.array([float(p[0])]), np.array([float(p[1])]))
+    return int(ii[0]), int(jj[0])
 
 
 def _coset_key(p: int, q: int, n_colors: int, i: int, j: int) -> tuple[int, int]:
@@ -179,6 +160,23 @@ def _same_color_offsets(
         ring += 1
 
 
+def _tile_gap(ox: float, oy: float) -> float:
+    """Distance between the base tile P and its translate P + (ox, oy).
+
+    P is centrally symmetric, so P - P = 2P and the gap is the distance
+    from the offset to 2P: the regular hexagon of circumradius 1 with
+    vertical sides at x = +-sqrt(3)/2. Its symmetries fold the offset into
+    the 0-30 degree wedge, where 2P ends in the face x = sqrt(3)/2 up to
+    its vertex (sqrt(3)/2, 1/2).
+    """
+    x, y = abs(ox), abs(oy)
+    if y * SQRT3 > x:  # 30-90 degrees: rotate by -60 degrees, reflect into 0-30
+        x, y = 0.5 * x + 0.5 * SQRT3 * y, abs(0.5 * y - 0.5 * SQRT3 * x)
+    if y > 0.5:
+        return math.hypot(x - SQRT3 / 2.0, y - 0.5)
+    return max(x - SQRT3 / 2.0, 0.0)
+
+
 def min_same_color_distance(p: int, q: int) -> float:
     """Minimum distance between distinct same-colored tiles.
 
@@ -187,7 +185,7 @@ def min_same_color_distance(p: int, q: int) -> float:
     """
     best = math.inf
     for ox, oy in _same_color_offsets(HexScheme(p, q), lambda: best + TILE_DIAMETER):
-        d = polygon_min_distance(BASE_TILE, BASE_TILE.translated(ox, oy))
+        d = _tile_gap(ox, oy)
         if d < best:
             best = d
     return best
@@ -352,11 +350,10 @@ def _boundary_strata(points_per_edge: int = 30, pull: float = 1e-7) -> np.ndarra
     boundary convention, so cross-tile strata pairs are genuinely
     same-colored whenever their tiles share a coset.
     """
-    vs = BASE_TILE.vertices
     pts = []
     for i in range(6):
-        a = np.array(vs[i])
-        c = np.array(vs[(i + 1) % 6])
+        a = np.array(BASE_TILE[i])
+        c = np.array(BASE_TILE[(i + 1) % 6])
         t = np.linspace(0.0, 1.0, points_per_edge, endpoint=False)[:, None]
         pts.append(a + t * (c - a))
     return np.vstack(pts) * (1.0 - pull)

@@ -204,8 +204,27 @@ def test_export_lp_from_config_json(tmp_path):
 def test_usage_errors(tmp_path):
     missing = str(tmp_path / "missing")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"circles": [{"n": 4, "r": 1.0001}], "b": 1.25, "eps": 0.0001}))
-    cases = [
+    good = {"circles": [{"n": 4, "r": 1.0001}], "b": 1.25, "eps": 0.0001}
+    cfg.write_text(json.dumps(good))
+    # malformed --config files: each missing field, a wrong type, not an object
+    malformed = []
+    for name, payload in [
+        ("r", {**good, "circles": [{"n": 4}]}),
+        ("n", {**good, "circles": [{"r": 1.0001}]}),
+        ("b", {k: v for k, v in good.items() if k != "b"}),
+        ("eps", {k: v for k, v in good.items() if k != "eps"}),
+        ("circles", {k: v for k, v in good.items() if k != "circles"}),
+        ("null", {**good, "b": None}),
+        ("fraction", {**good, "circles": [{"n": 4.5, "r": 1.0001}]}),
+        ("list", [good]),
+    ]:
+        path = tmp_path / f"cfg_{name}.json"
+        path.write_text(json.dumps(payload))
+        flag = f"--config {path}: config lacks field '{name}'"
+        if name in ("null", "fraction", "list"):
+            flag = "--config"
+        malformed.append((("export", "--what", "dimacs", "--config", str(path)), flag))
+    cases = malformed + [
         (("annulus-lower", "--case", "9", "--b", "1.3", "--k", "4"), None),
         (("no-such-command",), None),
         (("min-colors", "--b-lo", "1.2", "--b-hi", "1.1"), None),

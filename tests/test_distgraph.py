@@ -45,6 +45,9 @@ def test_config_validation():
         PointConfig((CircleSpec(5, 1.0), CircleSpec(7, 1.0)))  # duplicate radius
     with pytest.raises(ValueError):
         PointConfig((CircleSpec(0, 1.0),))
+    with pytest.raises(ValueError, match="integer"):
+        PointConfig((CircleSpec(4.5, 1.0),))  # would silently become 4 points
+    assert PointConfig((CircleSpec(4.0, 1.0),)).circles == (CircleSpec(4, 1.0),)
 
 
 def test_build_graph_triangle_no_edges():

@@ -4,29 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from chromaplane.geom import (
-    ConvexPolygon,
-    Point2,
-    chord,
-    dist,
-    mixed_chord,
-    polygon_diameter,
-    polygon_min_distance,
-)
-
-
-def unit_square(cx=0.0, cy=0.0, side=1.0):
-    h = side / 2
-    return ConvexPolygon([(cx - h, cy - h), (cx + h, cy - h), (cx + h, cy + h), (cx - h, cy + h)])
-
-
-def regular_hexagon(circumradius, cx=0.0, cy=0.0):
-    return ConvexPolygon(
-        [
-            (cx + circumradius * math.cos(math.radians(a)), cy + circumradius * math.sin(math.radians(a)))
-            for a in (30, 90, 150, 210, 270, 330)
-        ]
-    )
+from chromaplane.geom import Point2, chord, dist, mixed_chord
+from chromaplane.hexcolor import BASE_TILE, S1, S2, _tile_gap
 
 
 def test_dist_examples():
@@ -79,42 +58,18 @@ def test_chord_strictly_increasing_in_angle():
             assert chord(r, a1) < chord(r, a2)
 
 
-def test_polygon_validation():
-    with pytest.raises(ValueError):
-        ConvexPolygon([(0, 0), (1, 0)])
-    with pytest.raises(ValueError):  # clockwise
-        ConvexPolygon([(0, 0), (0, 1), (1, 0)])
-    with pytest.raises(ValueError):  # collinear
-        ConvexPolygon([(0, 0), (1, 0), (2, 0), (0, 1)])
-    ConvexPolygon([(0, 0), (1, 0), (0, 1)])  # fine
-
-
-def test_polygon_min_distance_examples():
-    sq = unit_square()
-    assert polygon_min_distance(sq, sq) == 0
-    assert polygon_min_distance(sq, unit_square(cx=3)) == pytest.approx(2, abs=1e-12)
-    # overlapping and touching both count as distance zero
-    assert polygon_min_distance(sq, unit_square(cx=0.5)) == 0
-    assert polygon_min_distance(sq, unit_square(cx=1.0)) == 0
-
-
 def test_polygon_min_distance_hexagon_tiles():
-    # diameter-1 tiles of the hexagonal tiling, offset by one lattice step
-    # (1, 2); oracle: dense boundary sampling
-    s1 = (math.sqrt(3) / 2, 0.0)
-    s2 = (math.sqrt(3) / 4, -0.75)
-    off = (s1[0] + 2 * s2[0], s1[1] + 2 * s2[1])
-    h0 = regular_hexagon(0.5)
-    h12 = regular_hexagon(0.5, cx=off[0], cy=off[1])
-    d = polygon_min_distance(h0, h12)
+    # diameter-1 tiles of the hexagonal tiling, offset by the lattice step
+    # S1 + 2*S2; oracle: dense boundary sampling of the two tiles
+    off = (S1.x + 2 * S2.x, S1.y + 2 * S2.y)
+    d = _tile_gap(*off)
     assert d == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
 
     samples = []
-    for poly in (h0, h12):
-        vs = poly.vertices
+    for dx, dy in ((0.0, 0.0), off):
         for i in range(6):
-            a = np.array(vs[i])
-            c = np.array(vs[(i + 1) % 6])
+            a = np.array(BASE_TILE[i]) + (dx, dy)
+            c = np.array(BASE_TILE[(i + 1) % 6]) + (dx, dy)
             t = np.linspace(0, 1, 400, endpoint=False)[:, None]
             samples.append(a + t * (c - a))
     A = np.vstack(samples[:6])
@@ -123,27 +78,30 @@ def test_polygon_min_distance_hexagon_tiles():
     assert d == pytest.approx(sampled, abs=1e-5)
 
 
+def _rotate(x, y, degrees):
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return c * x - s * y, s * x + c * y
+
+
 def test_polygon_min_distance_symmetry():
+    # the gap between two tiles is invariant under the twelve symmetries
+    # of the hexagon: rotations by 60 degrees and the reflections
     rng = random.Random(3)
-    for _ in range(50):
-        a = unit_square(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        b = regular_hexagon(0.5, rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert polygon_min_distance(a, b) == pytest.approx(polygon_min_distance(b, a), abs=1e-12)
+    for _ in range(500):
+        ox, oy = rng.uniform(-4, 4), rng.uniform(-4, 4)
+        d = _tile_gap(ox, oy)
+        for k in range(6):
+            rx, ry = _rotate(ox, oy, 60 * k)
+            assert _tile_gap(rx, ry) == pytest.approx(d, abs=1e-12)
+            assert _tile_gap(rx, -ry) == pytest.approx(d, abs=1e-12)
 
 
 def test_polygon_min_distance_centroid_consistency():
+    # two tiles of circumradius 1/2 whose centers are r apart: the gap lies
+    # between r - 1 (vertex to vertex) and r - sqrt(3)/2 (face to face)
     rng = random.Random(5)
-    for _ in range(50):
-        a = regular_hexagon(0.5, rng.uniform(-3, 3), rng.uniform(-3, 3))
-        b = regular_hexagon(0.5, rng.uniform(-3, 3), rng.uniform(-3, 3))
-        ca = np.mean(a.vertices, axis=0)
-        cb = np.mean(b.vertices, axis=0)
-        lower = np.hypot(*(ca - cb)) - polygon_diameter(a) / 2 - polygon_diameter(b) / 2
-        assert polygon_min_distance(a, b) >= lower - 1e-9
-
-
-def test_polygon_diameter():
-    assert polygon_diameter(regular_hexagon(0.5)) == pytest.approx(1, abs=1e-12)
-    assert polygon_diameter(unit_square()) == pytest.approx(math.sqrt(2), abs=1e-12)
-    tiny = unit_square(side=1e-9)
-    assert polygon_diameter(tiny) == pytest.approx(1e-9 * math.sqrt(2), rel=1e-9)
+    for _ in range(500):
+        ox, oy = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        r = math.hypot(ox, oy)
+        d = _tile_gap(ox, oy)
+        assert max(r - 1.0, 0.0) - 1e-12 <= d <= max(r - math.sqrt(3) / 2, 0.0) + 1e-12

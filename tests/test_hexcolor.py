@@ -19,7 +19,6 @@ from chromaplane.hexcolor import (
     family_bound,
     min_colors_curve,
     hex_b_max,
-    hex_tile,
     min_same_color_distance,
     named_family,
     point_to_tile,
@@ -103,7 +102,8 @@ EXPECTED_PARETO = [
 def test_lattice_constants():
     assert S1 == pytest.approx((SQRT3 / 2, 0.0), abs=1e-15)
     assert S2 == pytest.approx((SQRT3 / 4, -0.75), abs=1e-15)
-    vs = BASE_TILE.vertices
+    vs = BASE_TILE
+    assert len(vs) == 6
     diam = max(dist(a, b) for a in vs for b in vs)
     assert diam == pytest.approx(1.0, abs=1e-12)
     # two vertical sides
@@ -146,6 +146,41 @@ def test_point_to_tile_partition():
     si, sj = _tile_indices_vectorized(pts[:500, 0], pts[:500, 1])
     for idx, (x, y) in enumerate(pts[:500]):
         assert point_to_tile((x, y)) == (si[idx], sj[idx])
+
+
+def _reference_nearest_tile(x, y, window=9):
+    """Nearest tile center over a window, exact ties to the smallest (i, j)."""
+    best = None
+    for i in range(-window, window + 1):
+        for j in range(-window, window + 1):
+            cx = i * S1.x + j * S2.x
+            cy = i * S1.y + j * S2.y
+            key = ((x - cx) * (x - cx) + (y - cy) * (y - cy), i, j)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def test_point_to_tile_ties_at_vertices_and_edge_midpoints():
+    # every vertex and edge midpoint lies on the boundary of two or three
+    # tiles; a third of them are exact float ties between centers
+    ties = 0
+    for i in range(-4, 5):
+        for j in range(-4, 5):
+            c = tile_center(i, j)
+            for k in range(6):
+                a, b = BASE_TILE[k], BASE_TILE[(k + 1) % 6]
+                for x, y in ((c.x + a.x, c.y + a.y),
+                             (c.x + (a.x + b.x) / 2, c.y + (a.y + b.y) / 2)):
+                    d2, ri, rj = _reference_nearest_tile(x, y)
+                    assert point_to_tile((x, y)) == (ri, rj), (x, y)
+                    tied = sum(
+                        (x - cx) * (x - cx) + (y - cy) * (y - cy) == d2
+                        for cx, cy in (tile_center(ri + di, rj + dj)
+                                       for di in (-1, 0, 1) for dj in (-1, 0, 1))
+                    )
+                    ties += tied > 1
+    assert ties > 100
 
 
 def test_point_to_tile_roundtrip():
@@ -387,9 +422,75 @@ def test_scheme_json():
 
 
 def test_hex_tile_geometry():
-    tile = hex_tile(2, -1)
     c = tile_center(2, -1)
-    xs = [v.x for v in tile.vertices]
-    ys = [v.y for v in tile.vertices]
+    tile = [(c.x + v.x, c.y + v.y) for v in BASE_TILE]
+    xs = [x for x, _ in tile]
+    ys = [y for _, y in tile]
     assert sum(xs) / 6 == pytest.approx(c.x, abs=1e-12)
     assert sum(ys) / 6 == pytest.approx(c.y, abs=1e-12)
+    # circumradius 1/2, vertices counterclockwise
+    for k in range(6):
+        (ax, ay), (bx, by) = tile[k], tile[(k + 1) % 6]
+        assert math.hypot(ax - c.x, ay - c.y) == pytest.approx(0.5, abs=1e-12)
+        assert (ax - c.x) * (by - c.y) - (ay - c.y) * (bx - c.x) > 0
+
+
+def _reference_tile_gaps(offsets):
+    """Least of the 72 vertex-to-edge distances between P and P + o, per offset.
+
+    Exact for disjoint or touching tiles, where the closest pair of points
+    always includes a vertex of one tile.
+    """
+    V = np.broadcast_to(np.array(BASE_TILE), (len(offsets), 6, 2))
+    W = V + np.asarray(offsets)[:, None, :]
+
+    def vertex_edge(pts, a):
+        ab = np.roll(a, -1, axis=1) - a
+        ap = pts[:, :, None, :] - a[:, None, :, :]
+        t = np.clip((ap * ab[:, None]).sum(-1) / (ab * ab).sum(-1)[:, None], 0.0, 1.0)
+        gap = ap - t[..., None] * ab[:, None]
+        return np.sqrt((gap * gap).sum(-1)).min(axis=(1, 2))
+
+    return np.minimum(vertex_edge(V, W), vertex_edge(W, V))
+
+
+def test_tile_gap_matches_reference(monkeypatch):
+    visited = []
+    tile_gap = hexcolor._tile_gap
+
+    def recording_gap(ox, oy):
+        visited.append((ox, oy))
+        return tile_gap(ox, oy)
+
+    monkeypatch.setattr(hexcolor, "_tile_gap", recording_gap)
+    for p in range(31):
+        for q in range(31):
+            if (p, q) != (0, 0):
+                min_same_color_distance(p, q)
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(0)
+    r = rng.uniform(1.0 + 1e-9, 8.0, 5000)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 5000)
+    outside = list(zip(r * np.cos(phi), r * np.sin(phi)))
+    offsets = visited + outside
+    want = _reference_tile_gaps(offsets)
+    got = np.array([hexcolor._tile_gap(ox, oy) for ox, oy in offsets])
+    assert len(visited) > 5000
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+    # 2P, the base tile scaled by 2, holds the offsets at which the tiles meet
+    hull = [(2 * v.x, 2 * v.y) for v in BASE_TILE]
+    sides = list(zip(hull, hull[1:] + hull[:1]))
+    inside = [
+        (x, y)
+        for x, y in rng.uniform(-1.0, 1.0, size=(4000, 2))
+        if all((bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0 for (ax, ay), (bx, by) in sides)
+    ]
+    assert len(inside) > 2000
+    for ox, oy in inside:
+        assert hexcolor._tile_gap(ox, oy) == 0.0
+    # on the boundary of 2P the tiles touch
+    for (ax, ay), (bx, by) in sides:
+        for t in np.linspace(0.0, 1.0, 7):
+            assert hexcolor._tile_gap(ax + t * (bx - ax), ay + t * (by - ay)) <= 1e-12

@@ -175,11 +175,9 @@ def cmd_export(args) -> str:
             raise UsageError(f"--config takes the graph from the file; drop {', '.join(extra)}")
         try:
             with open(args.config) as fh:
-                text = fh.read()
+                config, b, eps = distgraph.config_from_json(fh.read())
         except OSError as exc:
             raise UsageError(f"cannot read --config {args.config}: {exc.strerror or exc}") from exc
-        try:
-            config, b, eps = distgraph.config_from_json(text)
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad --config {args.config}: {exc}") from exc
     else:

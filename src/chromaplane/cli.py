@@ -157,9 +157,10 @@ def cmd_min_colors(args) -> str:
 
 
 def cmd_eight_opt(args) -> str:
-    if args.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
-    opt = eightcol.maximize_b(args.tol)
+    try:
+        opt = eightcol.maximize_b(args.tol)
+    except ValueError as exc:
+        raise UsageError(f"--tol: {exc}") from exc
     if args.format == "json":
         return eightcol.optimum_json(opt)
     record = {"b": opt.b, "x": opt.x, "y": opt.y,

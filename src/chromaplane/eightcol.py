@@ -4,8 +4,8 @@ The construction modifies the classic seven-hexagon pattern by planting a
 small triangle of an eighth color at every second corner meeting point,
 which lets the hexagons grow. Two shape parameters remain: x (triangle
 size) and y (hexagon size). Properness reduces to four inequalities in
-(x, y, b); the module evaluates them and maximizes b over the feasible
-set.
+(x, y, b). The largest feasible b is a closed-form vertex, checked and
+not searched: constraints 1 and 3 fix (x, y) and constraint 4 caps b.
 """
 from __future__ import annotations
 
@@ -13,15 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 SQRT3 = math.sqrt(3.0)
 
 FEASIBLE_TOL = 1e-12
-
-
-class ToleranceNotReached(Exception):
-    """Refinement failed to produce a feasible point at the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -57,100 +51,6 @@ def feasible(params: EightParams, tol: float = FEASIBLE_TOL) -> bool:
     return all(s >= -tol for s in constraint_slacks(params))
 
 
-def _c2(x: float, y: float) -> float:
-    return 2.0 * y * SQRT3 - x
-
-
-def _c3(x: float, y: float) -> float:
-    return (2.0 * y - x / (2.0 * SQRT3)) ** 2 + (x / 2.0) ** 2
-
-
-def _c4_sqrt(x: float, y: float) -> float:
-    return math.hypot(1.5 * y * SQRT3, y / 2.0 + x / SQRT3)
-
-
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float | None:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0) == (fhi < 0):
-        return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _checked_candidate(x: float, y: float):
-    """(b, x, y) with b capped by constraints 2/4, or None when 1/3 fail."""
-    if not (x > 0 and y > 0):
-        return None
-    if 1.0 - (y * SQRT3 + x) < -FEASIBLE_TOL:
-        return None
-    if 1.0 - _c3(x, y) < -FEASIBLE_TOL:
-        return None
-    b = min(_c2(x, y), _c4_sqrt(x, y))
-    if b <= 1.0:
-        return None
-    return b, x, y
-
-
-def _candidate_13():
-    # constraints 1 and 3 tight: x eliminated along y*sqrt(3) + x = 1,
-    # then constraint 3 becomes a scalar equation in y
-    def g(y):
-        return _c3(1.0 - SQRT3 * y, y) - 1.0
-
-    y = _bisect(g, 1e-9, 1.0 / SQRT3 - 1e-9)
-    if y is None:
-        return None
-    return _checked_candidate(1.0 - SQRT3 * y, y)
-
-
-def _candidate_124():
-    # constraint 1 tight and constraints 2, 4 equal: scalar equation in y
-    def h(y):
-        x = 1.0 - SQRT3 * y
-        return _c2(x, y) - _c4_sqrt(x, y)
-
-    y = _bisect(h, 1e-6, 1.0 / SQRT3 - 1e-9)
-    if y is None:
-        return None
-    return _checked_candidate(1.0 - SQRT3 * y, y)
-
-
-def _candidate_234(x0: float, y0: float):
-    # constraint 3 tight and constraints 2, 4 equal: crude alternating
-    # refinement from the grid seed, then y re-solved exactly on c3
-    x, y = x0, y0
-    for _ in range(80):
-        ynew = _bisect(lambda t: _c3(x, t) - 1.0, max(1e-9, y - 0.2), y + 0.2)
-        if ynew is None:
-            return None
-        y = ynew
-        xnew = _bisect(lambda t: _c2(t, y) - _c4_sqrt(t, y), 1e-9, 1.0)
-        if xnew is None:
-            return None
-        if abs(xnew - x) < 1e-14:
-            x = xnew
-            break
-        x = xnew
-    y = _bisect(lambda t: _c3(x, t) - 1.0, max(1e-9, y - 0.2), y + 0.2)
-    if y is None:
-        return None
-    return _checked_candidate(x, y)
-
-
 @dataclass(frozen=True)
 class EightOptimum:
     b: float
@@ -160,41 +60,50 @@ class EightOptimum:
     slacks: tuple[float, float, float, float]
 
 
-def maximize_b(tol: float = 1e-6) -> EightOptimum:
-    """Maximal b admitting a feasible (x, y), to within tol.
+def _vertex() -> tuple[float, float]:
+    """(x, y) with constraints 1 and 3 tight: x = 1 - sqrt(3)*y, 7y^2 - (4/sqrt(3))y = 2/3."""
+    y = math.sqrt(22.0 / 147.0 + 4.0 * math.sqrt(2.0) / 49.0)
+    return 1.0 - SQRT3 * y, y
 
-    A coarse grid over (0, 1)^2 seeds the search, then each plausible
-    active set ({1,3}, {1,2,4}, {2,3,4}) is solved to machine precision
-    and the best exactly-feasible candidate wins. The returned pair is
-    feasible at b - tol.
+
+def _kkt_multipliers(x: float, y: float) -> tuple[float, float]:
+    """(l1, l3) with grad c4 = l1 * grad c1 + l3 * grad c3 at (x, y).
+
+    c1, c3, c4 are the left-hand sides of constraints 1, 3, 4 (c4 is b^2).
+    Where 1 and 3 are tight, l1, l3 > 0 means every feasible direction
+    lowers c4 to first order, so b is at a local maximum.
     """
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
-    step = 1e-3
-    grid = np.arange(step, 1.0, step)
-    X, Y = np.meshgrid(grid, grid)
-    ok = (Y * SQRT3 + X <= 1.0) & ((2.0 * Y - X / (2.0 * SQRT3)) ** 2 + (X / 2.0) ** 2 <= 1.0)
-    ceiling = np.minimum(
-        2.0 * Y * SQRT3 - X,
-        np.sqrt((1.5 * Y * SQRT3) ** 2 + (Y / 2.0 + X / SQRT3) ** 2),
-    )
-    ceiling[~ok] = -np.inf
-    flat = int(np.argmax(ceiling))
-    x0 = float(X.ravel()[flat])
-    y0 = float(Y.ravel()[flat])
+    u = 2.0 * y - x / (2.0 * SQRT3)
+    v = y / 2.0 + x / SQRT3
+    g3x, g3y = x / 2.0 - u / SQRT3, 4.0 * u  # grad c1 is (1, sqrt(3))
+    g4x, g4y = 2.0 * v / SQRT3, 13.5 * y + v
+    det = g3y - SQRT3 * g3x
+    return (g4x * g3y - g3x * g4y) / det, (g4y - SQRT3 * g4x) / det
 
-    candidates = [_checked_candidate(x0, y0)]
-    candidates.append(_candidate_13())
-    candidates.append(_candidate_124())
-    candidates.append(_candidate_234(x0, y0))
-    viable = [c for c in candidates if c is not None]
-    if not viable:
-        raise ToleranceNotReached("no candidate produced a feasible point")
-    b, x, y = max(viable)
-    if b - tol <= 1.0 or not feasible(EightParams(x, y, b - tol)):
-        raise ToleranceNotReached(f"candidate (b={b}, x={x}, y={y}) fails at b - tol")
+
+def maximize_b(tol: float = 1e-6) -> EightOptimum:
+    """Maximal b admitting a feasible (x, y), checked at b - tol.
+
+    The optimum is the vertex where constraints 1 and 3 are tight; there
+    constraint 4 caps b and constraint 2 is slack. A RuntimeError reports
+    a vertex that fails the first-order (KKT) check or is infeasible at
+    b - tol. tol outside (0, b - 1) is a ValueError. A constraint is
+    active when its slack is within FEASIBLE_TOL of zero.
+    """
+    x, y = _vertex()
+    b = math.hypot(1.5 * y * SQRT3, y / 2.0 + x / SQRT3)
+    if not (tol > 0.0 and b - tol > 1.0):
+        raise ValueError(f"need 0 < tol < b - 1 = {b - 1.0!r}, got {tol!r}")
     slacks = constraint_slacks(EightParams(x, y, b))
-    active = tuple(i + 1 for i, s in enumerate(slacks) if abs(s) <= math.sqrt(tol))
+    l1, l3 = _kkt_multipliers(x, y)
+    if not (max(abs(slacks[0]), abs(slacks[2])) <= FEASIBLE_TOL and l1 > 0.0 and l3 > 0.0):
+        raise RuntimeError(
+            f"(x={x!r}, y={y!r}) fails the first-order check: "
+            f"slacks 1, 3 = {slacks[0]!r}, {slacks[2]!r}; multipliers {l1!r}, {l3!r}"
+        )
+    if not feasible(EightParams(x, y, b - tol)):
+        raise RuntimeError(f"(x={x!r}, y={y!r}) is infeasible at b - tol = {b - tol!r}")
+    active = tuple(i + 1 for i, s in enumerate(slacks) if abs(s) <= FEASIBLE_TOL)
     return EightOptimum(b, x, y, active, slacks)
 
 

@@ -23,6 +23,12 @@ def run_cli(*args):
     return proc
 
 
+def run_main(capsys, *args):
+    """cli.main in-process: (exit code, stderr)."""
+    rc = main(list(args))
+    return rc, capsys.readouterr().err
+
+
 def test_annulus_upper_csv():
     proc = run_cli("annulus-upper", "--k", "3")
     assert proc.returncode == 0
@@ -201,7 +207,7 @@ def test_export_lp_from_config_json(tmp_path):
     assert proc.stdout.rstrip().endswith("End")
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing")
     cfg = tmp_path / "cfg.json"
     good = {"circles": [{"n": 4, "r": 1.0001}], "b": 1.25, "eps": 0.0001}
@@ -243,15 +249,26 @@ def test_usage_errors(tmp_path):
         (("eight-opt", "--seed", "0"), "--seed"),
         (("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--n", "4",
           "--format", "json"), "--format"),
+        # --tol must lie in (0, b - 1), b - 1 being about 0.3754
+        (("eight-opt", "--tol", "nan"), "--tol"),
+        (("eight-opt", "--tol", "inf"), "--tol"),
+        (("eight-opt", "--tol", "-1"), "--tol"),
     ]
     for args, flag in cases:
-        proc = run_cli(*args)
-        assert proc.returncode == 2, (args, proc.stderr)
+        rc, err = run_main(capsys, *args)
+        assert rc == 2, (args, err)
         if flag is not None:
-            assert flag in proc.stderr, (args, proc.stderr)
+            assert flag in err, (args, err)
+    # one case in a real process, so the exit status itself is checked
+    proc = run_cli("eight-opt", "--tol", "0.4")
+    assert proc.returncode == 2, proc.stderr
+    assert "--tol" in proc.stderr
     assert not (tmp_path / "missing").exists()
-    proc = run_cli("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--n", "4", "--k", "3")
-    assert proc.returncode == 0
+    rc, err = run_main(capsys, "export", "--what", "dimacs", "--case", "1", "--b", "1.3",
+                       "--n", "4", "--k", "3")
+    assert rc == 0, err
+    rc, err = run_main(capsys, "eight-opt", "--tol", "0.375")
+    assert rc == 0, err
 
 
 def test_main_callable_in_process(capsys):

@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from chromaplane import cli, eightcol
 from chromaplane.eightcol import (
+    FEASIBLE_TOL,
     EightParams,
     constraint_slacks,
     feasible,
@@ -33,17 +35,6 @@ def test_infeasible_above_reference():
     assert not feasible(p)
 
 
-def test_constraint1_tight_at_boundary():
-    # x -> 0, y = 1/sqrt(3) saturates the first constraint exactly
-    assert (1 / SQRT3) * SQRT3 + 0.0 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_constraint1_scales_linearly():
-    for lam in (0.5, 2.0):
-        x, y = 0.2, 0.3
-        assert (lam * y) * SQRT3 + (lam * x) == pytest.approx(lam * (y * SQRT3 + x), abs=1e-12)
-
-
 def test_feasible_monotone_in_b():
     rng = random.Random(13)
     for _ in range(200):
@@ -69,16 +60,64 @@ def test_maximize_b_matches_reference():
 
 
 def test_maximize_b_no_feasible_point_above():
+    # the 1e-3 grid search the closed form replaced, kept as its oracle: no
+    # feasible grid point caps b above the optimum, and the best comes within
+    # 3 steps (|grad b| is about 2.65 at the vertex; measured gap 2.23e-3)
     opt = maximize_b(1e-6)
-    grid = np.linspace(1e-3, 1.0 - 1e-3, 400)
+    step = 1e-3
+    grid = np.arange(step, 1.0, step)
     X, Y = np.meshgrid(grid, grid)
-    b_up = opt.b + 10 * 1e-6
-    ok = (Y * SQRT3 + X <= 1.0) & ((2 * Y - X / (2 * SQRT3)) ** 2 + (X / 2) ** 2 <= 1.0)
+    ok = (Y * SQRT3 + X <= 1.0) & ((2.0 * Y - X / (2.0 * SQRT3)) ** 2 + (X / 2.0) ** 2 <= 1.0)
     cap = np.minimum(
-        2 * Y * SQRT3 - X,
-        np.sqrt((1.5 * Y * SQRT3) ** 2 + (Y / 2 + X / SQRT3) ** 2),
+        2.0 * Y * SQRT3 - X,
+        np.sqrt((1.5 * Y * SQRT3) ** 2 + (Y / 2.0 + X / SQRT3) ** 2),
     )
-    assert not np.any(ok & (cap >= b_up))
+    best = cap[ok].max()
+    assert best <= opt.b
+    assert opt.b - best <= 3 * step
+
+
+def test_constraints_1_and_3_tight_at_optimum():
+    opt = maximize_b(1e-6)
+    slacks = constraint_slacks(EightParams(opt.x, opt.y, opt.b))
+    assert abs(slacks[0]) <= 1e-15
+    assert abs(slacks[2]) <= 1e-15
+
+
+def test_kkt_multipliers_positive_at_optimum():
+    opt = maximize_b(1e-6)
+    l1, l3 = eightcol._kkt_multipliers(opt.x, opt.y)
+    assert l1 == pytest.approx(1.0765, abs=1e-4)
+    assert l3 == pytest.approx(1.3536, abs=1e-4)
+
+
+@pytest.mark.parametrize("dy", [1e-3, -1e-3])
+def test_kkt_check_rejects_point_off_the_vertex(monkeypatch, capsys, dy):
+    x, y = eightcol._vertex()
+    monkeypatch.setattr(eightcol, "_vertex", lambda: (x, y + dy))
+    with pytest.raises(RuntimeError, match="first-order"):
+        maximize_b(1e-6)
+    assert cli.main(["eight-opt"]) == cli.EXIT_INTERNAL
+    assert "internal: RuntimeError" in capsys.readouterr().err
+
+
+def test_kkt_check_rejects_a_negative_multiplier(monkeypatch):
+    monkeypatch.setattr(eightcol, "_kkt_multipliers", lambda x, y: (1.0, -1e-9))
+    with pytest.raises(RuntimeError, match="first-order"):
+        maximize_b(1e-6)
+
+
+def test_infeasible_vertex_is_internal_fault(monkeypatch):
+    monkeypatch.setattr(eightcol, "feasible", lambda params, tol=FEASIBLE_TOL: False)
+    with pytest.raises(RuntimeError, match="infeasible at b - tol"):
+        maximize_b(1e-6)
+
+
+def test_active_constraints_independent_of_tol():
+    # a constraint is active when its slack is within FEASIBLE_TOL; tol only
+    # sets where feasibility is checked
+    for tol in (1e-300, 1e-31, 1e-6, 1e-3, 0.1, 0.375):
+        assert maximize_b(tol).active_constraints == (1, 3, 4)
 
 
 def test_maximize_b_deterministic():
@@ -88,8 +127,11 @@ def test_maximize_b_deterministic():
 
 
 def test_maximize_b_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        maximize_b(0.0)
+    # tol must lie in (0, b - 1), b - 1 being about 0.3754
+    for tol in (0.0, -1.0, 0.4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            maximize_b(tol)
+    assert maximize_b(0.375).b == maximize_b(1e-6).b
 
 
 def test_params_validation():

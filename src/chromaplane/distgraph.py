@@ -4,6 +4,11 @@ A configuration is a union of evenly spaced circle point sets; the graph
 joins two points when their distance falls in [1, b]. Point k of an
 n-point circle of radius r sits at (r sin(2 pi k / n), r cos(2 pi k / n)),
 so every circle has one point on the upward vertical half-line.
+
+build_graph uses a circulant build, one offset slice of distances per
+circle pair (one row when the counts are equal), and never forms the
+all-pairs distance matrix; graph_from_points, for arbitrary points, keeps
+the dense all-pairs pass.
 """
 from __future__ import annotations
 
@@ -101,14 +106,57 @@ def circle_points(n: int, r: float, center: Point2 = Point2(0.0, 0.0)) -> list[P
     ]
 
 
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distance from each row point of p to each row point of q."""
+    diff = p[:, None, :] - q[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _in_window(d: np.ndarray, b: float) -> np.ndarray:
+    return (d >= 1.0 - BOUNDARY_TOL) & (d <= b + BOUNDARY_TOL)
+
+
+def _edge_tuple(ii: np.ndarray, jj: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(ii.tolist(), jj.tolist()))
+
+
 def _edges_for_points(points: list[Point2], b: float) -> tuple[tuple[int, int], ...]:
+    """Dense O(n^2) edge pass for arbitrary points, edges sorted (i asc, j asc)."""
     arr = np.asarray(points, dtype=float)
-    diff = arr[:, None, :] - arr[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
-    lo = 1.0 - BOUNDARY_TOL
-    hi = b + BOUNDARY_TOL
-    ii, jj = np.nonzero((d >= lo) & (d <= hi))
-    return tuple((int(i), int(j)) for i, j in zip(ii, jj) if i < j)
+    ii, jj = np.nonzero(_in_window(_distances(arr, arr), b))
+    keep = ii < jj
+    return _edge_tuple(ii[keep], jj[keep])
+
+
+def _circulant_edges(
+    config: PointConfig, points: list[Point2], b: float
+) -> tuple[tuple[int, int], ...]:
+    """Edges of a circle configuration from one offset slice per circle pair.
+
+    With g = gcd(n_a, n_b), rotating by 2 pi / g maps point i of circle A to
+    i + n_a/g and point j of circle B to j + n_b/g, so the distances from the
+    first n_a/g points of A to all of B fix the whole A-B block. The slice
+    uses the dense pass's distance expression on the same coordinates, and
+    the edges come out sorted (i asc, j asc) as there.
+    """
+    arr = np.asarray(points, dtype=float)
+    starts = np.cumsum([0] + [n for n, _ in config.circles]).tolist()
+    total = starts[-1]
+    keys = []
+    for a, (na, _) in enumerate(config.circles):
+        for c in range(a, len(config.circles)):
+            nb = config.circles[c].n
+            g = math.gcd(na, nb)
+            pa, pb = na // g, nb // g
+            sa, sb = starts[a], starts[c]
+            ii, jj = np.nonzero(_in_window(_distances(arr[sa:sa + pa], arr[sb:sb + nb]), b))
+            t = np.arange(g)[:, None]
+            i = (sa + ii + pa * t).ravel()
+            j = (sb + (jj + pb * t) % nb).ravel()
+            keep = i < j
+            keys.append(i[keep] * total + j[keep])
+    key = np.sort(np.concatenate(keys))
+    return _edge_tuple(key // total, key % total)
 
 
 def build_graph(config: PointConfig, b: float, eps: float | None = None) -> DistanceGraph:
@@ -127,7 +175,7 @@ def build_graph(config: PointConfig, b: float, eps: float | None = None) -> Dist
     points: list[Point2] = []
     for n, r in config.circles:
         points.extend(circle_points(n, r, config.center))
-    return DistanceGraph(tuple(points), _edges_for_points(points, b), b, eps)
+    return DistanceGraph(tuple(points), _circulant_edges(config, points, b), b, eps)
 
 
 def graph_from_points(points, b: float, eps: float = 0.0) -> DistanceGraph:

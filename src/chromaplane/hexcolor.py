@@ -395,14 +395,19 @@ def verify_scheme_sampled(
     v, vb = scheme.v, scheme.vbar
     span = abs(v.x) + abs(vb.x) + abs(v.y) + abs(vb.y) + b + 2.0
     chunk = 200_000
+    ranges = ((-span, span), (-span, span), (1.0 + band, b - band), (0.0, 2.0 * math.pi))
+    # one set of draw buffers per call: chunk-sized temporaries cost page faults
+    bufs = np.empty((len(ranges), min(chunk, max(samples, 0))))
     remaining = samples
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        x1 = rng.uniform(-span, span, m)
-        y1 = rng.uniform(-span, span, m)
-        d = rng.uniform(1.0 + band, b - band, m)
-        phi = rng.uniform(0.0, 2.0 * math.pi, m)
+        x1, y1, d, phi = bufs[:, :m]
+        for buf, (low, high) in zip((x1, y1, d, phi), ranges):
+            # the values rng.uniform(low, high, m) gives, bit for bit
+            rng.random(out=buf)
+            buf *= high - low
+            buf += low
         x2 = x1 + d * np.cos(phi)
         y2 = y1 + d * np.sin(phi)
         c1 = _colors_of_points(scheme, x1, y1)

@@ -9,11 +9,13 @@ All decisions are deterministic for a fixed seed.
 
 The search relabels vertices by rank, sorted by (-degree, index), so the
 lowest set bit of any mask of ranks is its highest-degree, lowest-index
-vertex. Uncolored ranks sit in saturation buckets (bucket[s] holds those
-with s distinct neighbor colors); the branch vertex is the lowest set bit
-of the highest nonempty bucket, an O(k) pick. Per-color masks of the
-ranks that already see each color let a newly colored vertex touch only
-the uncolored neighbors whose saturation actually grows.
+vertex. The clique search runs on the same rank masks, so one adjacency
+build serves both. Uncolored ranks sit in saturation buckets (bucket[s]
+holds those with s distinct neighbor colors); the branch vertex is the
+lowest set bit of the highest nonempty bucket, an O(k) pick. Per-color
+masks of the ranks that already see each color let a newly colored
+vertex touch only the uncolored neighbors whose saturation actually
+grows.
 """
 from __future__ import annotations
 
@@ -27,6 +29,8 @@ COLORABLE = "colorable"
 NOT_COLORABLE = "not_colorable"
 
 _BUDGET_CHECK_INTERVAL = 2048
+
+_CLIQUE_RESTARTS = 200
 
 
 class BudgetExhausted(Exception):
@@ -65,36 +69,56 @@ class ColoringOutcome:
         return self.status == COLORABLE
 
 
-def greedy_clique(adj: list[int], restarts: int = 200, seed: int = 0) -> list[int]:
+def _ranks(deg: list[int]) -> list[int]:
+    """rank[v]: position of v in the order (-degree, index)."""
+    rank = [0] * len(deg)
+    for r, v in enumerate(sorted(range(len(deg)), key=lambda v: (-deg[v], v))):
+        rank[v] = r
+    return rank
+
+
+def _rank_clique(radj: list[int], rank: list[int], restarts: int, seed: int) -> list[int]:
+    """greedy_clique on rank-space masks; returns ranks.
+
+    The lowest set bit of a rank mask is its highest-degree, lowest-index
+    vertex, so each extension step is one bit pick.
+    """
+    n = len(radj)
+    rng = random.Random(seed)
+    best: list[int] = []
+    for it in range(restarts):
+        clique = [0 if it == 0 else rank[rng.randrange(n)]]
+        cand = radj[clique[0]]
+        while cand:
+            r = (cand & -cand).bit_length() - 1
+            clique.append(r)
+            cand &= radj[r]
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
+def greedy_clique(adj: list[int], restarts: int = _CLIQUE_RESTARTS, seed: int = 0) -> list[int]:
     """Greedy max clique: extend by highest-degree candidate, many restarts.
 
-    Restart 0 starts from the highest-degree vertex, the rest from random
-    vertices drawn from a seeded generator, so the result is reproducible.
+    Ties go to the lowest index. Restart 0 starts from the highest-degree
+    vertex, the rest from random vertices drawn from a seeded generator, so
+    the result is reproducible.
     """
     n = len(adj)
     if n == 0:
         return []
-    rng = random.Random(seed)
-    deg = [a.bit_count() for a in adj]
-    start0 = max(range(n), key=lambda v: (deg[v], -v))
-    best: list[int] = []
-    for it in range(restarts):
-        start = start0 if it == 0 else rng.randrange(n)
-        clique = [start]
-        cand = adj[start]
-        while cand:
-            pick, pick_deg = -1, -1
-            c = cand
-            while c:
-                v = (c & -c).bit_length() - 1
-                c &= c - 1
-                if deg[v] > pick_deg:
-                    pick, pick_deg = v, deg[v]
-            clique.append(pick)
-            cand &= adj[pick]
-        if len(clique) > len(best):
-            best = clique
-    return best
+    rank = _ranks([a.bit_count() for a in adj])
+    radj = [0] * n
+    for v, a in enumerate(adj):
+        m = 0
+        while a:
+            low = a & -a
+            a ^= low
+            m |= 1 << rank[low.bit_length() - 1]
+        radj[rank[v]] = m
+    by_rank = sorted(range(n), key=rank.__getitem__)
+    return [by_rank[r] for r in _rank_clique(radj, rank, restarts, seed)]
 
 
 def k_colorable(
@@ -118,29 +142,28 @@ def k_colorable(
     if n == 0:
         return ColoringOutcome(COLORABLE, (), 0, 0.0)
 
-    adj = g.adjacency_masks()
-    deg = [a.bit_count() for a in adj]
-    clique = greedy_clique(adj, seed=seed) if use_clique_seed else []
-    if len(clique) > k:
-        return ColoringOutcome(NOT_COLORABLE, None, 0, time.monotonic() - start)
-
     # the search runs on ranks: rank r is the r-th vertex by (-degree, index)
-    rank = [0] * n
-    for r, v in enumerate(sorted(range(n), key=lambda v: (-deg[v], v))):
-        rank[v] = r
+    deg = [0] * n
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    rank = _ranks(deg)
     radj = [0] * n
     for i, j in g.edges:
         radj[rank[i]] |= 1 << rank[j]
         radj[rank[j]] |= 1 << rank[i]
+    clique = _rank_clique(radj, rank, _CLIQUE_RESTARTS, seed) if use_clique_seed else []
+    if len(clique) > k:
+        return ColoringOutcome(NOT_COLORABLE, None, 0, time.monotonic() - start)
 
     color = [-1] * n
     sat = [0] * n  # bit c set: some neighbor has color c
     seen = [0] * k  # seen[c]: ranks with bit c set in sat
     unc = (1 << n) - 1  # uncolored ranks
-    for idx, v in enumerate(clique):
-        color[rank[v]] = idx
-        unc ^= 1 << rank[v]
-        seen[idx] = c = radj[rank[v]]
+    for idx, r in enumerate(clique):
+        color[r] = idx
+        unc ^= 1 << r
+        seen[idx] = c = radj[r]
         while c:
             low = c & -c
             c ^= low

@@ -1,17 +1,22 @@
 import json
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chromaplane.annulus import CASE_CIRCLE_COUNTS, CASE_THRESHOLDS, lower_bound_config
 from chromaplane.distgraph import (
     BOUNDARY_TOL,
+    EPS_STABILITY_SCALES,
     CircleSpec,
     PointConfig,
     build_graph,
     circle_points,
     config_from_json,
     config_to_json,
+    default_eps,
     export_dimacs,
     graph_from_points,
 )
@@ -99,6 +104,58 @@ def test_single_circle_circulant_symmetry():
     edges = set(g.edges)
     shifted = {tuple(sorted(((i + 1) % 17, (j + 1) % 17))) for i, j in edges}
     assert shifted == edges
+
+
+def dense_edges(g):
+    """The same graph's edges by the dense pass over every point pair."""
+    return graph_from_points(g.points, g.b).edges
+
+
+@pytest.mark.parametrize("case", sorted(CASE_CIRCLE_COUNTS))
+def test_circulant_build_matches_dense_desk_scale(case):
+    for b in (CASE_THRESHOLDS[case] - 0.01, CASE_THRESHOLDS[case] + 0.01):
+        for n in (95, 65, 12, 2, 1):
+            for scale in EPS_STABILITY_SCALES:
+                eps = (b - 1.0) * scale
+                g = build_graph(lower_bound_config(case, b, eps, n), b, eps)
+                assert g.edges == dense_edges(g), (case, b, n, scale)
+
+
+@pytest.mark.parametrize("case, b, edges", [(1, 1.35, 388_700), (2, 1.48, 11_400)])
+def test_circulant_build_matches_dense_full_scale(case, b, edges):
+    config = lower_bound_config(case, b, default_eps(b))
+    tracemalloc.start()
+    try:
+        g = build_graph(config, b)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) == edges
+    assert g.edges == dense_edges(g)
+    # the dense pass needs an n x n x 2 float temporary: 258 MB for case 1
+    assert peak_mb < 100, peak_mb
+
+
+def test_circulant_build_matches_dense_random_configs():
+    rng = random.Random(77)
+    configs = [
+        PointConfig((CircleSpec(12, 1.1), CircleSpec(18, 1.4), CircleSpec(7, 0.8))),
+        PointConfig((CircleSpec(6, 1.0),), Point2(2.5, -1.0)),
+    ]
+    for _ in range(60):
+        radii = rng.sample([0.3 + 0.07 * i for i in range(25)], rng.randint(1, 3))
+        counts = rng.choice([(1, 2, 40), (13, 7, 30), (24, 36, 16), (2, 1, 1)])
+        center = Point2(0, 0)
+        if rng.random() < 0.5:
+            center = Point2(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        configs.append(PointConfig(tuple(CircleSpec(n, r) for n, r in zip(counts, radii)), center))
+    edges = 0
+    for config in configs:
+        b = rng.uniform(1.05, 2.5)
+        g = build_graph(config, b, 0.0)
+        assert g.edges == dense_edges(g), (config, b)
+        edges += len(g.edges)
+    assert edges > 5_000
 
 
 def test_edge_monotonicity_in_b():

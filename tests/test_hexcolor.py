@@ -414,6 +414,32 @@ def test_verify_scheme_sampled():
     assert a == b
 
 
+def test_verify_scheme_sampled_points_pinned(monkeypatch):
+    # the sample points rng.uniform drew, over a full chunk and a partial one
+    seen = []
+    colors_of_points = hexcolor._colors_of_points
+
+    def spy(scheme, xs, ys):
+        seen.append((xs.copy(), ys.copy()))
+        return colors_of_points(scheme, xs, ys)
+
+    monkeypatch.setattr(hexcolor, "_colors_of_points", spy)
+    s, b, samples = HexScheme(1, 2), 1.3, 250_000
+    assert verify_scheme_sampled(s, b, samples=samples, seed=11)
+    rng = np.random.default_rng(11)
+    span = abs(s.v.x) + abs(s.vbar.x) + abs(s.v.y) + abs(s.vbar.y) + b + 2.0
+    want = []
+    for m in (200_000, 50_000):
+        x1 = rng.uniform(-span, span, m)
+        y1 = rng.uniform(-span, span, m)
+        d = rng.uniform(1.0 + 1e-9, b - 1e-9, m)
+        phi = rng.uniform(0.0, 2.0 * math.pi, m)
+        want += [(x1, y1), (x1 + d * np.cos(phi), y1 + d * np.sin(phi))]
+    assert len(seen) == len(want)
+    for (xs, ys), (wx, wy) in zip(seen, want):
+        assert np.array_equal(xs, wx) and np.array_equal(ys, wy)
+
+
 def test_scheme_json():
     import json
 

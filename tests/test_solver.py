@@ -104,6 +104,72 @@ def test_greedy_clique_is_maximal():
                     assert adj[u] & members != members, (g.edges, clique, u)
 
 
+def reference_greedy_clique(adj, restarts=200, seed=0):
+    """The vertex-space clique search greedy_clique replaced: scans every candidate's degree."""
+    n = len(adj)
+    if n == 0:
+        return []
+    rng = random.Random(seed)
+    deg = [a.bit_count() for a in adj]
+    start0 = max(range(n), key=lambda v: (deg[v], -v))
+    best = []
+    for it in range(restarts):
+        start = start0 if it == 0 else rng.randrange(n)
+        clique = [start]
+        cand = adj[start]
+        while cand:
+            pick, pick_deg = -1, -1
+            c = cand
+            while c:
+                v = (c & -c).bit_length() - 1
+                c &= c - 1
+                if deg[v] > pick_deg:
+                    pick, pick_deg = v, deg[v]
+            clique.append(pick)
+            cand &= adj[pick]
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
+def search_graphs():
+    """The random graphs the search is checked on against reference_dsatur."""
+    rng = random.Random(88)
+    graphs = [random_circulant(rng, max_n=24) for _ in range(40)]
+    return graphs + [random_dense_graph(rng, max_n=20) for _ in range(40)]
+
+
+def test_greedy_clique_matches_reference():
+    graphs = search_graphs() + [case_graph(1, 1.35, None, 65), case_graph(3, 1.4, None, 30)]
+    for g in graphs:
+        adj = g.adjacency_masks()
+        for seed in (0, 1, 2):
+            assert greedy_clique(adj, seed=seed) == reference_greedy_clique(adj, seed=seed)
+        assert greedy_clique(adj, restarts=3, seed=5) == reference_greedy_clique(adj, 3, 5)
+
+
+def test_k_colorable_seeds_with_greedy_clique(monkeypatch):
+    # k_colorable runs the clique search on its own rank-space masks
+    import chromaplane.solver as solver_module
+
+    seen = []
+    rank_clique = solver_module._rank_clique
+
+    def spy(radj, rank, restarts, seed):
+        ranks = rank_clique(radj, rank, restarts, seed)
+        by_rank = sorted(range(len(rank)), key=rank.__getitem__)
+        seen.append([by_rank[r] for r in ranks])
+        return ranks
+
+    graphs = search_graphs()
+    want = [greedy_clique(g.adjacency_masks(), seed=seed) for g in graphs for seed in (0, 1, 2)]
+    monkeypatch.setattr(solver_module, "_rank_clique", spy)
+    for g in graphs:
+        for seed in (0, 1, 2):
+            k_colorable(KColorQuery(g, 4), seed=seed)
+    assert seen == want
+
+
 def reference_dsatur(g, k, seed=0, use_clique_seed=True):
     """The O(n) pick() search that k_colorable replaced; returns (status, assignment, nodes)."""
     n = g.n
@@ -111,7 +177,7 @@ def reference_dsatur(g, k, seed=0, use_clique_seed=True):
         return COLORABLE, (), 0
     adj = g.adjacency_masks()
     deg = [a.bit_count() for a in adj]
-    clique = greedy_clique(adj, seed=seed) if use_clique_seed else []
+    clique = reference_greedy_clique(adj, seed=seed) if use_clique_seed else []
     if len(clique) > k:
         return NOT_COLORABLE, None, 0
     full = (1 << k) - 1
@@ -172,10 +238,7 @@ def reference_dsatur(g, k, seed=0, use_clique_seed=True):
 
 def test_search_matches_reference_dsatur():
     # same branch vertex at every node, so same verdict, certificate and node count
-    rng = random.Random(88)
-    graphs = [random_circulant(rng, max_n=24) for _ in range(40)]
-    graphs += [random_dense_graph(rng, max_n=20) for _ in range(40)]
-    for g in graphs:
+    for g in search_graphs():
         for k in (2, 3, 4):
             for use_clique_seed in (True, False):
                 out = k_colorable(KColorQuery(g, k), use_clique_seed=use_clique_seed)

@@ -42,15 +42,28 @@ def _render(record: dict, fmt: str) -> str:
     return ",".join(record) + "\n" + ",".join(cells) + "\n"
 
 
-def _emit(text: str, out_path: str | None):
-    """Print text, or write it to out_path through a temporary file and a rename."""
+def _emit(chunks, out_path: str | None):
+    """Print a text, or the chunks of a streamed export, as they come; or
+    write them to out_path through a temporary file and a rename, so the
+    target never holds a partial text."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if not out_path:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early, which is not an error. Point
+            # stdout's fd at devnull so the interpreter's final flush of what
+            # is still buffered prints nothing.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     tmp = f"{out_path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, out_path)
     except OSError as exc:
         raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
@@ -169,7 +182,13 @@ def cmd_eight_opt(args) -> str:
     return _render(record, "csv")
 
 
-def cmd_export(args) -> str:
+def cmd_export(args):
+    """The export's chunk generator; the graph is built here, the text as it is written."""
+    if args.what != "dimacs":
+        if args.k is None:
+            raise UsageError(f"--k is required for {args.what} export")
+        if args.k < 1:
+            raise UsageError(f"--k must be >= 1, got {args.k}")
     if args.config:
         extra = [f"--{f}" for f in ("case", "b", "n", "eps") if getattr(args, f) is not None]
         if extra:
@@ -189,12 +208,10 @@ def cmd_export(args) -> str:
         config = annulus.lower_bound_config(args.case, b, eps, args.n)
     graph = distgraph.build_graph(config, b, eps)
     if args.what == "dimacs":
-        return distgraph.export_dimacs(graph)
-    if args.k is None:
-        raise UsageError(f"--k is required for {args.what} export")
+        return distgraph.dimacs_chunks(graph)
     if args.what == "cnf":
-        return solver.export_cnf(graph, args.k)
-    return solver.export_lp(graph, args.k)
+        return solver.cnf_chunks(graph, args.k)
+    return solver.lp_chunks(graph, args.k)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,8 +297,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        text = args.fn(args)
-        _emit(text, args.out)
+        _emit(args.fn(args), args.out)
         return EXIT_OK
     except solver.BudgetExhausted as exc:
         print(f"chromaplane: error: budget_exhausted: {exc}", file=sys.stderr)

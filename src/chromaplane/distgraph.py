@@ -9,6 +9,10 @@ build_graph uses a circulant build, one offset slice of distances per
 circle pair (one row when the counts are equal), and never forms the
 all-pairs distance matrix; graph_from_points, for arbitrary points, keeps
 the dense all-pairs pass.
+
+The exports (DIMACS here, CNF and LP in solver) are generators of text
+chunks over export_runs, so the CLI streams them; each export_* function
+is the join of its generator.
 """
 from __future__ import annotations
 
@@ -31,6 +35,11 @@ DEFAULT_EPS_SCALE = 1e-6
 # Thresholds derived from these graphs must be stable across these
 # eps scales (relative to b - 1) before being reported.
 EPS_STABILITY_SCALES = (1e-5, 1e-6, 1e-7)
+
+# Exports are built and written this many edges (or, in the per-vertex
+# sections, vertices) at a time: about 0.7 MB of LP text at k = 4, so an
+# export's memory is set by the graph, not by the length of its text.
+EXPORT_CHUNK = 4096
 
 
 def default_eps(b: float) -> float:
@@ -188,12 +197,23 @@ def graph_from_points(points, b: float, eps: float = 0.0) -> DistanceGraph:
     return DistanceGraph(pts, _edges_for_points(list(pts), b), b, eps)
 
 
+def export_runs(items):
+    """Consecutive slices of items, each at most EXPORT_CHUNK long."""
+    for start in range(0, len(items), EXPORT_CHUNK):
+        yield items[start : start + EXPORT_CHUNK]
+
+
+def dimacs_chunks(g: DistanceGraph):
+    """export_dimacs's text in pieces of at most EXPORT_CHUNK edges."""
+    yield f"p edge {g.n} {len(g.edges)}\n"
+    v = [str(i) for i in range(1, g.n + 1)]
+    for run in export_runs(sorted(g.edges)):
+        yield "".join([f"e {v[i]} {v[j]}\n" for i, j in run])
+
+
 def export_dimacs(g: DistanceGraph) -> str:
     """DIMACS graph format, 1-indexed, edges sorted (i asc, then j asc)."""
-    lines = [f"p edge {g.n} {len(g.edges)}"]
-    for i, j in sorted(g.edges):
-        lines.append(f"e {i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
+    return "".join(dimacs_chunks(g))
 
 
 def config_to_json(config: PointConfig, b: float, eps: float) -> str:

@@ -16,14 +16,19 @@ lowest set bit of the highest nonempty bucket, an O(k) pick. Per-color
 masks of the ranks that already see each color let a newly colored
 vertex touch only the uncolored neighbors whose saturation actually
 grows.
+
+The CNF and LP exports are generators of text chunks (cnf_chunks,
+lp_chunks) over distgraph.export_runs, built from per-vertex string
+tables; export_cnf and export_lp are their joins.
 """
 from __future__ import annotations
 
 import random
 import time
 from dataclasses import dataclass
+from operator import add
 
-from .distgraph import DistanceGraph
+from .distgraph import DistanceGraph, export_runs
 
 COLORABLE = "colorable"
 NOT_COLORABLE = "not_colorable"
@@ -293,6 +298,28 @@ def chromatic_number(
     raise InconsistentBounds(f"graph is not {hi}-colorable, upper bound {hi} is wrong")
 
 
+def cnf_chunks(graph: DistanceGraph, k: int):
+    """export_cnf's text in pieces of at most EXPORT_CHUNK edges or vertices.
+
+    A conflict line "-a -b 0" is split as "-a -" + "b 0" so each half is
+    taken from a per-vertex table: an edge's k lines are k concatenations.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    n = graph.n
+    lits = [tuple(map(str, range(i * k + 1, i * k + k + 1))) for i in range(n)]
+    yield f"p cnf {n * k} {n + len(graph.edges) * k}\n"
+    for run in export_runs(lits):
+        yield "".join([" ".join(row) + " 0\n" for row in run])
+    heads = [tuple(f"-{x} -" for x in row) for row in lits]
+    tails = [tuple(f"{x} 0\n" for x in row) for row in lits]
+    for run in export_runs(sorted(graph.edges)):
+        out = []
+        for i, j in run:
+            out += map(add, heads[i], tails[j])
+        yield "".join(out)
+
+
 def export_cnf(graph: DistanceGraph, k: int) -> str:
     """DIMACS CNF for k-colorability.
 
@@ -301,18 +328,34 @@ def export_cnf(graph: DistanceGraph, k: int) -> str:
     clause per (edge, color); at-most-one-per-vertex clauses are omitted
     since extra colors on a vertex never help satisfiability.
     """
+    return "".join(cnf_chunks(graph, k))
+
+
+def lp_chunks(graph: DistanceGraph, k: int):
+    """export_lp's text in pieces of at most EXPORT_CHUNK edges or vertices.
+
+    Each section fills one %-template per vertex or edge that holds all k
+    of its lines, from vertex strings made once.
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    n = graph.n
-    edges = sorted(graph.edges)
-    lines = [f"p cnf {n * k} {n + len(edges) * k}"]
-    for i in range(1, n + 1):
-        base = (i - 1) * k
-        lines.append(" ".join(str(base + c) for c in range(1, k + 1)) + " 0")
-    for i, j in edges:
-        for c in range(1, k + 1):
-            lines.append(f"-{i * k + c} -{j * k + c} 0")
-    return "\n".join(lines) + "\n"
+    v = [str(i) for i in range(1, graph.n + 1)]
+    colors = range(1, k + 1)
+    cover = " cover_%s: " + " + ".join(f"x_%s_{c}" for c in colors) + " >= 1\n"
+    conflict = "".join(f" conflict_%s_{c}: x_%s_{c} + x_%s_{c} <= 1\n" for c in colors)
+    link = "".join(f" link_%s_{c}: x_%s_{c} - y{c} <= 0\n" for c in colors)
+    binary = "".join(f" x_%s_{c}\n" for c in colors)
+    yield "Minimize\n obj: " + " + ".join(f"{c} y{c}" for c in colors) + "\nSubject To\n"
+    for run in export_runs(v):
+        yield "".join([cover % ((i,) * (k + 1)) for i in run])
+    for run in export_runs(sorted(graph.edges)):
+        yield "".join([conflict % ((v[i] + "_" + v[j], v[i], v[j]) * k) for i, j in run])
+    for run in export_runs(v):
+        yield "".join([link % ((i,) * (2 * k)) for i in run])
+    yield "Binary\n"
+    for run in export_runs(v):
+        yield "".join([binary % ((i,) * k) for i in run])
+    yield "".join(f" y{c}\n" for c in colors) + "End\n"
 
 
 def export_lp(graph: DistanceGraph, k: int) -> str:
@@ -323,26 +366,4 @@ def export_lp(graph: DistanceGraph, k: int) -> str:
     cover (each vertex needs a color), conflict (edge endpoints cannot
     share a color), link (a used color turns its flag on).
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    n = graph.n
-    edges = sorted(graph.edges)
-    out = ["Minimize", " obj: " + " + ".join(f"{c} y{c}" for c in range(1, k + 1))]
-    out.append("Subject To")
-    for i in range(1, n + 1):
-        terms = " + ".join(f"x_{i}_{c}" for c in range(1, k + 1))
-        out.append(f" cover_{i}: {terms} >= 1")
-    for i, j in edges:
-        for c in range(1, k + 1):
-            out.append(f" conflict_{i + 1}_{j + 1}_{c}: x_{i + 1}_{c} + x_{j + 1}_{c} <= 1")
-    for i in range(1, n + 1):
-        for c in range(1, k + 1):
-            out.append(f" link_{i}_{c}: x_{i}_{c} - y{c} <= 0")
-    out.append("Binary")
-    for i in range(1, n + 1):
-        for c in range(1, k + 1):
-            out.append(f" x_{i}_{c}")
-    for c in range(1, k + 1):
-        out.append(f" y{c}")
-    out.append("End")
-    return "\n".join(out) + "\n"
+    return "".join(lp_chunks(graph, k))

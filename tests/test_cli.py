@@ -1,12 +1,16 @@
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
+from chromaplane import solver
 from chromaplane.cli import main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -24,9 +28,10 @@ def run_cli(*args):
 
 
 def run_main(capsys, *args):
-    """cli.main in-process: (exit code, stderr)."""
+    """cli.main in-process: (exit code, stdout, stderr)."""
     rc = main(list(args))
-    return rc, capsys.readouterr().err
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
 
 
 def test_annulus_upper_csv():
@@ -119,6 +124,83 @@ def test_hex_commands_pinned_bytes(args, digest):
     proc = run_cli(*args)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+with open(os.path.join(PKG_ROOT, "perfbench", "expected.json")) as _fh:
+    EXPECTED = json.load(_fh)
+CASE2_EXPORTS = sorted(key for key in EXPECTED if key.startswith("export") and "--case 2" in key)
+CASE2_LP = "export --what lp --case 2 --b 1.48 --k 4"
+
+
+@pytest.mark.parametrize("key", CASE2_EXPORTS)
+def test_case2_exports_pinned_bytes(key):
+    proc = run_cli(*key.split())
+    assert proc.returncode == 0
+    data = proc.stdout.encode()
+    assert len(data) == EXPECTED[key]["bytes"]
+    assert hashlib.sha256(data).hexdigest() == EXPECTED[key]["sha256"]
+
+
+class _WriteCounter(io.TextIOBase):
+    """Stands in for stdout: hashes the text and records each write's length."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.sizes = []
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        self.sha.update(s.encode())
+        self.sizes.append(len(s))
+        return len(s)
+
+
+def test_export_streams_in_bounded_writes(tmp_path):
+    sink = _WriteCounter()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            rc = main(CASE2_LP.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert sink.sha.hexdigest() == EXPECTED[CASE2_LP]["sha256"]
+    assert len(sink.sizes) > 1 and max(sink.sizes) <= 1 << 20
+    # half the 9.6 MB peak of building the 2 MB text as one string
+    assert peak < 4.8e6
+    out = tmp_path / "case2.lp"
+    assert main(CASE2_LP.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sink.sha.hexdigest()
+
+
+def test_export_failure_leaves_no_out_file(tmp_path, monkeypatch, capsys):
+    def failing_chunks(graph, k):
+        yield "Minimize\n"
+        raise RuntimeError("export broke")
+
+    monkeypatch.setattr(solver, "lp_chunks", failing_chunks)
+    rc, out, err = run_main(capsys, *CASE2_LP.split(), "--out", str(tmp_path / "case2.lp"))
+    assert rc == 4
+    assert "export broke" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_reader_closing_pipe_is_not_an_error():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chromaplane.cli", *CASE2_LP.split()],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=PKG_ROOT,
+    )
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert head == b"Minimize\n obj: 1 y1 "
+    assert proc.returncode == 0, err
+    assert err == b""
 
 
 # exact stdout of the one-record commands, None cells included
@@ -254,9 +336,15 @@ def test_usage_errors(tmp_path, capsys):
         (("eight-opt", "--tol", "inf"), "--tol"),
         (("eight-opt", "--tol", "-1"), "--tol"),
     ]
+    # --k is checked before the graph is built, so no chunk and no --out file appear
+    for what in ("cnf", "lp"):
+        for k in ("0", "-1"):
+            args = ("export", "--what", what, "--case", "2", "--b", "1.48", "--n", "10", "--k", k)
+            cases += [(args, "--k"), (args + ("--out", str(tmp_path / "k.txt")), "--k")]
     for args, flag in cases:
-        rc, err = run_main(capsys, *args)
+        rc, out, err = run_main(capsys, *args)
         assert rc == 2, (args, err)
+        assert out == "", args
         if flag is not None:
             assert flag in err, (args, err)
     # one case in a real process, so the exit status itself is checked
@@ -264,10 +352,11 @@ def test_usage_errors(tmp_path, capsys):
     assert proc.returncode == 2, proc.stderr
     assert "--tol" in proc.stderr
     assert not (tmp_path / "missing").exists()
-    rc, err = run_main(capsys, "export", "--what", "dimacs", "--case", "1", "--b", "1.3",
-                       "--n", "4", "--k", "3")
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("k.txt")]
+    rc, _, err = run_main(capsys, "export", "--what", "dimacs", "--case", "1", "--b", "1.3",
+                          "--n", "4", "--k", "3")
     assert rc == 0, err
-    rc, err = run_main(capsys, "eight-opt", "--tol", "0.375")
+    rc, _, err = run_main(capsys, "eight-opt", "--tol", "0.375")
     assert rc == 0, err
 
 

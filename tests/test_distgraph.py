@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chromaplane import distgraph
 from chromaplane.annulus import CASE_CIRCLE_COUNTS, CASE_THRESHOLDS, lower_bound_config
 from chromaplane.distgraph import (
     BOUNDARY_TOL,
@@ -17,11 +18,12 @@ from chromaplane.distgraph import (
     config_from_json,
     config_to_json,
     default_eps,
+    dimacs_chunks,
     export_dimacs,
     graph_from_points,
 )
 from chromaplane.geom import Point2, dist
-from conftest import brute_force_k_colorable
+from conftest import brute_force_k_colorable, export_graphs
 
 
 def test_circle_points_examples():
@@ -190,6 +192,28 @@ def test_export_dimacs_examples():
     lines = text.strip().splitlines()
     assert lines[0] == "p edge 6 6"
     assert len([ln for ln in lines if ln.startswith("e ")]) == 6
+
+
+def reference_export_dimacs(g):
+    """The list-and-join export_dimacs, kept as the oracle of the streamed one."""
+    lines = [f"p edge {g.n} {len(g.edges)}"]
+    for i, j in sorted(g.edges):
+        lines.append(f"e {i + 1} {j + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_dimacs_matches_reference(monkeypatch):
+    graphs = export_graphs(random.Random(11))
+    for g in graphs:
+        assert export_dimacs(g) == reference_export_dimacs(g)
+    g = max(graphs, key=lambda g: len(g.edges))
+    edges = len(g.edges)
+    assert edges > 4
+    for chunk in (1, 2, 3, edges - 1, edges + 1):
+        monkeypatch.setattr(distgraph, "EXPORT_CHUNK", chunk)
+        assert export_dimacs(g) == reference_export_dimacs(g)
+        for text in dimacs_chunks(g):
+            assert sum(ln.startswith("e ") for ln in text.splitlines()) <= chunk
 
 
 def test_config_json_roundtrip():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chromaplane import distgraph
 from chromaplane.annulus import case_graph
 from chromaplane.distgraph import (
     CircleSpec,
@@ -19,13 +20,21 @@ from chromaplane.solver import (
     InconsistentBounds,
     KColorQuery,
     chromatic_number,
+    cnf_chunks,
     export_cnf,
     export_lp,
     greedy_clique,
     k_colorable,
+    lp_chunks,
     verify_coloring,
 )
-from conftest import brute_force_k_colorable, circulant_graph, cnf_satisfiable_brute, random_circulant
+from conftest import (
+    brute_force_k_colorable,
+    circulant_graph,
+    cnf_satisfiable_brute,
+    export_graphs,
+    random_circulant,
+)
 
 
 def five_cycle():
@@ -421,3 +430,69 @@ def test_export_lp_case2_size():
     ys = [ln for ln in lines[binary_start:] if ln.startswith(" y")]
     assert len(xs) == 380 * 4
     assert len(ys) == 4
+
+
+def reference_export_cnf(graph, k):
+    """The list-and-join export_cnf, kept as the oracle of the streamed one."""
+    n = graph.n
+    edges = sorted(graph.edges)
+    lines = [f"p cnf {n * k} {n + len(edges) * k}"]
+    for i in range(1, n + 1):
+        base = (i - 1) * k
+        lines.append(" ".join(str(base + c) for c in range(1, k + 1)) + " 0")
+    for i, j in edges:
+        for c in range(1, k + 1):
+            lines.append(f"-{i * k + c} -{j * k + c} 0")
+    return "\n".join(lines) + "\n"
+
+
+def reference_export_lp(graph, k):
+    """The list-and-join export_lp, kept as the oracle of the streamed one."""
+    n = graph.n
+    edges = sorted(graph.edges)
+    out = ["Minimize", " obj: " + " + ".join(f"{c} y{c}" for c in range(1, k + 1))]
+    out.append("Subject To")
+    for i in range(1, n + 1):
+        terms = " + ".join(f"x_{i}_{c}" for c in range(1, k + 1))
+        out.append(f" cover_{i}: {terms} >= 1")
+    for i, j in edges:
+        for c in range(1, k + 1):
+            out.append(f" conflict_{i + 1}_{j + 1}_{c}: x_{i + 1}_{c} + x_{j + 1}_{c} <= 1")
+    for i in range(1, n + 1):
+        for c in range(1, k + 1):
+            out.append(f" link_{i}_{c}: x_{i}_{c} - y{c} <= 0")
+    out.append("Binary")
+    for i in range(1, n + 1):
+        for c in range(1, k + 1):
+            out.append(f" x_{i}_{c}")
+    for c in range(1, k + 1):
+        out.append(f" y{c}")
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
+def test_exports_match_reference(monkeypatch):
+    graphs = export_graphs(random.Random(12))
+    for g in graphs:
+        for k in range(1, 6):
+            assert export_cnf(g, k) == reference_export_cnf(g, k)
+            assert export_lp(g, k) == reference_export_lp(g, k)
+    g = max(graphs, key=lambda g: len(g.edges))
+    edges = len(g.edges)
+    assert edges > 4
+    for chunk in (1, 2, 3, edges - 1, edges + 1):
+        monkeypatch.setattr(distgraph, "EXPORT_CHUNK", chunk)
+        for k in (1, 3):
+            assert export_cnf(g, k) == reference_export_cnf(g, k)
+            assert export_lp(g, k) == reference_export_lp(g, k)
+            # no chunk holds the conflict lines of more than EXPORT_CHUNK edges
+            for chunks, conflict in ((cnf_chunks, "-"), (lp_chunks, " conflict_")):
+                for text in chunks(g, k):
+                    assert sum(ln.startswith(conflict) for ln in text.splitlines()) <= chunk * k
+
+
+def test_exports_reject_k_below_one():
+    g = graph_from_points([(0, 0), (1, 0)], b=1.5)
+    for export in (export_cnf, export_lp):
+        with pytest.raises(ValueError, match="k >= 1"):
+            export(g, 0)

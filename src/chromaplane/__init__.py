@@ -3,7 +3,7 @@
 The package studies colorings of the plane in which no two points at
 distance in [1, b] share a color. It provides:
 
-- geom: points, distances, chords;
+- geom: points, distances, chords, pair distances, seeded forbidden-pair draws;
 - distgraph: finite distance graphs on circle point configurations;
 - solver: exact k-colorability plus DIMACS/CNF/LP exports;
 - annulus: radial annulus colorings, lower-bound configurations,

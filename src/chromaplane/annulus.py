@@ -23,7 +23,7 @@ from .distgraph import (
     build_graph,
     default_eps,
 )
-from .geom import chord, mixed_chord
+from .geom import chord, forbidden_pair_draws, mixed_chord, pair_distances
 from .solver import ColoringOutcome, KColorQuery, NOT_COLORABLE, k_colorable
 
 TWO_PI = 2.0 * math.pi
@@ -96,12 +96,16 @@ class RadialConstraints:
     gap: float
 
 
+def _sector_colors(scheme: RadialScheme, angles: np.ndarray) -> np.ndarray:
+    """Color of the sector containing each angle in [0, 2*pi)."""
+    return np.minimum((angles / scheme.alpha).astype(int), scheme.s - 1) % scheme.k
+
+
 def radial_color(scheme: RadialScheme, angle: float) -> int:
     """Color of the sector containing `angle` (angle in [0, 2*pi))."""
     if not 0.0 <= angle < TWO_PI:
         raise ValueError(f"angle must lie in [0, 2*pi), got {angle}")
-    sector = min(int(angle / scheme.alpha), scheme.s - 1)
-    return sector % scheme.k
+    return int(_sector_colors(scheme, np.float64(angle)))
 
 
 def radial_constraints(k: int, s: int, b: float) -> RadialConstraints:
@@ -186,8 +190,6 @@ def lower_bound_config(
 def case_graph(
     case: int, b: float, eps: float | None = None, n_override: int | None = None
 ) -> DistanceGraph:
-    if eps is None:
-        eps = default_eps(b)
     return build_graph(lower_bound_config(case, b, eps, n_override), b, eps)
 
 
@@ -205,6 +207,30 @@ def annulus_verdict(
     that the annulus at this b needs at least k colors."""
     g = case_graph(case, b, eps, n_override)
     return k_colorable(KColorQuery(g, k - 1, time_budget), seed=seed, progress=progress)
+
+
+def _bisect(probe, lo: float, hi: float, tol: float, claim: str) -> float:
+    """Bisect [lo, hi] for where probe turns true; the final bracket's midpoint.
+
+    Needs tol > 0, probe(lo) false and probe(hi) true (claim says what probe
+    tests). Halves until the bracket is at most tol wide or its midpoint
+    rounds onto an end, so it ends for every tol.
+    """
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"need tol > 0, got {tol}")
+    if probe(lo):
+        raise BracketInvalid(f"{claim} already at b_lo = {lo}")
+    if not probe(hi):
+        raise BracketInvalid(f"{claim} not even at b_hi = {hi}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def threshold_bisect(
@@ -228,8 +254,6 @@ def threshold_bisect(
     """
     if not (1.0 < b_lo < b_hi):
         raise BracketInvalid(f"need 1 < b_lo < b_hi, got [{b_lo}, {b_hi}]")
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
 
     def needs(b: float, scale: float) -> bool:
         out = annulus_verdict(
@@ -239,19 +263,11 @@ def threshold_bisect(
 
     results: list[float] = []
     for scale in eps_scales:
-        if needs(b_lo, scale):
-            raise BracketInvalid(f"config already needs >= {k} colors at b_lo = {b_lo}")
-        if not needs(b_hi, scale):
-            raise BracketInvalid(f"config does not need >= {k} colors at b_hi = {b_hi}")
-        lo, hi = b_lo, b_hi
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if needs(mid, scale):
-                hi = mid
-            else:
-                lo = mid
-        b_star = 0.5 * (lo + hi)
-        if not needs(b_star + tol, scale) or needs(b_star - tol, scale):
+        b_star = _bisect(lambda b: needs(b, scale), b_lo, b_hi, tol, f"config needs >= {k} colors")
+        # a tol below the float spacing at b* re-checks the neighboring floats
+        up = max(b_star + tol, math.nextafter(b_star, math.inf))
+        down = min(b_star - tol, math.nextafter(b_star, -math.inf))
+        if not needs(up, scale) or needs(down, scale):
             raise NonMonotoneDetected(f"verdict not monotone around b* = {b_star}")
         results.append(b_star)
 
@@ -272,23 +288,16 @@ class AnnulusBoundsRow:
     source: str
 
 
-def _breakpoints() -> list[tuple[float, str]]:
-    pts = [(radial_max_b(k, s), f"radial-{k}-{s}") for k, s in RADIAL_SECTORS.items()]
-    pts += [(CASE_THRESHOLDS[c], f"thm5-case-{c}") for c in (1, 2, 3, 4)]
-    pts.sort()
-    return pts
-
-
 def annulus_bounds_rows() -> list[AnnulusBoundsRow]:
     """All annulus bound rows, from b just above 1 up to the last radial cap."""
-    radial_caps = sorted((radial_max_b(k, s), k) for k, s in RADIAL_SECTORS.items())
-    thresholds = sorted((CASE_THRESHOLDS[c], CASE_ANNULUS_COLORS[c]) for c in (1, 2, 3, 4))
+    caps = sorted((radial_max_b(k, s), k, f"radial-{k}-{s}") for k, s in RADIAL_SECTORS.items())
+    thresholds = [(CASE_THRESHOLDS[c], f"thm5-case-{c}") for c in (1, 2, 3, 4)]
     rows = []
     lo = 1.0
-    for hi, source in _breakpoints():
+    for hi, source in sorted([(cap, name) for cap, _, name in caps] + thresholds):
         mid = 0.5 * (lo + hi)
         lower = 3 + sum(1 for t, _ in thresholds if t < mid)
-        upper = next(k for cap, k in radial_caps if cap >= mid)
+        upper = next(k for cap, k, _ in caps if cap >= mid)
         rows.append(AnnulusBoundsRow((lo, hi), lower, upper, source))
         lo = hi
     return rows
@@ -296,13 +305,10 @@ def annulus_bounds_rows() -> list[AnnulusBoundsRow]:
 
 def annulus_bounds(b: float) -> AnnulusBoundsRow:
     """Bounds row whose interval (lo, hi] contains b."""
-    rows = annulus_bounds_rows()
-    if not rows[0].b_interval[0] < b <= rows[-1].b_interval[1]:
-        raise ValueError(f"b = {b} is outside the tabulated range")
-    for row in rows:
+    for row in annulus_bounds_rows():
         if row.b_interval[0] < b <= row.b_interval[1]:
             return row
-    raise AssertionError("unreachable")
+    raise ValueError(f"b = {b} is outside the tabulated range")
 
 
 def annulus_bounds_csv() -> str:
@@ -330,46 +336,28 @@ def radial_violation_exists(
     the first) sweep everything else.
     """
     scheme = RadialScheme(k, s, b)
-    alpha = scheme.alpha
-
-    def colors_of(angles: np.ndarray) -> np.ndarray:
-        sector = np.minimum((angles / alpha).astype(int), s - 1)
-        return sector % k
 
     # strata: both radii, angles a hair on each side of every boundary
     offs = np.array([band, 1e-7, -band, -1e-7])
-    boundary = np.add.outer(np.arange(s) * alpha, offs).ravel() % TWO_PI
-    radii = np.array([1.0, b])
+    boundary = np.add.outer(np.arange(s) * scheme.alpha, offs).ravel() % TWO_PI
     ang = np.repeat(boundary, 2)
-    rad = np.tile(radii, boundary.size)
-    px = rad * np.cos(ang)
-    py = rad * np.sin(ang)
-    cols = colors_of(ang)
-    d = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
-    same = cols[:, None] == cols[None, :]
-    if np.any(same & (d > 1.0 + band) & (d < b - band)):
+    rad = np.tile([1.0, b], boundary.size)
+    pts = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
+    d = pair_distances(pts, pts)
+    cols = _sector_colors(scheme, ang)
+    if np.any((cols[:, None] == cols[None, :]) & (d > 1.0 + band) & (d < b - band)):
         return True
 
-    rng = np.random.default_rng(seed)
-    remaining = n_pairs
-    chunk = 200_000
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        r1 = np.sqrt(rng.uniform(1.0, b * b, m))
-        a1 = rng.uniform(0.0, TWO_PI, m)
-        dd = rng.uniform(1.0 + band, b - band, m)
-        phi = rng.uniform(0.0, TWO_PI, m)
+    # first point uniform in the annulus by area: r^2 uniform on (1, b^2)
+    draws = forbidden_pair_draws(seed, n_pairs, (1.0, b * b), (0.0, TWO_PI), b, band)
+    for r_sq, a1, dd, phi in draws:
+        r1 = np.sqrt(r_sq)
         x2 = r1 * np.cos(a1) + dd * np.cos(phi)
         y2 = r1 * np.sin(a1) + dd * np.sin(phi)
         r2 = np.hypot(x2, y2)
         inside = (r2 >= 1.0) & (r2 <= b)
-        if not np.any(inside):
-            continue
         a2 = np.arctan2(y2[inside], x2[inside]) % TWO_PI
-        c1 = colors_of(a1[inside])
-        c2 = colors_of(a2)
-        if np.any(c1 == c2):
+        if np.any(_sector_colors(scheme, a1[inside]) == _sector_colors(scheme, a2)):
             return True
     return False
 
@@ -388,15 +376,7 @@ def radial_max_b_numeric(
     Independent numerical route to the same quantity as radial_max_b;
     the two must agree to 1e-6.
     """
-    if radial_violation_exists(k, s, b_lo, n_pairs, seed):
-        raise BracketInvalid(f"scheme already invalid at b_lo = {b_lo}")
-    if not radial_violation_exists(k, s, b_hi, n_pairs, seed):
-        raise BracketInvalid(f"scheme still valid at b_hi = {b_hi}")
-    lo, hi = b_lo, b_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if radial_violation_exists(k, s, mid, n_pairs, seed):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(
+        lambda b: radial_violation_exists(k, s, b, n_pairs, seed), b_lo, b_hi, tol,
+        f"the ({k}, {s}) scheme is invalid",
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -72,6 +73,16 @@ def _emit(chunks, out_path: str | None):
             os.remove(tmp)
 
 
+def _check_graph_flags(n: int | None, b: float | None = None, eps: float | None = None):
+    """Refuse a --n, --b or --eps no configuration can be built from, naming the flag."""
+    if n is not None and n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
+    if b is not None and not 1.0 < b < math.inf:
+        raise UsageError(f"--b must be a finite number > 1, got {b}")
+    if eps is not None and not 0.0 < eps < (b - 1.0) / 2.0:
+        raise UsageError(f"--eps must lie in (0, (b - 1) / 2), got {eps} for --b {b}")
+
+
 def _heartbeat(nodes: int, elapsed: float):
     print(f"progress: nodes={nodes} elapsed={elapsed:.0f}s", file=sys.stderr, flush=True)
 
@@ -91,6 +102,7 @@ def cmd_annulus_upper(args) -> str:
 def cmd_annulus_lower(args) -> str:
     if args.k < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
+    _check_graph_flags(args.n, args.b, args.eps)
     eps = args.eps if args.eps is not None else distgraph.default_eps(args.b)
     outcome = annulus.annulus_verdict(
         args.case,
@@ -122,6 +134,9 @@ def cmd_annulus_lower(args) -> str:
 def cmd_threshold(args) -> str:
     if args.k < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be a finite number > 0, got {args.tol}")
+    _check_graph_flags(args.n)
     b_star = annulus.threshold_bisect(
         args.case,
         args.n,
@@ -203,6 +218,7 @@ def cmd_export(args):
     else:
         if args.case is None or args.b is None:
             raise UsageError("export needs either --config or --case with --b")
+        _check_graph_flags(args.n, args.b, args.eps)
         b = args.b
         eps = args.eps if args.eps is not None else distgraph.default_eps(b)
         config = annulus.lower_bound_config(args.case, b, eps, args.n)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Point2
+from .geom import Point2, pair_distances
 
 # Edge rule: distance in [1 - BOUNDARY_TOL, b + BOUNDARY_TOL]. The point
 # configurations keep all pairwise distances safely off the interval
@@ -115,12 +115,6 @@ def circle_points(n: int, r: float, center: Point2 = Point2(0.0, 0.0)) -> list[P
     ]
 
 
-def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distance from each row point of p to each row point of q."""
-    diff = p[:, None, :] - q[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
 def _in_window(d: np.ndarray, b: float) -> np.ndarray:
     return (d >= 1.0 - BOUNDARY_TOL) & (d <= b + BOUNDARY_TOL)
 
@@ -132,7 +126,7 @@ def _edge_tuple(ii: np.ndarray, jj: np.ndarray) -> tuple[tuple[int, int], ...]:
 def _edges_for_points(points: list[Point2], b: float) -> tuple[tuple[int, int], ...]:
     """Dense O(n^2) edge pass for arbitrary points, edges sorted (i asc, j asc)."""
     arr = np.asarray(points, dtype=float)
-    ii, jj = np.nonzero(_in_window(_distances(arr, arr), b))
+    ii, jj = np.nonzero(_in_window(pair_distances(arr, arr), b))
     keep = ii < jj
     return _edge_tuple(ii[keep], jj[keep])
 
@@ -145,7 +139,7 @@ def _circulant_edges(
     With g = gcd(n_a, n_b), rotating by 2 pi / g maps point i of circle A to
     i + n_a/g and point j of circle B to j + n_b/g, so the distances from the
     first n_a/g points of A to all of B fix the whole A-B block. The slice
-    uses the dense pass's distance expression on the same coordinates, and
+    uses the dense pass's pair_distances on the same coordinates, and
     the edges come out sorted (i asc, j asc) as there.
     """
     arr = np.asarray(points, dtype=float)
@@ -158,7 +152,7 @@ def _circulant_edges(
             g = math.gcd(na, nb)
             pa, pb = na // g, nb // g
             sa, sb = starts[a], starts[c]
-            ii, jj = np.nonzero(_in_window(_distances(arr[sa:sa + pa], arr[sb:sb + nb]), b))
+            ii, jj = np.nonzero(_in_window(pair_distances(arr[sa:sa + pa], arr[sb:sb + nb]), b))
             t = np.arange(g)[:, None]
             i = (sa + ii + pa * t).ravel()
             j = (sb + (jj + pb * t) % nb).ravel()

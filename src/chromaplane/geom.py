@@ -1,4 +1,5 @@
-"""Planar geometry primitives: points, distances, circle chords.
+"""Planar geometry primitives: points, distances, circle chords, and the
+numpy pair distances and seeded forbidden-pair draws the checks share.
 
 Everything here works in plain double precision. Threshold comparisons
 elsewhere in the package use absolute tolerances; no exact arithmetic.
@@ -7,6 +8,10 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
+
+DRAW_CHUNK = 200_000  # draws per forbidden_pair_draws chunk: 1.6 MB per buffer
 
 
 class Point2(NamedTuple):
@@ -17,6 +22,34 @@ class Point2(NamedTuple):
 def dist(p: Point2, q: Point2) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distance from each row point of p to each row point of q (the edge rule's values)."""
+    diff = p[:, None, :] - q[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def forbidden_pair_draws(seed: int, n: int, u_range, v_range, b: float, band: float):
+    """n seeded draws in chunks (u, v, d, phi) of at most DRAW_CHUNK each.
+
+    u, v: uniform on u_range, v_range (the first point); d: a forbidden
+    distance in (1 + band, b - band); phi: the direction to the second
+    point, in (0, 2 pi). The values are rng.uniform's from default_rng(seed),
+    bit for bit. Every chunk reuses one set of buffers (chunk-sized
+    temporaries cost page faults), so the next chunk overwrites the last.
+    """
+    rng = np.random.default_rng(seed)
+    ranges = (u_range, v_range, (1.0 + band, b - band), (0.0, 2.0 * math.pi))
+    bufs = np.empty((len(ranges), min(DRAW_CHUNK, max(n, 0))))
+    for start in range(0, n, DRAW_CHUNK):
+        chunk = bufs[:, : min(DRAW_CHUNK, n - start)]
+        for buf, (low, high) in zip(chunk, ranges):
+            # rng.uniform(low, high, size) is low + (high - low) * random, bit for bit
+            rng.random(out=buf)
+            buf *= high - low
+            buf += low
+        yield chunk
 
 
 def chord(radius: float, angle: float) -> float:

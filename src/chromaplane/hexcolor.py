@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geom import Point2
+from .geom import Point2, forbidden_pair_draws, pair_distances
 
 SQRT3 = math.sqrt(3.0)
 
@@ -81,34 +81,32 @@ def point_to_tile(p) -> tuple[int, int]:
     return int(ii[0]), int(jj[0])
 
 
-def _coset_key(p: int, q: int, n_colors: int, i: int, j: int) -> tuple[int, int]:
-    # (di, dj) lies in the scheme's sublattice iff both forms vanish mod N
-    return (p * i + (p + q) * j) % n_colors, (q * i - p * j) % n_colors
+def _coset_key(p: int, q: int, n_colors: int, i, j):
+    # N * k1 + k2 for tile (i, j), ints or arrays: (di, dj) lies in the
+    # scheme's sublattice iff both forms k1, k2 vanish mod N
+    return (p * i + (p + q) * j) % n_colors * n_colors + (q * i - p * j) % n_colors
 
 
 @lru_cache(maxsize=None)
-def _color_table(p: int, q: int) -> dict[tuple[int, int], int]:
-    """Coset key -> color index, built by enumerating a bounded tile window.
+def _color_table(p: int, q: int) -> np.ndarray:
+    """Read-only color lookup, indexed by _coset_key (-1 at keys of no coset).
 
-    Representatives are the lexicographically first tiles of each coset in
-    the window; indices follow the sorted representatives. The window is
-    checked to expose every coset.
+    Colors follow the lexicographically first tile of each coset in a
+    bounded window, which is checked to expose every coset.
     """
     n_formula = p * p + p * q + q * q
     w = 4 * (p + q)
-    reps: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(w):
-        for j in range(w):
-            key = _coset_key(p, q, n_formula, i, j)
-            if key not in reps:
-                reps[key] = (i, j)
-    if len(reps) != n_formula:
+    i, j = np.divmod(np.arange(w * w), w)
+    keys, first = np.unique(_coset_key(p, q, n_formula, i, j), return_index=True)
+    if keys.size != n_formula:
         raise RuntimeError(
-            f"window enumeration found {len(reps)} cosets for ({p}, {q}), "
+            f"window enumeration found {keys.size} cosets for ({p}, {q}), "
             f"formula says {n_formula}"
         )
-    order = sorted(reps, key=reps.get)
-    return {key: idx for idx, key in enumerate(order)}
+    lut = np.full(n_formula * n_formula, -1, dtype=np.int64)
+    lut[keys[np.argsort(first)]] = np.arange(n_formula)
+    lut.flags.writeable = False
+    return lut
 
 
 def enumerated_color_count(p: int, q: int, window: int | None = None) -> int:
@@ -125,7 +123,7 @@ def enumerated_color_count(p: int, q: int, window: int | None = None) -> int:
 
 def color_of_tile(scheme: HexScheme, i: int, j: int) -> int:
     table = _color_table(scheme.p, scheme.q)
-    return table[_coset_key(scheme.p, scheme.q, scheme.color_count_formula, i, j)]
+    return int(table[_coset_key(scheme.p, scheme.q, scheme.color_count_formula, i, j)])
 
 
 def color_count(scheme: HexScheme) -> int:
@@ -332,15 +330,9 @@ def _tile_indices_vectorized(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray
 
 
 def _colors_of_points(scheme: HexScheme, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    n = scheme.color_count_formula
     table = _color_table(scheme.p, scheme.q)
-    lut = np.full(n * n, -1, dtype=np.int64)
-    for (k1, k2), idx in table.items():
-        lut[k1 * n + k2] = idx
     ii, jj = _tile_indices_vectorized(xs, ys)
-    k1 = (scheme.p * ii + (scheme.p + scheme.q) * jj) % n
-    k2 = (scheme.q * ii - scheme.p * jj) % n
-    return lut[k1 * n + k2]
+    return table[_coset_key(scheme.p, scheme.q, scheme.color_count_formula, ii, jj)]
 
 
 def _boundary_strata(points_per_edge: int = 30, pull: float = 1e-7) -> np.ndarray:
@@ -368,8 +360,7 @@ def _strata_violation(scheme: HexScheme, b: float, band: float) -> bool:
     """
     pts = _boundary_strata()
     for ox, oy in _same_color_offsets(scheme, lambda: b + TILE_DIAMETER):
-        shifted = pts + np.array([ox, oy])
-        d = np.sqrt(((pts[:, None, :] - shifted[None, :, :]) ** 2).sum(axis=2))
+        d = pair_distances(pts, pts + np.array([ox, oy]))
         if np.any((d > 1.0 + band) & (d < b - band)):
             return True
     return False
@@ -391,28 +382,13 @@ def verify_scheme_sampled(
     band = 1e-9
     if _strata_violation(scheme, b, band):
         return False
-    rng = np.random.default_rng(seed)
     v, vb = scheme.v, scheme.vbar
     span = abs(v.x) + abs(vb.x) + abs(v.y) + abs(vb.y) + b + 2.0
-    chunk = 200_000
-    ranges = ((-span, span), (-span, span), (1.0 + band, b - band), (0.0, 2.0 * math.pi))
-    # one set of draw buffers per call: chunk-sized temporaries cost page faults
-    bufs = np.empty((len(ranges), min(chunk, max(samples, 0))))
-    remaining = samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        x1, y1, d, phi = bufs[:, :m]
-        for buf, (low, high) in zip((x1, y1, d, phi), ranges):
-            # the values rng.uniform(low, high, m) gives, bit for bit
-            rng.random(out=buf)
-            buf *= high - low
-            buf += low
+    window = (-span, span)
+    for x1, y1, d, phi in forbidden_pair_draws(seed, samples, window, window, b, band):
         x2 = x1 + d * np.cos(phi)
         y2 = y1 + d * np.sin(phi)
-        c1 = _colors_of_points(scheme, x1, y1)
-        c2 = _colors_of_points(scheme, x2, y2)
-        if np.any(c1 == c2):
+        if np.any(_colors_of_points(scheme, x1, y1) == _colors_of_points(scheme, x2, y2)):
             return False
     return True
 

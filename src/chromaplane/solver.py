@@ -74,12 +74,20 @@ class ColoringOutcome:
         return self.status == COLORABLE
 
 
-def _ranks(deg: list[int]) -> list[int]:
-    """rank[v]: position of v in the order (-degree, index)."""
-    rank = [0] * len(deg)
-    for r, v in enumerate(sorted(range(len(deg)), key=lambda v: (-deg[v], v))):
+def _rank_masks(n: int, edges) -> tuple[list[int], list[int]]:
+    """rank[v]: v's position in the order (-degree, index); radj[r]: rank r's neighbor ranks."""
+    deg = [0] * n
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n), key=lambda v: (-deg[v], v))):
         rank[v] = r
-    return rank
+    radj = [0] * n
+    for i, j in edges:
+        radj[rank[i]] |= 1 << rank[j]
+        radj[rank[j]] |= 1 << rank[i]
+    return rank, radj
 
 
 def _rank_clique(radj: list[int], rank: list[int], restarts: int, seed: int) -> list[int]:
@@ -113,15 +121,14 @@ def greedy_clique(adj: list[int], restarts: int = _CLIQUE_RESTARTS, seed: int = 
     n = len(adj)
     if n == 0:
         return []
-    rank = _ranks([a.bit_count() for a in adj])
-    radj = [0] * n
-    for v, a in enumerate(adj):
-        m = 0
+    edges = []  # (i, j) for each bit j > i of adj[i]
+    for i, a in enumerate(adj):
+        a >>= i + 1
         while a:
             low = a & -a
             a ^= low
-            m |= 1 << rank[low.bit_length() - 1]
-        radj[rank[v]] = m
+            edges.append((i, i + low.bit_length()))
+    rank, radj = _rank_masks(n, edges)
     by_rank = sorted(range(n), key=rank.__getitem__)
     return [by_rank[r] for r in _rank_clique(radj, rank, restarts, seed)]
 
@@ -148,15 +155,7 @@ def k_colorable(
         return ColoringOutcome(COLORABLE, (), 0, 0.0)
 
     # the search runs on ranks: rank r is the r-th vertex by (-degree, index)
-    deg = [0] * n
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    rank = _ranks(deg)
-    radj = [0] * n
-    for i, j in g.edges:
-        radj[rank[i]] |= 1 << rank[j]
-        radj[rank[j]] |= 1 << rank[i]
+    rank, radj = _rank_masks(n, g.edges)
     clique = _rank_clique(radj, rank, _CLIQUE_RESTARTS, seed) if use_clique_seed else []
     if len(clique) > k:
         return ColoringOutcome(NOT_COLORABLE, None, 0, time.monotonic() - start)

@@ -1,6 +1,7 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from chromaplane import annulus
@@ -60,6 +61,24 @@ def test_radial_color_sector_structure():
         # consecutive sectors differ
         nxt = ((s + 1) % 12 + 0.5) * alpha
         assert radial_color(scheme, mid) != radial_color(scheme, nxt % (2 * math.pi))
+
+
+def test_radial_color_is_the_vectorized_sector_rule():
+    # radial_color and the sampled checker color through one rule: sector
+    # t (angles in [t alpha, (t + 1) alpha)) gets color t mod k
+    for k, s in sorted(annulus.RADIAL_SECTORS.items()):
+        scheme = RadialScheme(k, s, 1.2)
+        alpha = scheme.alpha
+        angles, want = [], []
+        for t in range(s):
+            for angle, sector in (((t + 0.5) * alpha, t), (t * alpha + 1e-9, t),
+                                  ((t * alpha - 1e-9) % (2 * math.pi), t - 1)):
+                angles.append(angle)
+                want.append(sector % k)
+        vectorized = annulus._sector_colors(scheme, np.array(angles))
+        scalar = [radial_color(scheme, a) for a in angles]
+        assert scalar == vectorized.tolist() == want, (k, s)
+        assert all(type(c) is int for c in scalar)
 
 
 def test_radial_constraints_paper_identities():
@@ -227,6 +246,54 @@ def test_threshold_bisect_detects_non_monotone_verdicts(monkeypatch):
     _fake_verdicts(monkeypatch, lambda b, scale: b >= 1.4 and not 1.41 < b < 1.42)
     with pytest.raises(NonMonotoneDetected):
         threshold_bisect(1, 65, 4, eps_scales=(1e-6,), **BRACKET)
+
+
+def test_threshold_bisect_ends_for_every_tol(monkeypatch):
+    probes = []
+    _fake_verdicts(monkeypatch, lambda b, scale: probes.append(b) or b >= 1.4)
+    # below the float spacing at 1.4 the bracket stops shrinking: the loop ends
+    # once the midpoint rounds onto an end, and the re-check steps one float
+    for tol in (1e-300, 5e-324, 1e-17):
+        probes.clear()
+        assert threshold_bisect(1, 65, 4, 1.25, 1.5, tol, eps_scales=(1e-6,)) == 1.4
+        assert len(probes) < 60, (tol, len(probes))
+        assert probes[-2:] == [math.nextafter(1.4, 2.0), math.nextafter(1.4, 1.0)]
+    # a usual tol re-checks b* +- tol, as before
+    probes.clear()
+    assert threshold_bisect(1, 65, 4, eps_scales=(1e-6,), **BRACKET) == 1.3984375
+    assert probes == [1.25, 1.5, 1.375, 1.4375, 1.40625, 1.390625, 1.4140625, 1.3828125]
+    # tol must be > 0, NaN included; refused before any probe
+    for tol in (0.0, -1.0, math.nan):
+        probes.clear()
+        with pytest.raises(ValueError, match="tol"):
+            threshold_bisect(1, 65, 4, 1.25, 1.5, tol, eps_scales=(1e-6,))
+        assert probes == []
+
+
+def test_radial_max_b_numeric_ends_for_every_tol(monkeypatch):
+    probes = []
+
+    def fake(k, s, b, n_pairs=100_000, seed=0, band=1e-9):
+        probes.append(b)
+        return b > 1.5
+
+    monkeypatch.setattr(annulus, "radial_violation_exists", fake)
+    # probes 1.5, 1.625, 1.5625, 1.53125, 1.515625 after the bracket ends
+    assert radial_max_b_numeric(4, 12, 1.25, 1.75, tol=2.0**-6) == 1.5078125
+    assert probes == [1.25, 1.75, 1.5, 1.625, 1.5625, 1.53125, 1.515625]
+    for tol in (1e-300, 5e-324):
+        probes.clear()
+        assert radial_max_b_numeric(4, 12, tol=tol) in (1.5, math.nextafter(1.5, 2.0))
+        assert len(probes) < 60
+    for tol in (0.0, -1.0, math.nan):
+        probes.clear()
+        with pytest.raises(ValueError, match="tol"):
+            radial_max_b_numeric(4, 12, tol=tol)
+        assert probes == []
+    with pytest.raises(BracketInvalid):
+        radial_max_b_numeric(4, 12, b_lo=1.6, b_hi=2.0)
+    with pytest.raises(BracketInvalid):
+        radial_max_b_numeric(4, 12, b_lo=1.1, b_hi=1.2)
 
 
 def test_threshold_bisect_detects_eps_instability(monkeypatch):

@@ -335,6 +335,15 @@ def test_usage_errors(tmp_path, capsys):
         (("eight-opt", "--tol", "nan"), "--tol"),
         (("eight-opt", "--tol", "inf"), "--tol"),
         (("eight-opt", "--tol", "-1"), "--tol"),
+        (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
+          "--b-hi", "1.4", "--tol", "nan"), "--tol"),
+        # the graph flags are checked before any graph is built
+        (("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--n", "0"), "--n"),
+        (("export", "--what", "dimacs", "--case", "1", "--b", "0.9"), "--b"),
+        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--n", "0"), "--n"),
+        (("threshold", "--case", "1", "--k", "4", "--n", "0", "--b-lo", "1.25",
+          "--b-hi", "1.4"), "--n"),
+        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--eps", "0.5"), "--eps"),
     ]
     # --k is checked before the graph is built, so no chunk and no --out file appear
     for what in ("cnf", "lp"):

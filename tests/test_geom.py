@@ -4,7 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from chromaplane.geom import Point2, chord, dist, mixed_chord
+from chromaplane.geom import (
+    DRAW_CHUNK,
+    Point2,
+    chord,
+    dist,
+    forbidden_pair_draws,
+    mixed_chord,
+    pair_distances,
+)
 from chromaplane.hexcolor import BASE_TILE, S1, S2, _tile_gap
 
 
@@ -105,3 +113,38 @@ def test_polygon_min_distance_centroid_consistency():
         r = math.hypot(ox, oy)
         d = _tile_gap(ox, oy)
         assert max(r - 1.0, 0.0) - 1e-12 <= d <= max(r - math.sqrt(3) / 2, 0.0) + 1e-12
+
+
+def test_pair_distances_matches_hypot():
+    rng = np.random.default_rng(3)
+    p, q = rng.uniform(-2, 2, (7, 2)), rng.uniform(-2, 2, (5, 2))
+    d = pair_distances(p, q)
+    assert d.shape == (7, 5)
+    want = np.hypot(p[:, None, 0] - q[None, :, 0], p[:, None, 1] - q[None, :, 1])
+    assert np.allclose(d, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("first", ["radial", "hex"])
+def test_forbidden_pair_draws_are_rng_uniform(first):
+    # one full chunk and one partial chunk, each value rng.uniform's bit for bit
+    seed, b, band = 5, 1.3, 1e-9
+    if first == "radial":
+        u_range, v_range = (1.0, b * b), (0.0, 2.0 * math.pi)
+    else:
+        span = 4.7
+        u_range = v_range = (-span, span)
+    n = DRAW_CHUNK + 1234
+    got = [chunk.copy() for chunk in forbidden_pair_draws(seed, n, u_range, v_range, b, band)]
+    rng = np.random.default_rng(seed)
+    ranges = (u_range, v_range, (1.0 + band, b - band), (0.0, 2.0 * math.pi))
+    assert [c.shape for c in got] == [(4, DRAW_CHUNK), (4, 1234)]
+    for chunk in got:
+        m = chunk.shape[1]
+        for row, (low, high) in zip(chunk, ranges):
+            assert np.array_equal(row, rng.uniform(low, high, m))
+
+
+def test_forbidden_pair_draws_small_and_empty():
+    chunks = list(forbidden_pair_draws(0, 10, (0.0, 1.0), (0.0, 1.0), 1.5, 0.0))
+    assert [c.shape for c in chunks] == [(4, 10)]
+    assert list(forbidden_pair_draws(0, 0, (0.0, 1.0), (0.0, 1.0), 1.5, 0.0)) == []

@@ -414,6 +414,18 @@ def test_verify_scheme_sampled():
     assert a == b
 
 
+def test_color_of_tile_is_the_vectorized_lookup():
+    # color_of_tile and the sampled checker's _colors_of_points share one table
+    ii, jj = np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij")
+    ii, jj = ii.ravel(), jj.ravel()
+    xs, ys = ii * S1.x + jj * S2.x, ii * S1.y + jj * S2.y
+    for p, q in sweep_pairs(10, 10):
+        s = HexScheme(p, q)
+        scalar = [color_of_tile(s, int(i), int(j)) for i, j in zip(ii, jj)]
+        assert scalar == hexcolor._colors_of_points(s, xs, ys).tolist(), (p, q)
+        assert all(0 <= c < color_count(s) for c in scalar)
+
+
 def test_verify_scheme_sampled_points_pinned(monkeypatch):
     # the sample points rng.uniform drew, over a full chunk and a partial one
     seen = []

@@ -23,7 +23,7 @@ from .distgraph import (
     build_graph,
     default_eps,
 )
-from .geom import chord, forbidden_pair_draws, mixed_chord, pair_distances
+from .geom import chord, forbidden_distances, forbidden_pair_draws, mixed_chord, pair_distances
 from .solver import ColoringOutcome, KColorQuery, NOT_COLORABLE, k_colorable
 
 TWO_PI = 2.0 * math.pi
@@ -345,7 +345,7 @@ def radial_violation_exists(
     pts = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
     d = pair_distances(pts, pts)
     cols = _sector_colors(scheme, ang)
-    if np.any((cols[:, None] == cols[None, :]) & (d > 1.0 + band) & (d < b - band)):
+    if np.any((cols[:, None] == cols[None, :]) & forbidden_distances(d, b, band)):
         return True
 
     # first point uniform in the annulus by area: r^2 uniform on (1, b^2)

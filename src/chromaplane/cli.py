@@ -73,12 +73,17 @@ def _emit(chunks, out_path: str | None):
             os.remove(tmp)
 
 
+def _check_above(flag: str, value: float | None, low: float):
+    """Refuse a float flag that is given but not a finite number > low (NaN is not), by name."""
+    if value is not None and not low < value < math.inf:
+        raise UsageError(f"{flag} must be a finite number > {low:g}, got {value}")
+
+
 def _check_graph_flags(n: int | None, b: float | None = None, eps: float | None = None):
     """Refuse a --n, --b or --eps no configuration can be built from, naming the flag."""
     if n is not None and n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
-    if b is not None and not 1.0 < b < math.inf:
-        raise UsageError(f"--b must be a finite number > 1, got {b}")
+    _check_above("--b", b, 1.0)
     if eps is not None and not 0.0 < eps < (b - 1.0) / 2.0:
         raise UsageError(f"--eps must lie in (0, (b - 1) / 2), got {eps} for --b {b}")
 
@@ -88,7 +93,11 @@ def _heartbeat(nodes: int, elapsed: float):
 
 
 def cmd_annulus_upper(args) -> str:
+    if args.k < 2:
+        raise UsageError(f"--k must be >= 2, got {args.k}")
     s_max = args.s_max if args.s_max is not None else 10 * args.k
+    if s_max < 2 * args.k:
+        raise UsageError(f"--s-max must be >= 2 * --k = {2 * args.k}, got {s_max}")
     best = annulus.radial_best(args.k, s_max)
     if best is None:
         record = {"k": args.k, "s": None, "b_max": None, "binding": "no_valid_b"}
@@ -103,6 +112,7 @@ def cmd_annulus_lower(args) -> str:
     if args.k < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
     _check_graph_flags(args.n, args.b, args.eps)
+    _check_above("--budget", args.budget, 0.0)
     eps = args.eps if args.eps is not None else distgraph.default_eps(args.b)
     outcome = annulus.annulus_verdict(
         args.case,
@@ -134,9 +144,11 @@ def cmd_annulus_lower(args) -> str:
 def cmd_threshold(args) -> str:
     if args.k < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
-    if not 0.0 < args.tol < math.inf:
-        raise UsageError(f"--tol must be a finite number > 0, got {args.tol}")
+    _check_above("--tol", args.tol, 0.0)
     _check_graph_flags(args.n)
+    _check_above("--b-lo", args.b_lo, 1.0)
+    _check_above("--b-hi", args.b_hi, 1.0)
+    _check_above("--budget", args.budget, 0.0)
     b_star = annulus.threshold_bisect(
         args.case,
         args.n,
@@ -170,13 +182,17 @@ def cmd_hex_table(args) -> str:
 
 
 def cmd_min_colors(args) -> str:
-    if args.step <= 0:
-        raise UsageError(f"--step must be positive, got {args.step}")
+    _check_above("--b-lo", args.b_lo, 1.0)
+    _check_above("--b-hi", args.b_hi, 1.0)
+    _check_above("--step", args.step, 0.0)
     if args.b_hi < args.b_lo:
         raise UsageError("need --b-lo <= --b-hi")
     if args.search_max < 0:
         raise UsageError(f"--search-max must be >= 0, got {args.search_max}")
-    grid = np.arange(args.b_lo, args.b_hi + args.step / 2, args.step)
+    try:
+        grid = np.arange(args.b_lo, args.b_hi + args.step / 2, args.step)
+    except ValueError as exc:  # more grid points than an array can index
+        raise UsageError(f"--b-lo to --b-hi by --step: {exc}") from exc
     rows = hexcolor.min_colors_curve(grid, args.search_max)
     if args.format == "json":
         payload = [{"b": float(b), "min_colors": n} for b, n in rows]
@@ -318,7 +334,7 @@ def main(argv=None) -> int:
     except solver.BudgetExhausted as exc:
         print(f"chromaplane: error: budget_exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"chromaplane: error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except annulus.BracketInvalid as exc:

@@ -220,10 +220,13 @@ def config_to_json(config: PointConfig, b: float, eps: float) -> str:
 
 
 def config_from_json(text: str) -> tuple[PointConfig, float, float]:
-    """Parse {"circles": [{"n", "r"}, ...], "b", "eps"}; a missing field raises ValueError."""
+    """Parse {"circles": [{"n", "r"}, ...], "b", "eps"}; a bad field raises ValueError."""
     payload = json.loads(text)
     try:
         circles = tuple(CircleSpec(c["n"], c["r"]) for c in payload["circles"])
-        return PointConfig(circles), float(payload["b"]), float(payload["eps"])
+        config, b, eps = PointConfig(circles), float(payload["b"]), float(payload["eps"])
     except KeyError as exc:
         raise ValueError(f"config lacks field {exc.args[0]!r}") from exc
+    if not (1.0 < b < math.inf and 0.0 <= eps < (b - 1.0) / 2.0):
+        raise ValueError(f"need 1 < b < inf and 0 <= eps < (b-1)/2, got b={b}, eps={eps}")
+    return config, b, eps

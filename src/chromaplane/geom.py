@@ -1,5 +1,6 @@
 """Planar geometry primitives: points, distances, circle chords, and the
-numpy pair distances and seeded forbidden-pair draws the checks share.
+numpy pair distances, forbidden-window test and seeded forbidden-pair
+draws the checks share.
 
 Everything here works in plain double precision. Threshold comparisons
 elsewhere in the package use absolute tolerances; no exact arithmetic.
@@ -28,6 +29,11 @@ def pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Distance from each row point of p to each row point of q (the edge rule's values)."""
     diff = p[:, None, :] - q[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
+
+
+def forbidden_distances(d: np.ndarray, b: float, band: float) -> np.ndarray:
+    """Which distances lie in the forbidden window (1 + band, b - band)."""
+    return (d > 1.0 + band) & (d < b - band)
 
 
 def forbidden_pair_draws(seed: int, n: int, u_range, v_range, b: float, band: float):

@@ -5,21 +5,23 @@ Tiles are regular hexagons of diameter 1 with two vertical sides; tile
 tile (i, j) by its coset modulo the index-N sublattice generated by
 (p, q) and (p+q, -p), where N = p^2 + pq + q^2; same-colored tile centers
 form a triangular lattice spanned by v = p*S1 + q*S2 and its 60-degree
-rotation. The largest b for which the scheme properly colors the
+rotation vbar. The largest b for which the scheme properly colors the
 interval-distance graph G_[1,b] is the minimum distance between distinct
 same-colored tiles.
+
+Both are closed forms: the reach is attained at the six nearest
+same-colored tiles (min_same_color_distance), and a tile's color is a
+gcd normal form of its coset (_color).
 """
 from __future__ import annotations
 
-import json
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .geom import Point2, forbidden_pair_draws, pair_distances
+from .geom import Point2, forbidden_distances, forbidden_pair_draws, pair_distances
 
 SQRT3 = math.sqrt(3.0)
 
@@ -87,26 +89,19 @@ def _coset_key(p: int, q: int, n_colors: int, i, j):
     return (p * i + (p + q) * j) % n_colors * n_colors + (q * i - p * j) % n_colors
 
 
-@lru_cache(maxsize=None)
-def _color_table(p: int, q: int) -> np.ndarray:
-    """Read-only color lookup, indexed by _coset_key (-1 at keys of no coset).
+def _color(p: int, q: int, i, j):
+    """Color of tile (i, j) in 0..N-1, ints or int64 arrays; the sublattice gets 0.
 
-    Colors follow the lexicographically first tile of each coset in a
-    bounded window, which is checked to expose every coset.
+    With g = gcd(p, q) the sublattice is g*L', L' that of (p', q') = (p, q)/g:
+    tiles share a color iff i, j agree mod g and (i//g, j//g) share a coset of
+    L', which p'i + (p'+q')j mod N' = N/g^2 names (onto: gcd(p', p'+q') = 1).
     """
-    n_formula = p * p + p * q + q * q
-    w = 4 * (p + q)
-    i, j = np.divmod(np.arange(w * w), w)
-    keys, first = np.unique(_coset_key(p, q, n_formula, i, j), return_index=True)
-    if keys.size != n_formula:
-        raise RuntimeError(
-            f"window enumeration found {keys.size} cosets for ({p}, {q}), "
-            f"formula says {n_formula}"
-        )
-    lut = np.full(n_formula * n_formula, -1, dtype=np.int64)
-    lut[keys[np.argsort(first)]] = np.arange(n_formula)
-    lut.flags.writeable = False
-    return lut
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    n = p * p + p * q + q * q
+    if g == 1:
+        return (p * i + (p + q) * j) % n
+    return (p * (i // g) + (p + q) * (j // g)) % n + n * (g * (i % g) + j % g)
 
 
 def enumerated_color_count(p: int, q: int, window: int | None = None) -> int:
@@ -122,38 +117,32 @@ def enumerated_color_count(p: int, q: int, window: int | None = None) -> int:
 
 
 def color_of_tile(scheme: HexScheme, i: int, j: int) -> int:
-    table = _color_table(scheme.p, scheme.q)
-    return int(table[_coset_key(scheme.p, scheme.q, scheme.color_count_formula, i, j)])
+    return int(_color(scheme.p, scheme.q, i, j))
 
 
 def color_count(scheme: HexScheme) -> int:
-    """Number of colors the scheme uses (cross-checked against enumeration)."""
-    _color_table(scheme.p, scheme.q)  # raises if enumeration disagrees
+    """Number of colors the scheme uses."""
     return scheme.color_count_formula
 
 
-def _same_color_offsets(
-    scheme: HexScheme, limit: Callable[[], float]
-) -> Iterator[tuple[float, float]]:
-    """Same-color tile center offsets k*v + l*vbar, ring by ring.
+def _same_color_offsets(scheme: HexScheme, limit: float) -> Iterator[tuple[float, float]]:
+    """Same-color tile center offsets k*v + l*vbar no farther than limit, ring by ring.
 
-    Ring r holds the offsets with max(|k|, |l|) = r. Offsets farther than
-    limit() are skipped, and since k^2 + kl + l^2 >= 3/4 * max(|k|,|l|)^2
-    bounds a ring's center distances from below, the walk ends at the first
-    ring that lies wholly beyond limit(). limit() is read again for every
-    ring and every offset, so a caller may shrink it while walking.
+    Ring r holds the offsets with max(|k|, |l|) = r. Since
+    k^2 + kl + l^2 >= 3/4 * max(|k|,|l|)^2 bounds a ring's center distances
+    from below, the walk ends at the first ring that lies wholly beyond limit.
     """
     v, vb = scheme.v, scheme.vbar
     vlen = math.hypot(v.x, v.y)
     ring = 1
-    while vlen * (SQRT3 / 2.0) * ring <= limit():
+    while vlen * (SQRT3 / 2.0) * ring <= limit:
         for k in range(-ring, ring + 1):
             for l in range(-ring, ring + 1):
                 if max(abs(k), abs(l)) != ring:
                     continue
                 ox = k * v.x + l * vb.x
                 oy = k * v.y + l * vb.y
-                if math.hypot(ox, oy) <= limit():
+                if math.hypot(ox, oy) <= limit:
                     yield ox, oy
         ring += 1
 
@@ -178,26 +167,24 @@ def _tile_gap(ox: float, oy: float) -> float:
 def min_same_color_distance(p: int, q: int) -> float:
     """Minimum distance between distinct same-colored tiles.
 
-    A tile whose center lies farther than the running minimum + 1 cannot
-    improve it (tile diameter is 1), so the walk's limit shrinks with it.
+    The gap at offset o lies in [|o| - 1, |o| - sqrt(3)/2], and offsets past
+    the six shortest, +-v, +-vbar, +-(vbar - v), are >= sqrt(3)|v| long:
+    sqrt(3)|v| - 1 > |v| - sqrt(3)/2 as |v| >= sqrt(3)/2, so six suffice.
     """
-    best = math.inf
-    for ox, oy in _same_color_offsets(HexScheme(p, q), lambda: best + TILE_DIAMETER):
-        d = _tile_gap(ox, oy)
-        if d < best:
-            best = d
-    return best
+    scheme = HexScheme(p, q)
+    v, vb = scheme.v, scheme.vbar
+    return min(
+        _tile_gap(k * v.x + l * vb.x, k * v.y + l * vb.y)
+        for k, l in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
+    )
 
 
 def hex_b_max(p: int, q: int) -> float | None:
     """Largest b for which the (p, q) coloring is proper for G_[1,b].
 
-    None when the scheme has a single color or its same-color tile
-    distance drops below 1 (no valid b exists).
+    None when the same-color tile distance drops below 1 (no valid b
+    exists), as it does for the single-color scheme, whose tiles touch.
     """
-    scheme = HexScheme(p, q)
-    if scheme.color_count_formula < 2:
-        return None
     d = min_same_color_distance(p, q)
     return d if d >= 1.0 else None
 
@@ -330,9 +317,8 @@ def _tile_indices_vectorized(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray
 
 
 def _colors_of_points(scheme: HexScheme, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    table = _color_table(scheme.p, scheme.q)
     ii, jj = _tile_indices_vectorized(xs, ys)
-    return table[_coset_key(scheme.p, scheme.q, scheme.color_count_formula, ii, jj)]
+    return _color(scheme.p, scheme.q, ii, jj)
 
 
 def _boundary_strata(points_per_edge: int = 30, pull: float = 1e-7) -> np.ndarray:
@@ -359,9 +345,9 @@ def _strata_violation(scheme: HexScheme, b: float, band: float) -> bool:
     invalid at width b shows up here without luck.
     """
     pts = _boundary_strata()
-    for ox, oy in _same_color_offsets(scheme, lambda: b + TILE_DIAMETER):
+    for ox, oy in _same_color_offsets(scheme, b + TILE_DIAMETER):
         d = pair_distances(pts, pts + np.array([ox, oy]))
-        if np.any((d > 1.0 + band) & (d < b - band)):
+        if np.any(forbidden_distances(d, b, band)):
             return True
     return False
 
@@ -391,18 +377,6 @@ def verify_scheme_sampled(
         if np.any(_colors_of_points(scheme, x1, y1) == _colors_of_points(scheme, x2, y2)):
             return False
     return True
-
-
-def scheme_json(scheme: HexScheme) -> str:
-    return json.dumps(
-        {
-            "p": scheme.p,
-            "q": scheme.q,
-            "N": color_count(scheme),
-            "b_max": hex_b_max(scheme.p, scheme.q),
-        },
-        indent=2,
-    ) + "\n"
 
 
 def pareto_table_csv(rows: list[SchemeRow]) -> str:

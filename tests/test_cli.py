@@ -10,7 +10,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from chromaplane import solver
+from chromaplane import hexcolor, solver
 from chromaplane.cli import main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -344,7 +344,38 @@ def test_usage_errors(tmp_path, capsys):
         (("threshold", "--case", "1", "--k", "4", "--n", "0", "--b-lo", "1.25",
           "--b-hi", "1.4"), "--n"),
         (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--eps", "0.5"), "--eps"),
+        # the radial scheme needs k >= 2 and at least 2k sectors
+        (("annulus-upper", "--k", "0"), "--k"),
+        (("annulus-upper", "--k", "1"), "--k"),
+        (("annulus-upper", "--k", "3", "--s-max", "4"), "--s-max"),
+        # the min-colors grid: finite ends and step, b > 1, a positive step
+        (("min-colors", "--b-lo", "1.3", "--b-hi", "nan"), "--b-hi"),
+        (("min-colors", "--b-lo", "1.3", "--b-hi", "inf"), "--b-hi"),
+        (("min-colors", "--b-lo", "nan", "--b-hi", "1.5"), "--b-lo"),
+        (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "inf"), "--step"),
+        (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "nan"), "--step"),
+        (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "0"), "--step"),
+        (("min-colors", "--b-lo", "1.0", "--b-hi", "1.5"), "--b-lo"),
+        (("min-colors", "--b-lo", "1.5", "--b-hi", "1e300", "--step", "1e-300"), "--step"),
+        (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
+          "--b-hi", "inf"), "--b-hi"),
+        (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "nan",
+          "--b-hi", "1.4"), "--b-lo"),
+        # a budget is a finite number of seconds > 0
+        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--budget", "nan"),
+         "--budget"),
+        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--budget", "0"),
+         "--budget"),
+        (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
+          "--b-hi", "1.4", "--budget", "inf"), "--budget"),
     ]
+    # a --config graph needs a finite b > 1 and eps in [0, (b - 1) / 2)
+    for name, b, eps in [("b_low", 0.9, 0.0001), ("b_inf", math.inf, 0.0001),
+                         ("b_nan", math.nan, 0.0001), ("eps_neg", 1.25, -0.1),
+                         ("eps_wide", 1.25, 0.125), ("eps_nan", 1.25, math.nan)]:
+        path = tmp_path / f"cfg_{name}.json"
+        path.write_text(json.dumps({**good, "b": b, "eps": eps}))
+        cases.append((("export", "--what", "dimacs", "--config", str(path)), "--config"))
     # --k is checked before the graph is built, so no chunk and no --out file appear
     for what in ("cnf", "lp"):
         for k in ("0", "-1"):
@@ -367,6 +398,19 @@ def test_usage_errors(tmp_path, capsys):
     assert rc == 0, err
     rc, _, err = run_main(capsys, "eight-opt", "--tol", "0.375")
     assert rc == 0, err
+
+
+def test_internal_value_error_exits_4(capsys, monkeypatch):
+    # every out-of-range flag is refused at the CLI edge, so a ValueError
+    # from the library is a bug, not a usage error
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(hexcolor, "pareto_table", broken)
+    rc, out, err = run_main(capsys, "hex-table")
+    assert rc == 4
+    assert out == ""
+    assert "internal: ValueError: boom" in err
 
 
 def test_main_callable_in_process(capsys):

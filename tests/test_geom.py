@@ -9,6 +9,7 @@ from chromaplane.geom import (
     Point2,
     chord,
     dist,
+    forbidden_distances,
     forbidden_pair_draws,
     mixed_chord,
     pair_distances,
@@ -148,3 +149,9 @@ def test_forbidden_pair_draws_small_and_empty():
     chunks = list(forbidden_pair_draws(0, 10, (0.0, 1.0), (0.0, 1.0), 1.5, 0.0))
     assert [c.shape for c in chunks] == [(4, 10)]
     assert list(forbidden_pair_draws(0, 0, (0.0, 1.0), (0.0, 1.0), 1.5, 0.0)) == []
+
+
+def test_forbidden_distances_window_is_open():
+    d = np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.2, 1.5 - 2e-9, 1.5 - 1e-9, 1.5, 2.0])
+    got = forbidden_distances(d, 1.5, 1e-9)
+    assert got.tolist() == [False, False, True, True, True, False, False, False]

@@ -22,7 +22,6 @@ from chromaplane.hexcolor import (
     min_same_color_distance,
     named_family,
     point_to_tile,
-    scheme_json,
     sweep_pairs,
     pareto_table,
     pareto_table_csv,
@@ -213,6 +212,8 @@ def test_color_of_tile_examples():
     s = HexScheme(1, 2)
     assert color_of_tile(s, 0, 0) == color_of_tile(s, 1, 2) == color_of_tile(s, 3, -1)
     assert color_of_tile(s, 0, 0) != color_of_tile(s, 1, 0)
+    assert type(color_of_tile(s, 3, -1)) is int
+    assert type(color_of_tile(HexScheme(2, 4), np.int64(3), np.int64(-1))) is int
 
     s = HexScheme(0, 3)
     seen = {
@@ -236,6 +237,24 @@ def test_color_classes_are_cosets():
             i2 = i + k * p + l * (p + q)
             j2 = j + k * q - l * p
             assert color_of_tile(s, i, j) == color_of_tile(s, i2, j2)
+
+
+def test_color_is_the_coset_partition():
+    # the gcd normal form against the two-form sublattice membership key
+    for p in range(16):
+        for q in range(16):
+            if (p, q) == (0, 0):
+                continue
+            n = p * p + p * q + q * q
+            w = 4 * (p + q) + 3
+            i, j = np.divmod(np.arange(4 * w * w), 2 * w)
+            i, j = i - w, j - w
+            colors = hexcolor._color(p, q, i, j)
+            keys = hexcolor._coset_key(p, q, n, i, j)
+            assert np.array_equal(np.unique(colors), np.arange(n)), (p, q)
+            assert np.unique(keys).size == n, (p, q)
+            assert np.unique(colors * n * n + keys).size == n, (p, q)
+            assert colors[(i == 0) & (j == 0)].tolist() == [0]
 
 
 def test_color_count_examples():
@@ -262,6 +281,19 @@ def test_hex_b_max_no_valid_b():
     assert hex_b_max(0, 2) is None
     assert min_same_color_distance(1, 1) == pytest.approx(0.5, abs=1e-9)
     assert min_same_color_distance(2, 0) == pytest.approx(SQRT3 / 2, abs=1e-9)
+
+
+def test_min_same_color_distance_matches_ring_walk():
+    # the six nearest same-color tiles against every offset out to 2|v| + 1
+    for p in range(31):
+        for q in range(31):
+            if (p, q) == (0, 0):
+                continue
+            s = HexScheme(p, q)
+            limit = 2.0 * math.hypot(*s.v) + 1.0
+            offsets = hexcolor._same_color_offsets(s, limit)
+            want = min(hexcolor._tile_gap(ox, oy) for ox, oy in offsets)
+            assert min_same_color_distance(p, q) == want, (p, q)
 
 
 def test_hex_b_max_symmetry():
@@ -415,7 +447,7 @@ def test_verify_scheme_sampled():
 
 
 def test_color_of_tile_is_the_vectorized_lookup():
-    # color_of_tile and the sampled checker's _colors_of_points share one table
+    # color_of_tile and the sampled checker's _colors_of_points share one closed form
     ii, jj = np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()
     xs, ys = ii * S1.x + jj * S2.x, ii * S1.y + jj * S2.y
@@ -450,13 +482,6 @@ def test_verify_scheme_sampled_points_pinned(monkeypatch):
     assert len(seen) == len(want)
     for (xs, ys), (wx, wy) in zip(seen, want):
         assert np.array_equal(xs, wx) and np.array_equal(ys, wy)
-
-
-def test_scheme_json():
-    import json
-
-    payload = json.loads(scheme_json(HexScheme(1, 2)))
-    assert payload == {"p": 1, "q": 2, "N": 7, "b_max": pytest.approx(math.sqrt(7) / 2)}
 
 
 def test_hex_tile_geometry():

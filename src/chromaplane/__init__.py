@@ -10,6 +10,7 @@ distance in [1, b] share a color. It provides:
   threshold bisection and the annulus bounds table;
 - hexcolor: (p, q) colorings of the hexagonal tiling and their reach;
 - eightcol: the eight-coloring's constraint system and optimum;
+- text: the one print format of every table and record (CSV and JSON);
 - cli: deterministic command-line front end.
 """
 

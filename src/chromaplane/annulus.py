@@ -23,8 +23,11 @@ from .distgraph import (
     build_graph,
     default_eps,
 )
-from .geom import chord, forbidden_distances, forbidden_pair_draws, mixed_chord, pair_distances
+from .geom import (
+    B_TOL, chord, forbidden_distances, forbidden_pair_draws, mixed_chord, pair_distances
+)
 from .solver import ColoringOutcome, KColorQuery, NOT_COLORABLE, k_colorable
+from .text import table_text
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,7 +76,7 @@ class RadialScheme:
             raise ValueError(f"need k >= 2, got {self.k}")
         if self.s % self.k != 0 or self.s < 2 * self.k:
             raise ValueError(f"need s a multiple of k with s >= 2k, got k={self.k}, s={self.s}")
-        if self.b <= 1.0:
+        if not self.b > 1.0:  # NaN fails too
             raise ValueError(f"need b > 1, got {self.b}")
 
     @property
@@ -123,7 +126,9 @@ def radial_max_b_detail(k: int, s: int) -> tuple[float | None, dict[str, float],
 
     Each constraint caps b in closed form: d1 = 1 at b = 1/chord(1, alpha),
     d2 = 1 at b = 2 cos(alpha), and gap = b at b = chord(1, (k-1) alpha).
-    Returns (b or None when the cap is <= 1, all three caps, binding name).
+    Returns (b or None, all three caps, binding name): None when the cap is
+    not above 1 by more than B_TOL, as a cap of exactly 1 computes to 1 plus
+    float noise (at k = 3, s = 6).
     """
     RadialScheme(k, s, 1.5)  # validate (k, s) only
     a = TWO_PI / s
@@ -134,7 +139,7 @@ def radial_max_b_detail(k: int, s: int) -> tuple[float | None, dict[str, float],
     }
     binding = min(caps, key=lambda name: (caps[name], name))
     b = caps[binding]
-    return (b if b > 1.0 else None), caps, binding
+    return (b if b > 1.0 + B_TOL else None), caps, binding
 
 
 def radial_max_b(k: int, s: int) -> float | None:
@@ -173,7 +178,7 @@ def lower_bound_config(
     """
     if case not in CASE_CIRCLE_COUNTS:
         raise ValueError(f"case must be 1..5, got {case}")
-    if b <= 1.0:
+    if not b > 1.0:  # NaN fails too
         raise ValueError(f"need b > 1, got {b}")
     if eps is None:
         eps = default_eps(b)
@@ -240,7 +245,6 @@ def threshold_bisect(
     b_lo: float,
     b_hi: float,
     tol: float,
-    eps_scales: tuple[float, ...] = EPS_STABILITY_SCALES,
     time_budget: float | None = None,
     seed: int = 0,
 ) -> float:
@@ -249,8 +253,8 @@ def threshold_bisect(
     Requires needs-at-least-k false at b_lo and true at b_hi (verified up
     front), bisects to tol, then re-verifies both sides of the returned
     value; the config's radii move with b so monotonicity is empirical,
-    not guaranteed. The whole search runs once per eps scale and the
-    results must agree to 1e-6.
+    not guaranteed. The whole search runs once per EPS_STABILITY_SCALES
+    scale and the results must agree to 1e-6.
     """
     if not (1.0 < b_lo < b_hi):
         raise BracketInvalid(f"need 1 < b_lo < b_hi, got [{b_lo}, {b_hi}]")
@@ -262,7 +266,7 @@ def threshold_bisect(
         return out.status == NOT_COLORABLE
 
     results: list[float] = []
-    for scale in eps_scales:
+    for scale in EPS_STABILITY_SCALES:
         b_star = _bisect(lambda b: needs(b, scale), b_lo, b_hi, tol, f"config needs >= {k} colors")
         # a tol below the float spacing at b* re-checks the neighboring floats
         up = max(b_star + tol, math.nextafter(b_star, math.inf))
@@ -274,7 +278,7 @@ def threshold_bisect(
     if max(results) - min(results) > 1e-6:
         raise EpsInstability(f"thresholds across eps scales spread {results}")
     # report the run at the scale closest to the default 1e-6
-    pick = min(range(len(eps_scales)), key=lambda i: abs(math.log10(eps_scales[i]) + 6.0))
+    pick = min(range(len(results)), key=lambda i: abs(math.log10(EPS_STABILITY_SCALES[i]) + 6.0))
     return results[pick]
 
 
@@ -312,11 +316,10 @@ def annulus_bounds(b: float) -> AnnulusBoundsRow:
 
 
 def annulus_bounds_csv() -> str:
-    lines = ["b_lo,b_hi,lower,upper,source"]
-    for row in annulus_bounds_rows():
-        lo, hi = row.b_interval
-        lines.append(f"{lo:.9g},{hi:.9g},{row.lower},{row.upper},{row.source}")
-    return "\n".join(lines) + "\n"
+    return table_text(
+        ("b_lo", "b_hi", "lower", "upper", "source"),
+        [(*r.b_interval, r.lower, r.upper, r.source) for r in annulus_bounds_rows()],
+    )
 
 
 def radial_violation_exists(
@@ -325,10 +328,9 @@ def radial_violation_exists(
     b: float,
     n_pairs: int = 100_000,
     seed: int = 0,
-    band: float = 1e-9,
 ) -> bool:
-    """Search the radial scheme for a same-color pair at distance inside
-    (1 + band, b - band).
+    """Search the radial scheme for a same-color pair at a forbidden
+    distance (geom.forbidden_distances).
 
     Deterministic strata put points just inside every sector boundary on
     both extreme radii, which is where the scheme's critical pairs live;
@@ -338,18 +340,18 @@ def radial_violation_exists(
     scheme = RadialScheme(k, s, b)
 
     # strata: both radii, angles a hair on each side of every boundary
-    offs = np.array([band, 1e-7, -band, -1e-7])
+    offs = np.array([1e-9, 1e-7, -1e-9, -1e-7])
     boundary = np.add.outer(np.arange(s) * scheme.alpha, offs).ravel() % TWO_PI
     ang = np.repeat(boundary, 2)
     rad = np.tile([1.0, b], boundary.size)
     pts = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
     d = pair_distances(pts, pts)
     cols = _sector_colors(scheme, ang)
-    if np.any((cols[:, None] == cols[None, :]) & forbidden_distances(d, b, band)):
+    if np.any((cols[:, None] == cols[None, :]) & forbidden_distances(d, b)):
         return True
 
     # first point uniform in the annulus by area: r^2 uniform on (1, b^2)
-    draws = forbidden_pair_draws(seed, n_pairs, (1.0, b * b), (0.0, TWO_PI), b, band)
+    draws = forbidden_pair_draws(seed, n_pairs, (1.0, b * b), (0.0, TWO_PI), b)
     for r_sq, a1, dd, phi in draws:
         r1 = np.sqrt(r_sq)
         x2 = r1 * np.cos(a1) + dd * np.cos(phi)

@@ -3,14 +3,11 @@
 Every command is deterministic for fixed flags and seed: primary output
 (stdout or --out) is byte-identical across runs, progress and errors go
 to stderr. Exit codes: 0 ok, 2 usage, 3 budget exhausted, 4 internal.
-Floats in CSV are printed with 9 significant digits, enough to separate
-every constant the package produces; JSON prints Python's shortest repr
-that round-trips (for example "eps": 4.8e-07).
+Tables and records are printed by the text module.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -18,6 +15,7 @@ import sys
 import numpy as np
 
 from . import annulus, distgraph, eightcol, hexcolor, solver
+from .text import record_text, table_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -27,20 +25,6 @@ EXIT_INTERNAL = 4
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _render(record: dict, fmt: str) -> str:
-    """One record as indented JSON, or as a CSV header of its keys and one row."""
-    if fmt == "json":
-        return json.dumps(record, indent=2) + "\n"
-    cells = [
-        "" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in record.values()
-    ]
-    return ",".join(record) + "\n" + ",".join(cells) + "\n"
 
 
 def _emit(chunks, out_path: str | None):
@@ -105,7 +89,7 @@ def cmd_annulus_upper(args) -> str:
         s, b = best
         _, _, binding = annulus.radial_max_b_detail(args.k, s)
         record = {"k": args.k, "s": s, "b_max": b, "binding": binding}
-    return _render(record, args.format)
+    return record_text(record, args.format)
 
 
 def cmd_annulus_lower(args) -> str:
@@ -138,7 +122,7 @@ def cmd_annulus_lower(args) -> str:
         "plane_lower_bound": plane,
     }
     print(f"solver: nodes={outcome.search_nodes}", file=sys.stderr)
-    return _render(record, args.format)
+    return record_text(record, args.format)
 
 
 def cmd_threshold(args) -> str:
@@ -166,19 +150,14 @@ def cmd_threshold(args) -> str:
         "tol": args.tol,
         "b_star": b_star,
     }
-    return _render(record, args.format)
+    return record_text(record, args.format)
 
 
 def cmd_hex_table(args) -> str:
     if args.p_max < 0 or args.q_max < 0:
         raise UsageError("--p-max and --q-max must be >= 0")
-    rows = hexcolor.pareto_table(args.p_max, args.q_max)
-    if args.format == "json":
-        payload = [
-            {"b": r.b, "n_colors": r.n_colors, "p": r.p, "q": r.q} for r in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    return hexcolor.pareto_table_csv(rows)
+    rows = [(r.b, r.n_colors, r.p, r.q) for r in hexcolor.pareto_table(args.p_max, args.q_max)]
+    return table_text(hexcolor.PARETO_FIELDS, rows, args.format)
 
 
 def cmd_min_colors(args) -> str:
@@ -194,10 +173,7 @@ def cmd_min_colors(args) -> str:
     except ValueError as exc:  # more grid points than an array can index
         raise UsageError(f"--b-lo to --b-hi by --step: {exc}") from exc
     rows = hexcolor.min_colors_curve(grid, args.search_max)
-    if args.format == "json":
-        payload = [{"b": float(b), "min_colors": n} for b, n in rows]
-        return json.dumps(payload, indent=2) + "\n"
-    return hexcolor.min_colors_csv(rows)
+    return table_text(hexcolor.MIN_COLORS_FIELDS, rows, args.format)
 
 
 def cmd_eight_opt(args) -> str:
@@ -210,7 +186,7 @@ def cmd_eight_opt(args) -> str:
     record = {"b": opt.b, "x": opt.x, "y": opt.y,
               "active_constraints": ";".join(map(str, opt.active_constraints))}
     record.update((f"slack_{i}", s) for i, s in enumerate(opt.slacks, 1))
-    return _render(record, "csv")
+    return record_text(record)
 
 
 def cmd_export(args):

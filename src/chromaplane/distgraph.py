@@ -169,7 +169,7 @@ def build_graph(config: PointConfig, b: float, eps: float | None = None) -> Dist
     caller's responsibility); eps is validated against the annulus being
     nonempty and recorded on the graph.
     """
-    if b <= 1.0:
+    if not b > 1.0:  # NaN fails too
         raise ValueError(f"need b > 1, got {b}")
     if eps is None:
         eps = default_eps(b)
@@ -208,15 +208,6 @@ def dimacs_chunks(g: DistanceGraph):
 def export_dimacs(g: DistanceGraph) -> str:
     """DIMACS graph format, 1-indexed, edges sorted (i asc, then j asc)."""
     return "".join(dimacs_chunks(g))
-
-
-def config_to_json(config: PointConfig, b: float, eps: float) -> str:
-    payload = {
-        "circles": [{"n": n, "r": r} for n, r in config.circles],
-        "b": b,
-        "eps": eps,
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def config_from_json(text: str) -> tuple[PointConfig, float, float]:

@@ -9,9 +9,10 @@ not searched: constraints 1 and 3 fix (x, y) and constraint 4 caps b.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+from .text import json_text
 
 SQRT3 = math.sqrt(3.0)
 
@@ -25,7 +26,7 @@ class EightParams:
     b: float
 
     def __post_init__(self):
-        if self.x <= 0 or self.y <= 0 or self.b <= 1:
+        if not (self.x > 0 and self.y > 0 and self.b > 1):  # NaN fails too
             raise ValueError(f"need x, y > 0 and b > 1, got {self}")
 
 
@@ -108,13 +109,4 @@ def maximize_b(tol: float = 1e-6) -> EightOptimum:
 
 
 def optimum_json(opt: EightOptimum) -> str:
-    return json.dumps(
-        {
-            "b": opt.b,
-            "x": opt.x,
-            "y": opt.y,
-            "active_constraints": list(opt.active_constraints),
-            "slacks": list(opt.slacks),
-        },
-        indent=2,
-    ) + "\n"
+    return json_text(asdict(opt))

@@ -14,6 +14,13 @@ import numpy as np
 
 DRAW_CHUNK = 200_000  # draws per forbidden_pair_draws chunk: 1.6 MB per buffer
 
+# The sampled checks' forbidden window is (1, b) inset by this at each end, so
+# a distance within float noise of 1 or b is not counted as a violation.
+FORBIDDEN_BAND = 1e-9
+
+# Equality slack when comparing a computed reach or cap against b or 1.
+B_TOL = 1e-9
+
 
 class Point2(NamedTuple):
     x: float
@@ -31,21 +38,22 @@ def pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def forbidden_distances(d: np.ndarray, b: float, band: float) -> np.ndarray:
-    """Which distances lie in the forbidden window (1 + band, b - band)."""
-    return (d > 1.0 + band) & (d < b - band)
+def forbidden_distances(d: np.ndarray, b: float) -> np.ndarray:
+    """Which distances lie in the forbidden window (1 + FORBIDDEN_BAND, b - FORBIDDEN_BAND)."""
+    return (d > 1.0 + FORBIDDEN_BAND) & (d < b - FORBIDDEN_BAND)
 
 
-def forbidden_pair_draws(seed: int, n: int, u_range, v_range, b: float, band: float):
+def forbidden_pair_draws(seed: int, n: int, u_range, v_range, b: float):
     """n seeded draws in chunks (u, v, d, phi) of at most DRAW_CHUNK each.
 
-    u, v: uniform on u_range, v_range (the first point); d: a forbidden
-    distance in (1 + band, b - band); phi: the direction to the second
-    point, in (0, 2 pi). The values are rng.uniform's from default_rng(seed),
+    u, v: uniform on u_range, v_range (the first point); d: a distance in
+    forbidden_distances' window; phi: the direction to the second point,
+    in (0, 2 pi). The values are rng.uniform's from default_rng(seed),
     bit for bit. Every chunk reuses one set of buffers (chunk-sized
     temporaries cost page faults), so the next chunk overwrites the last.
     """
     rng = np.random.default_rng(seed)
+    band = FORBIDDEN_BAND
     ranges = (u_range, v_range, (1.0 + band, b - band), (0.0, 2.0 * math.pi))
     bufs = np.empty((len(ranges), min(DRAW_CHUNK, max(n, 0))))
     for start in range(0, n, DRAW_CHUNK):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Point2, forbidden_distances, forbidden_pair_draws, pair_distances
+from .geom import B_TOL, Point2, forbidden_distances, forbidden_pair_draws, pair_distances
+from .text import table_text
 
 SQRT3 = math.sqrt(3.0)
 
@@ -35,9 +36,6 @@ BASE_TILE = tuple(
     Point2(0.5 * math.cos(math.radians(a)), 0.5 * math.sin(math.radians(a)))
     for a in (30, 90, 150, 210, 270, 330)
 )
-
-# equality slack when comparing scheme distances against requested b values
-B_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -197,6 +195,9 @@ class SchemeRow:
     q: int
 
 
+PARETO_FIELDS = ("b", "n_colors", "p", "q")
+
+
 def sweep_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
     """The (p, q) sweep with p <= q (the reflected schemes are identical)."""
     if p_max < 0 or q_max < 0:
@@ -249,7 +250,7 @@ def _fewest_colors(rows: list[SchemeRow], b: float) -> tuple[int, int, int] | No
     Selects from every swept row, not only the Pareto rows: the Pareto
     filter's B_TOL slack is not transitive.
     """
-    if b <= 1.0:
+    if not b > 1.0:  # NaN fails too
         raise ValueError(f"need b > 1, got {b}")
     return min(((r.n_colors, r.p, r.q) for r in rows if r.b >= b - B_TOL), default=None)
 
@@ -321,8 +322,8 @@ def _colors_of_points(scheme: HexScheme, xs: np.ndarray, ys: np.ndarray) -> np.n
     return _color(scheme.p, scheme.q, ii, jj)
 
 
-def _boundary_strata(points_per_edge: int = 30, pull: float = 1e-7) -> np.ndarray:
-    """Points along the base tile's boundary, pulled strictly inside.
+def _boundary_strata() -> np.ndarray:
+    """30 points per edge of the base tile's boundary, pulled inside by 1e-7.
 
     The pull keeps every point owned by its own tile regardless of the
     boundary convention, so cross-tile strata pairs are genuinely
@@ -332,12 +333,12 @@ def _boundary_strata(points_per_edge: int = 30, pull: float = 1e-7) -> np.ndarra
     for i in range(6):
         a = np.array(BASE_TILE[i])
         c = np.array(BASE_TILE[(i + 1) % 6])
-        t = np.linspace(0.0, 1.0, points_per_edge, endpoint=False)[:, None]
+        t = np.linspace(0.0, 1.0, 30, endpoint=False)[:, None]
         pts.append(a + t * (c - a))
-    return np.vstack(pts) * (1.0 - pull)
+    return np.vstack(pts) * (1.0 - 1e-7)
 
 
-def _strata_violation(scheme: HexScheme, b: float, band: float) -> bool:
+def _strata_violation(scheme: HexScheme, b: float) -> bool:
     """Check same-color tile pairs at their closest approach.
 
     Same-colored tiles sit at offsets k*v + l*vbar; near-boundary point
@@ -347,7 +348,7 @@ def _strata_violation(scheme: HexScheme, b: float, band: float) -> bool:
     pts = _boundary_strata()
     for ox, oy in _same_color_offsets(scheme, b + TILE_DIAMETER):
         d = pair_distances(pts, pts + np.array([ox, oy]))
-        if np.any(forbidden_distances(d, b, band)):
+        if np.any(forbidden_distances(d, b)):
             return True
     return False
 
@@ -359,19 +360,18 @@ def verify_scheme_sampled(
 
     Deterministic near-boundary strata probe every same-color tile pair at
     its closest approach (where violations first open up); seeded random
-    pairs at forbidden distances (in (1, b), inset by 1e-9) sweep the rest
-    of the window. False as soon as any same-colored pair at a forbidden
-    distance appears. Deterministic for a fixed seed.
+    pairs at forbidden distances (in (1, b), inset by geom.FORBIDDEN_BAND)
+    sweep the rest of the window. False as soon as any same-colored pair at
+    a forbidden distance appears. Deterministic for a fixed seed.
     """
-    if b <= 1.0:
+    if not b > 1.0:  # NaN fails too
         raise ValueError(f"need b > 1, got {b}")
-    band = 1e-9
-    if _strata_violation(scheme, b, band):
+    if _strata_violation(scheme, b):
         return False
     v, vb = scheme.v, scheme.vbar
     span = abs(v.x) + abs(vb.x) + abs(v.y) + abs(vb.y) + b + 2.0
     window = (-span, span)
-    for x1, y1, d, phi in forbidden_pair_draws(seed, samples, window, window, b, band):
+    for x1, y1, d, phi in forbidden_pair_draws(seed, samples, window, window, b):
         x2 = x1 + d * np.cos(phi)
         y2 = y1 + d * np.sin(phi)
         if np.any(_colors_of_points(scheme, x1, y1) == _colors_of_points(scheme, x2, y2)):
@@ -380,10 +380,7 @@ def verify_scheme_sampled(
 
 
 def pareto_table_csv(rows: list[SchemeRow]) -> str:
-    lines = ["b,n_colors,p,q"]
-    for r in rows:
-        lines.append(f"{r.b:.9g},{r.n_colors},{r.p},{r.q}")
-    return "\n".join(lines) + "\n"
+    return table_text(PARETO_FIELDS, [(r.b, r.n_colors, r.p, r.q) for r in rows])
 
 
 def min_colors_curve(b_values, search_max: int = 10) -> list[tuple[float, int | None]]:
@@ -396,8 +393,8 @@ def min_colors_curve(b_values, search_max: int = 10) -> list[tuple[float, int | 
     return out
 
 
+MIN_COLORS_FIELDS = ("b", "min_colors")
+
+
 def min_colors_csv(rows) -> str:
-    lines = ["b,min_colors"]
-    for b, n in rows:
-        lines.append(f"{b:.9g},{'' if n is None else n}")
-    return "\n".join(lines) + "\n"
+    return table_text(MIN_COLORS_FIELDS, rows)

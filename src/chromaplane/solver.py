@@ -37,6 +37,8 @@ _BUDGET_CHECK_INTERVAL = 2048
 
 _CLIQUE_RESTARTS = 200
 
+_PROGRESS_INTERVAL = 10.0  # seconds between progress(nodes, elapsed) calls
+
 
 class BudgetExhausted(Exception):
     """Time budget ran out before the search reached an exact answer."""
@@ -133,20 +135,14 @@ def greedy_clique(adj: list[int], restarts: int = _CLIQUE_RESTARTS, seed: int = 
     return [by_rank[r] for r in _rank_clique(radj, rank, restarts, seed)]
 
 
-def k_colorable(
-    query: KColorQuery,
-    seed: int = 0,
-    use_clique_seed: bool = True,
-    progress=None,
-    progress_interval: float = 10.0,
-) -> ColoringOutcome:
+def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOutcome:
     """Decide whether the graph admits a proper coloring with <= k colors.
 
     Returns an exact verdict with a certificate assignment when colorable;
     the assignment is checked with verify_coloring before it is returned.
     Raises BudgetExhausted if query.time_budget runs out; a budget cut is
     never reported as not_colorable. `progress(nodes, elapsed)` is invoked
-    roughly every `progress_interval` seconds when supplied.
+    roughly every _PROGRESS_INTERVAL seconds when supplied.
     """
     g, k = query.graph, query.k
     n = g.n
@@ -156,7 +152,7 @@ def k_colorable(
 
     # the search runs on ranks: rank r is the r-th vertex by (-degree, index)
     rank, radj = _rank_masks(n, g.edges)
-    clique = _rank_clique(radj, rank, _CLIQUE_RESTARTS, seed) if use_clique_seed else []
+    clique = _rank_clique(radj, rank, _CLIQUE_RESTARTS, seed)
     if len(clique) > k:
         return ColoringOutcome(NOT_COLORABLE, None, 0, time.monotonic() - start)
 
@@ -179,7 +175,7 @@ def k_colorable(
 
     nodes = 0
     next_check = _BUDGET_CHECK_INTERVAL
-    next_progress = start + progress_interval
+    next_progress = start + _PROGRESS_INTERVAL
     budget = query.time_budget
 
     def tick():
@@ -190,7 +186,7 @@ def k_colorable(
             raise BudgetExhausted(nodes, now - start)
         if progress is not None and now >= next_progress:
             progress(nodes, now - start)
-            next_progress = now + progress_interval
+            next_progress = now + _PROGRESS_INTERVAL
 
     # each frame: [rank, remaining candidate mask, ranks it saturated, saved max_used]
     stack = []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -39,8 +40,11 @@ def test_radial_scheme_validation():
         RadialScheme(3, 10, 1.2)  # k does not divide s
     with pytest.raises(ValueError):
         RadialScheme(3, 3, 1.2)  # s < 2k
-    with pytest.raises(ValueError):
-        RadialScheme(3, 9, 0.9)
+    for b in (0.9, math.nan):  # NaN is refused, not taken as valid
+        with pytest.raises(ValueError):
+            RadialScheme(3, 9, b)
+        with pytest.raises(ValueError):
+            radial_violation_exists(3, 9, b)
 
 
 def test_radial_color_examples():
@@ -127,6 +131,20 @@ def test_radial_max_b_k5_matches_numeric_not_printed_radical():
 def test_radial_max_b_no_valid_b():
     assert radial_max_b(2, 4) is None
     assert radial_max_b(2, 8) is None
+    # at (3, 6) the exact d1 and d2 caps are both 1: float noise lifts the
+    # computed cap a hair above 1, which is no valid b
+    _, caps, _ = radial_max_b_detail(3, 6)
+    assert caps["d1"] == pytest.approx(1.0, abs=1e-12)
+    assert caps["d2"] == pytest.approx(1.0, abs=1e-12)
+    assert radial_max_b(3, 6) is None
+    assert radial_best(3, 6) is None
+    near_one = [
+        (k, s, b)
+        for k in range(2, 41)
+        for s in range(2 * k, 100 * k + 1, k)
+        if (b := radial_max_b(k, s)) is not None and b <= 1.0 + 1e-9
+    ]
+    assert near_one == []
 
 
 def test_radial_best():
@@ -220,20 +238,23 @@ def test_threshold_bisect_desk_scale_case1():
     assert 1.25 < b_star < 1.4
 
 
-def test_threshold_bisect_bracket_validation():
+def test_threshold_bisect_bracket_validation(monkeypatch):
+    monkeypatch.setattr(annulus, "EPS_STABILITY_SCALES", (1e-6,))
     with pytest.raises(BracketInvalid):
-        threshold_bisect(1, 65, 4, b_lo=1.38, b_hi=1.4, tol=1e-3, eps_scales=(1e-6,))
+        threshold_bisect(1, 65, 4, b_lo=1.38, b_hi=1.4, tol=1e-3)
     with pytest.raises(BracketInvalid):
-        threshold_bisect(1, 65, 4, b_lo=1.05, b_hi=1.1, tol=1e-3, eps_scales=(1e-6,))
+        threshold_bisect(1, 65, 4, b_lo=1.05, b_hi=1.1, tol=1e-3)
 
 
-def _fake_verdicts(monkeypatch, needs):
-    """Make annulus_verdict answer needs(b, eps_scale) without building a graph."""
+def _fake_verdicts(monkeypatch, needs, eps_scales=(1e-6,)):
+    """Make annulus_verdict answer needs(b, eps_scale) without building a graph,
+    and threshold_bisect run at eps_scales."""
 
     def fake(case, b, k, n_override=None, eps=None, time_budget=None, seed=0):
         return SimpleNamespace(status=NOT_COLORABLE if needs(b, eps / (b - 1.0)) else COLORABLE)
 
     monkeypatch.setattr(annulus, "annulus_verdict", fake)
+    monkeypatch.setattr(annulus, "EPS_STABILITY_SCALES", eps_scales)
 
 
 # binary fractions, so the probes are exact: the bisection of [1.25, 1.5] to
@@ -245,7 +266,7 @@ BRACKET = dict(b_lo=1.25, b_hi=1.5, tol=2.0**-6)
 def test_threshold_bisect_detects_non_monotone_verdicts(monkeypatch):
     _fake_verdicts(monkeypatch, lambda b, scale: b >= 1.4 and not 1.41 < b < 1.42)
     with pytest.raises(NonMonotoneDetected):
-        threshold_bisect(1, 65, 4, eps_scales=(1e-6,), **BRACKET)
+        threshold_bisect(1, 65, 4, **BRACKET)
 
 
 def test_threshold_bisect_ends_for_every_tol(monkeypatch):
@@ -255,25 +276,25 @@ def test_threshold_bisect_ends_for_every_tol(monkeypatch):
     # once the midpoint rounds onto an end, and the re-check steps one float
     for tol in (1e-300, 5e-324, 1e-17):
         probes.clear()
-        assert threshold_bisect(1, 65, 4, 1.25, 1.5, tol, eps_scales=(1e-6,)) == 1.4
+        assert threshold_bisect(1, 65, 4, 1.25, 1.5, tol) == 1.4
         assert len(probes) < 60, (tol, len(probes))
         assert probes[-2:] == [math.nextafter(1.4, 2.0), math.nextafter(1.4, 1.0)]
     # a usual tol re-checks b* +- tol, as before
     probes.clear()
-    assert threshold_bisect(1, 65, 4, eps_scales=(1e-6,), **BRACKET) == 1.3984375
+    assert threshold_bisect(1, 65, 4, **BRACKET) == 1.3984375
     assert probes == [1.25, 1.5, 1.375, 1.4375, 1.40625, 1.390625, 1.4140625, 1.3828125]
     # tol must be > 0, NaN included; refused before any probe
     for tol in (0.0, -1.0, math.nan):
         probes.clear()
         with pytest.raises(ValueError, match="tol"):
-            threshold_bisect(1, 65, 4, 1.25, 1.5, tol, eps_scales=(1e-6,))
+            threshold_bisect(1, 65, 4, 1.25, 1.5, tol)
         assert probes == []
 
 
 def test_radial_max_b_numeric_ends_for_every_tol(monkeypatch):
     probes = []
 
-    def fake(k, s, b, n_pairs=100_000, seed=0, band=1e-9):
+    def fake(k, s, b, n_pairs=100_000, seed=0):
         probes.append(b)
         return b > 1.5
 
@@ -297,10 +318,14 @@ def test_radial_max_b_numeric_ends_for_every_tol(monkeypatch):
 
 
 def test_threshold_bisect_detects_eps_instability(monkeypatch):
-    _fake_verdicts(monkeypatch, lambda b, scale: b >= (1.4 if scale < 1e-4 else 1.3))
-    assert threshold_bisect(1, 65, 4, eps_scales=(1e-6, 1e-7), **BRACKET) == 1.3984375
+    def needs(b, scale):
+        return b >= (1.4 if scale < 1e-4 else 1.3)
+
+    _fake_verdicts(monkeypatch, needs, (1e-6, 1e-7))
+    assert threshold_bisect(1, 65, 4, **BRACKET) == 1.3984375
+    _fake_verdicts(monkeypatch, needs, (1e-6, 1e-3))
     with pytest.raises(EpsInstability):
-        threshold_bisect(1, 65, 4, eps_scales=(1e-6, 1e-3), **BRACKET)
+        threshold_bisect(1, 65, 4, **BRACKET)
 
 
 def test_annulus_bounds_rows_structure():
@@ -339,6 +364,8 @@ def test_annulus_bounds_csv():
     assert len(lines) == 11
     assert any("thm5-case-1" in ln for ln in lines)
     assert any("radial-8-16" in ln for ln in lines)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "bf57528214b69d7dcaca0c5ad4ccbcd4c7d5a9d7561d80bc539a80aa29c4464f"
 
 
 def test_case_graph_matches_config():

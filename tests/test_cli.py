@@ -110,16 +110,26 @@ def test_min_colors_points():
     assert proc.stdout == "b,min_colors\n1.01,7\n"
 
 
-# sha256 of the full-size outputs, as recorded in perfbench/expected.json
+# sha256 of the full-size outputs; the CSV and eight-opt ones as recorded in
+# perfbench/expected.json
 PINNED_STDOUT = [
     (("hex-table", "--p-max", "10", "--q-max", "10"),
      "756277c26e1e3d5dce05169d492f9f730c2102a4afefe016268bcc6195069562"),
     (("min-colors", "--b-lo", "1.3", "--b-hi", "14", "--step", "0.1"),
      "87700bee587eff91a7d25122a664b89f1bbecfbdeaba3b6298a4df863e4344fd"),
+    (("hex-table", "--p-max", "10", "--q-max", "10", "--format", "json"),
+     "7cf4d2096c86a697de7a151e71acc2f81748f071c6803e69df151c7a4945bac6"),
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "14", "--step", "0.1", "--format", "json"),
+     "c6d7be438d53a042a2af5248f492d3de636d044f327d38bcb993a425846b8082"),
+    (("eight-opt",),
+     "703b43af05ea39bfdbc6b1b6893604aacc99904cba6188aa8a51f33e77aad334"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", PINNED_STDOUT, ids=["hex-table", "min-colors"])
+@pytest.mark.parametrize(
+    "args,digest", PINNED_STDOUT,
+    ids=["hex-table", "min-colors", "hex-table-json", "min-colors-json", "eight-opt"],
+)
 def test_hex_commands_pinned_bytes(args, digest):
     proc = run_cli(*args)
     assert proc.returncode == 0
@@ -208,6 +218,7 @@ ONE_RECORD_STDOUT = [
     (("annulus-upper", "--k", "2"), "k,s,b_max,binding\n2,,,no_valid_b\n"),
     (("annulus-upper", "--k", "2", "--format", "json"),
      '{\n  "k": 2,\n  "s": null,\n  "b_max": null,\n  "binding": "no_valid_b"\n}\n'),
+    (("annulus-upper", "--k", "3", "--s-max", "6"), "k,s,b_max,binding\n3,,,no_valid_b\n"),
     (("annulus-lower", "--case", "1", "--b", "1.35", "--k", "4", "--n", "65", "--format", "json"),
      '{\n  "case": 1,\n  "b": 1.35,\n  "points": 130,\n  "k": 4,\n'
      '  "eps": 3.500000000000001e-07,\n  "verdict": "not_colorable",\n'
@@ -224,9 +235,37 @@ ONE_RECORD_STDOUT = [
 
 @pytest.mark.parametrize(
     "args,stdout", ONE_RECORD_STDOUT,
-    ids=["upper-csv", "upper-json", "lower-json", "threshold-json", "eight-csv"],
+    ids=["upper-csv", "upper-json", "upper-cap-1", "lower-json", "threshold-json", "eight-csv"],
 )
 def test_one_record_pinned_stdout(args, stdout):
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout
+
+
+# exact stdout of small tables: rows as JSON objects, None as an empty CSV cell
+# and as null, a numpy grid float as its shortest repr, no rows as a header or []
+TABLE_STDOUT = [
+    (("hex-table", "--p-max", "2", "--q-max", "2", "--format", "json"),
+     '[\n  {\n    "b": 1.3228756555322951,\n    "n_colors": 7,\n    "p": 1,\n    "q": 2\n  },\n'
+     '  {\n    "b": 2.0,\n    "n_colors": 12,\n    "p": 2,\n    "q": 2\n  }\n]\n'),
+    (("hex-table", "--p-max", "0", "--q-max", "0"), "b,n_colors,p,q\n"),
+    (("hex-table", "--p-max", "0", "--q-max", "0", "--format", "json"), "[]\n"),
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "0.1", "--search-max", "0"),
+     "b,min_colors\n1.3,\n1.4,\n1.5,\n"),
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "0.1", "--search-max", "0",
+      "--format", "json"),
+     '[\n  {\n    "b": 1.3,\n    "min_colors": null\n  },\n'
+     '  {\n    "b": 1.4000000000000001,\n    "min_colors": null\n  },\n'
+     '  {\n    "b": 1.5000000000000002,\n    "min_colors": null\n  }\n]\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "args,stdout", TABLE_STDOUT,
+    ids=["hex-json", "hex-empty-csv", "hex-empty-json", "min-none-csv", "min-none-json"],
+)
+def test_table_pinned_stdout(args, stdout):
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == stdout

@@ -137,8 +137,9 @@ def test_maximize_b_rejects_bad_tol():
 def test_params_validation():
     with pytest.raises(ValueError):
         EightParams(0.0, 0.5, 1.3)
-    with pytest.raises(ValueError):
-        EightParams(0.1, 0.5, 0.9)
+    for b in (0.9, math.nan):
+        with pytest.raises(ValueError):
+            EightParams(0.1, 0.5, b)
 
 
 def test_optimum_json_shape():

@@ -6,6 +6,7 @@ import pytest
 
 from chromaplane.geom import (
     DRAW_CHUNK,
+    FORBIDDEN_BAND,
     Point2,
     chord,
     dist,
@@ -128,14 +129,14 @@ def test_pair_distances_matches_hypot():
 @pytest.mark.parametrize("first", ["radial", "hex"])
 def test_forbidden_pair_draws_are_rng_uniform(first):
     # one full chunk and one partial chunk, each value rng.uniform's bit for bit
-    seed, b, band = 5, 1.3, 1e-9
+    seed, b, band = 5, 1.3, FORBIDDEN_BAND
     if first == "radial":
         u_range, v_range = (1.0, b * b), (0.0, 2.0 * math.pi)
     else:
         span = 4.7
         u_range = v_range = (-span, span)
     n = DRAW_CHUNK + 1234
-    got = [chunk.copy() for chunk in forbidden_pair_draws(seed, n, u_range, v_range, b, band)]
+    got = [chunk.copy() for chunk in forbidden_pair_draws(seed, n, u_range, v_range, b)]
     rng = np.random.default_rng(seed)
     ranges = (u_range, v_range, (1.0 + band, b - band), (0.0, 2.0 * math.pi))
     assert [c.shape for c in got] == [(4, DRAW_CHUNK), (4, 1234)]
@@ -146,12 +147,13 @@ def test_forbidden_pair_draws_are_rng_uniform(first):
 
 
 def test_forbidden_pair_draws_small_and_empty():
-    chunks = list(forbidden_pair_draws(0, 10, (0.0, 1.0), (0.0, 1.0), 1.5, 0.0))
+    chunks = list(forbidden_pair_draws(0, 10, (0.0, 1.0), (0.0, 1.0), 1.5))
     assert [c.shape for c in chunks] == [(4, 10)]
-    assert list(forbidden_pair_draws(0, 0, (0.0, 1.0), (0.0, 1.0), 1.5, 0.0)) == []
+    assert list(forbidden_pair_draws(0, 0, (0.0, 1.0), (0.0, 1.0), 1.5)) == []
 
 
 def test_forbidden_distances_window_is_open():
     d = np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.2, 1.5 - 2e-9, 1.5 - 1e-9, 1.5, 2.0])
-    got = forbidden_distances(d, 1.5, 1e-9)
+    assert FORBIDDEN_BAND == 1e-9
+    got = forbidden_distances(d, 1.5)
     assert got.tolist() == [False, False, True, True, True, False, False, False]

@@ -351,8 +351,9 @@ def test_best_scheme_for_b_examples():
     assert best_scheme_for_b(1.5) == (0, 3, 9)
     assert best_scheme_for_b(2.0) == (2, 2, 12)
     assert best_scheme_for_b(100.0) is None
-    with pytest.raises(ValueError):
-        best_scheme_for_b(0.5)
+    for b in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            best_scheme_for_b(b)
 
 
 def test_min_colors_curve():
@@ -444,6 +445,9 @@ def test_verify_scheme_sampled():
     a = verify_scheme_sampled(s, 1.3, samples=50_000, seed=7)
     b = verify_scheme_sampled(s, 1.3, samples=50_000, seed=7)
     assert a == b
+    for b in (1.0, math.nan):
+        with pytest.raises(ValueError):
+            verify_scheme_sampled(s, b)
 
 
 def test_color_of_tile_is_the_vectorized_lookup():

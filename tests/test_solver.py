@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chromaplane import distgraph
+from chromaplane import distgraph, solver
 from chromaplane.annulus import case_graph
 from chromaplane.distgraph import (
     CircleSpec,
@@ -245,14 +245,17 @@ def reference_dsatur(g, k, seed=0, use_clique_seed=True):
     return NOT_COLORABLE, None, nodes
 
 
-def test_search_matches_reference_dsatur():
+def test_search_matches_reference_dsatur(monkeypatch):
     # same branch vertex at every node, so same verdict, certificate and node count
-    for g in search_graphs():
-        for k in (2, 3, 4):
-            for use_clique_seed in (True, False):
-                out = k_colorable(KColorQuery(g, k), use_clique_seed=use_clique_seed)
+    for use_clique_seed in (True, False):
+        if not use_clique_seed:  # no restarts, no clique: the unseeded search
+            monkeypatch.setattr(solver, "_CLIQUE_RESTARTS", 0)
+        for g in search_graphs():
+            for k in (2, 3, 4):
+                out = k_colorable(KColorQuery(g, k))
                 want = reference_dsatur(g, k, use_clique_seed=use_clique_seed)
                 assert (out.status, out.assignment, out.search_nodes) == want, (g.edges, k)
+    monkeypatch.undo()
     # the desk-scale instances the benchmark times
     for case, b, n, k, seed, nodes in (
         (2, 1.48, 95, 4, 1, 225),
@@ -275,13 +278,15 @@ def test_colorable_monotone_in_k():
             prev = prev or cur
 
 
-def test_clique_seeding_does_not_change_status():
+def test_clique_seeding_does_not_change_status(monkeypatch):
     rng = random.Random(23)
     for _ in range(25):
         g = random_circulant(rng, max_n=10)
         for k in (2, 3):
-            with_seed = k_colorable(KColorQuery(g, k), use_clique_seed=True).status
-            without = k_colorable(KColorQuery(g, k), use_clique_seed=False).status
+            with_seed = k_colorable(KColorQuery(g, k)).status
+            monkeypatch.setattr(solver, "_CLIQUE_RESTARTS", 0)
+            without = k_colorable(KColorQuery(g, k)).status
+            monkeypatch.undo()
             assert with_seed == without
 
 
@@ -357,17 +362,14 @@ def test_budget_exhausted_distinct():
         k_colorable(KColorQuery(g, 4, time_budget=0.05))
 
 
-def test_progress_callback_fires():
+def test_progress_callback_fires(monkeypatch):
+    monkeypatch.setattr(solver, "_PROGRESS_INTERVAL", 0.0)
     b = 1.48
     eps = (b - 1) * 1e-6
     cfg = PointConfig((CircleSpec(95, 1 + eps), CircleSpec(95, b - eps)))
     g = build_graph(cfg, b, eps)
     beats = []
-    out = k_colorable(
-        KColorQuery(g, 4),
-        progress=lambda nodes, elapsed: beats.append(nodes),
-        progress_interval=0.0,
-    )
+    out = k_colorable(KColorQuery(g, 4), progress=lambda nodes, elapsed: beats.append(nodes))
     assert out.colorable
     assert beats and all(n > 0 for n in beats)
 

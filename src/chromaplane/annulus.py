@@ -41,10 +41,8 @@ CASE_THRESHOLDS = {
     5: (5.0 - math.sqrt(2.0) + math.sqrt(6.0)) / 3.0,
 }
 
-# Colors the case's configuration forces on the annulus, and the circle
-# layout: (points per circle, number of circles). Three-circle cases put
-# the middle circle at radius (1 + b) / 2.
-CASE_ANNULUS_COLORS = {1: 4, 2: 5, 3: 6, 4: 7, 5: 8}
+# The circle layout of each case: (points per circle, number of circles).
+# Three-circle cases put the middle circle at radius (1 + b) / 2.
 CASE_CIRCLE_COUNTS = {1: (1300, 2), 2: (190, 2), 3: (180, 3), 4: (120, 3), 5: (120, 3)}
 
 # Sector counts of the reference radial schemes per color count.

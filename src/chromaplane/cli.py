@@ -3,7 +3,8 @@
 Every command is deterministic for fixed flags and seed: primary output
 (stdout or --out) is byte-identical across runs, progress and errors go
 to stderr. Exit codes: 0 ok, 2 usage, 3 budget exhausted, 4 internal.
-Tables and records are printed by the text module.
+Tables and records are printed by the text module. Each flag's range is
+its argparse type; rules that join two flags raise UsageError.
 """
 from __future__ import annotations
 
@@ -57,19 +58,37 @@ def _emit(chunks, out_path: str | None):
             os.remove(tmp)
 
 
-def _check_above(flag: str, value: float | None, low: float):
-    """Refuse a float flag that is given but not a finite number > low (NaN is not), by name."""
-    if value is not None and not low < value < math.inf:
-        raise UsageError(f"{flag} must be a finite number > {low:g}, got {value}")
+def _int_at_least(low: int):
+    """An argparse type: an int >= low. Named int, so a non-number reads 'invalid int value'."""
+    def int_(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    int_.__name__ = "int"
+    return int_
 
 
-def _check_graph_flags(n: int | None, b: float | None = None, eps: float | None = None):
-    """Refuse a --n, --b or --eps no configuration can be built from, naming the flag."""
-    if n is not None and n < 1:
-        raise UsageError(f"--n must be >= 1, got {n}")
-    _check_above("--b", b, 1.0)
-    if eps is not None and not 0.0 < eps < (b - 1.0) / 2.0:
-        raise UsageError(f"--eps must lie in (0, (b - 1) / 2), got {eps} for --b {b}")
+def _float_above(low: float):
+    """An argparse type: a finite float > low (NaN is not). Named float, like float's errors."""
+    def float_(text: str) -> float:
+        value = float(text)
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number > {low:g}, got {value}")
+        return value
+
+    float_.__name__ = "float"
+    return float_
+
+
+def _eps(args) -> float:
+    """--eps, refused unless below (--b - 1) / 2, or the default inset for --b."""
+    if args.eps is None:
+        return distgraph.default_eps(args.b)
+    if not args.eps < (args.b - 1.0) / 2.0:
+        raise UsageError(f"--eps must lie in (0, (b - 1) / 2), got {args.eps} for --b {args.b}")
+    return args.eps
 
 
 def _heartbeat(nodes: int, elapsed: float):
@@ -77,8 +96,6 @@ def _heartbeat(nodes: int, elapsed: float):
 
 
 def cmd_annulus_upper(args) -> str:
-    if args.k < 2:
-        raise UsageError(f"--k must be >= 2, got {args.k}")
     s_max = args.s_max if args.s_max is not None else 10 * args.k
     if s_max < 2 * args.k:
         raise UsageError(f"--s-max must be >= 2 * --k = {2 * args.k}, got {s_max}")
@@ -93,11 +110,7 @@ def cmd_annulus_upper(args) -> str:
 
 
 def cmd_annulus_lower(args) -> str:
-    if args.k < 2:
-        raise UsageError(f"--k must be >= 2, got {args.k}")
-    _check_graph_flags(args.n, args.b, args.eps)
-    _check_above("--budget", args.budget, 0.0)
-    eps = args.eps if args.eps is not None else distgraph.default_eps(args.b)
+    eps = _eps(args)
     outcome = annulus.annulus_verdict(
         args.case,
         args.b,
@@ -126,13 +139,6 @@ def cmd_annulus_lower(args) -> str:
 
 
 def cmd_threshold(args) -> str:
-    if args.k < 2:
-        raise UsageError(f"--k must be >= 2, got {args.k}")
-    _check_above("--tol", args.tol, 0.0)
-    _check_graph_flags(args.n)
-    _check_above("--b-lo", args.b_lo, 1.0)
-    _check_above("--b-hi", args.b_hi, 1.0)
-    _check_above("--budget", args.budget, 0.0)
     b_star = annulus.threshold_bisect(
         args.case,
         args.n,
@@ -154,20 +160,13 @@ def cmd_threshold(args) -> str:
 
 
 def cmd_hex_table(args) -> str:
-    if args.p_max < 0 or args.q_max < 0:
-        raise UsageError("--p-max and --q-max must be >= 0")
     rows = [(r.b, r.n_colors, r.p, r.q) for r in hexcolor.pareto_table(args.p_max, args.q_max)]
     return table_text(hexcolor.PARETO_FIELDS, rows, args.format)
 
 
 def cmd_min_colors(args) -> str:
-    _check_above("--b-lo", args.b_lo, 1.0)
-    _check_above("--b-hi", args.b_hi, 1.0)
-    _check_above("--step", args.step, 0.0)
     if args.b_hi < args.b_lo:
         raise UsageError("need --b-lo <= --b-hi")
-    if args.search_max < 0:
-        raise UsageError(f"--search-max must be >= 0, got {args.search_max}")
     try:
         grid = np.arange(args.b_lo, args.b_hi + args.step / 2, args.step)
     except ValueError as exc:  # more grid points than an array can index
@@ -191,11 +190,8 @@ def cmd_eight_opt(args) -> str:
 
 def cmd_export(args):
     """The export's chunk generator; the graph is built here, the text as it is written."""
-    if args.what != "dimacs":
-        if args.k is None:
-            raise UsageError(f"--k is required for {args.what} export")
-        if args.k < 1:
-            raise UsageError(f"--k must be >= 1, got {args.k}")
+    if args.what != "dimacs" and args.k is None:
+        raise UsageError(f"--k is required for {args.what} export")
     if args.config:
         extra = [f"--{f}" for f in ("case", "b", "n", "eps") if getattr(args, f) is not None]
         if extra:
@@ -210,9 +206,7 @@ def cmd_export(args):
     else:
         if args.case is None or args.b is None:
             raise UsageError("export needs either --config or --case with --b")
-        _check_graph_flags(args.n, args.b, args.eps)
-        b = args.b
-        eps = args.eps if args.eps is not None else distgraph.default_eps(b)
+        b, eps = args.b, _eps(args)
         config = annulus.lower_bound_config(args.case, b, eps, args.n)
     graph = distgraph.build_graph(config, b, eps)
     if args.what == "dimacs":
@@ -236,46 +230,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     def search(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+        p.add_argument("--budget", type=_float_above(0.0), default=None,
+                       help="time budget in seconds")
 
     p = sub.add_parser("annulus-upper", help="best radial coloring bound for k colors")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(2), required=True)
     p.add_argument("--s-max", type=int, default=None)
     output(p)
     p.set_defaults(fn=cmd_annulus_upper)
 
     p = sub.add_parser("annulus-lower", help="solve a lower-bound configuration")
     p.add_argument("--case", type=int, required=True, choices=(1, 2, 3, 4, 5))
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--k", type=int, required=True, help="annulus colors to certify")
-    p.add_argument("--n", type=int, default=None, help="override points per circle")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--b", type=_float_above(1.0), required=True)
+    p.add_argument("--k", type=_int_at_least(2), required=True, help="annulus colors to certify")
+    p.add_argument("--n", type=_int_at_least(1), default=None, help="override points per circle")
+    p.add_argument("--eps", type=_float_above(0.0), default=None)
     output(p)
     search(p)
     p.set_defaults(fn=cmd_annulus_lower)
 
     p = sub.add_parser("threshold", help="bisect the b where a config starts needing k colors")
     p.add_argument("--case", type=int, required=True, choices=(1, 2, 3, 4, 5))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--b-lo", type=float, required=True)
-    p.add_argument("--b-hi", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--k", type=_int_at_least(2), required=True)
+    p.add_argument("--n", type=_int_at_least(1), default=None)
+    p.add_argument("--b-lo", type=_float_above(1.0), required=True)
+    p.add_argument("--b-hi", type=_float_above(1.0), required=True)
+    p.add_argument("--tol", type=_float_above(0.0), default=1e-4)
     output(p)
     search(p)
     p.set_defaults(fn=cmd_threshold)
 
     p = sub.add_parser("hex-table", help="Pareto table of hexagonal (p,q) colorings")
-    p.add_argument("--p-max", type=int, default=10)
-    p.add_argument("--q-max", type=int, default=10)
+    p.add_argument("--p-max", type=_int_at_least(0), default=10)
+    p.add_argument("--q-max", type=_int_at_least(0), default=10)
     output(p)
     p.set_defaults(fn=cmd_hex_table)
 
     p = sub.add_parser("min-colors", help="fewest colors vs b over a grid")
-    p.add_argument("--b-lo", type=float, required=True)
-    p.add_argument("--b-hi", type=float, required=True)
-    p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--search-max", type=int, default=10)
+    p.add_argument("--b-lo", type=_float_above(1.0), required=True)
+    p.add_argument("--b-hi", type=_float_above(1.0), required=True)
+    p.add_argument("--step", type=_float_above(0.0), default=0.1)
+    p.add_argument("--search-max", type=_int_at_least(0), default=10)
     output(p)
     p.set_defaults(fn=cmd_min_colors)
 
@@ -287,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write a configuration graph as dimacs/cnf/lp")
     p.add_argument("--what", choices=("dimacs", "cnf", "lp"), required=True)
     p.add_argument("--case", type=int, default=None, choices=(1, 2, 3, 4, 5))
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--b", type=_float_above(1.0), default=None)
+    p.add_argument("--n", type=_int_at_least(1), default=None)
+    p.add_argument("--eps", type=_float_above(0.0), default=None)
+    p.add_argument("--k", type=_int_at_least(1), default=None)
     p.add_argument("--config", default=None, help="JSON config {circles:[{n,r}], b, eps}")
     output(p, fmt_default=None)
     p.set_defaults(fn=cmd_export)

@@ -68,8 +68,8 @@ class PointConfig:
                 raise ValueError(f"circle point count must be an integer, got {given!r}")
             if n < 1:
                 raise ValueError(f"circle point count must be >= 1, got {n}")
-            if r <= 0:
-                raise ValueError(f"circle radius must be positive, got {r}")
+            if not 0 < r < math.inf:  # NaN fails too
+                raise ValueError(f"circle radius must be a finite number > 0, got {r}")
         radii = [r for _, r in circles]
         if len(set(radii)) != len(radii):
             raise ValueError("circles must have pairwise distinct radii")
@@ -82,7 +82,11 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class DistanceGraph:
-    """Immutable graph: points plus index-pair edges for distances in [1, b]."""
+    """Immutable graph: points plus index-pair edges for distances in [1, b].
+
+    build_graph and graph_from_points store each edge as (i, j) with i < j,
+    sorted (i asc, j asc); the exports write edges in stored order.
+    """
 
     points: tuple[Point2, ...]
     edges: tuple[tuple[int, int], ...]
@@ -106,7 +110,7 @@ def circle_points(n: int, r: float, center: Point2 = Point2(0.0, 0.0)) -> list[P
     """n points evenly spaced on the radius-r circle, point 0 at the top."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise ValueError(f"need r > 0, got {r}")
     cx, cy = center
     return [
@@ -201,12 +205,13 @@ def dimacs_chunks(g: DistanceGraph):
     """export_dimacs's text in pieces of at most EXPORT_CHUNK edges."""
     yield f"p edge {g.n} {len(g.edges)}\n"
     v = [str(i) for i in range(1, g.n + 1)]
-    for run in export_runs(sorted(g.edges)):
+    for run in export_runs(g.edges):
         yield "".join([f"e {v[i]} {v[j]}\n" for i, j in run])
 
 
 def export_dimacs(g: DistanceGraph) -> str:
-    """DIMACS graph format, 1-indexed, edges sorted (i asc, then j asc)."""
+    """DIMACS graph format, 1-indexed, edges in stored order: (i asc, then j asc)
+    for a graph from build_graph or graph_from_points."""
     return "".join(dimacs_chunks(g))
 
 

@@ -72,7 +72,7 @@ def chord(radius: float, angle: float) -> float:
     Equals the distance between two points on the circle whose central
     angle differs by `angle`; strictly increasing in angle on [0, pi].
     """
-    if radius <= 0:
+    if not radius > 0:  # NaN fails too
         raise ValueError(f"radius must be positive, got {radius}")
     if not 0 <= angle <= math.pi:
         raise ValueError(f"angle must lie in [0, pi], got {angle}")
@@ -85,6 +85,6 @@ def mixed_chord(r1: float, r2: float, angle: float) -> float:
     Law of cosines: sqrt(r1^2 + r2^2 - 2 r1 r2 cos(angle)). Symmetric in
     (r1, r2) and reduces to chord(r, angle) when r1 == r2.
     """
-    if r1 <= 0 or r2 <= 0:
+    if not (r1 > 0 and r2 > 0):  # NaN fails too
         raise ValueError(f"radii must be positive, got {r1}, {r2}")
     return math.sqrt(max(0.0, r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(angle)))

@@ -308,7 +308,7 @@ def cnf_chunks(graph: DistanceGraph, k: int):
         yield "".join([" ".join(row) + " 0\n" for row in run])
     heads = [tuple(f"-{x} -" for x in row) for row in lits]
     tails = [tuple(f"{x} 0\n" for x in row) for row in lits]
-    for run in export_runs(sorted(graph.edges)):
+    for run in export_runs(graph.edges):
         out = []
         for i, j in run:
             out += map(add, heads[i], tails[j])
@@ -343,7 +343,7 @@ def lp_chunks(graph: DistanceGraph, k: int):
     yield "Minimize\n obj: " + " + ".join(f"{c} y{c}" for c in colors) + "\nSubject To\n"
     for run in export_runs(v):
         yield "".join([cover % ((i,) * (k + 1)) for i in run])
-    for run in export_runs(sorted(graph.edges)):
+    for run in export_runs(graph.edges):
         yield "".join([conflict % ((v[i] + "_" + v[j], v[i], v[j]) * k) for i, j in run])
     for run in export_runs(v):
         yield "".join([link % ((i,) * (2 * k)) for i in run])

@@ -92,13 +92,14 @@ def random_circulant(rng: random.Random, max_n: int = 12) -> DistanceGraph:
 def export_graphs(rng: random.Random) -> list[DistanceGraph]:
     """Graphs the exporters are checked on against their reference_* oracles:
     the empty graph, a single vertex, random circulants and random point sets,
-    and one graph whose edges are stored out of order."""
+    and one graph whose edges are stored out of order, which the exports must
+    write in that stored order."""
     graphs = [DistanceGraph((), (), b=1.5), graph_from_points([(0, 0)], b=1.5)]
     for _ in range(8):
         graphs.append(random_circulant(rng))
         pts = [(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(rng.randint(2, 30))]
         graphs.append(graph_from_points(pts, b=1.5))
-    g = graphs[-1]
+    g = max(graphs, key=lambda g: len(g.edges))
     graphs.append(DistanceGraph(g.points, tuple(reversed(g.edges)), g.b))
     return graphs
 

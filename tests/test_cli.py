@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from chromaplane import hexcolor, solver
-from chromaplane.cli import main
+from chromaplane.cli import build_parser, main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -328,6 +328,75 @@ def test_export_lp_from_config_json(tmp_path):
     assert proc.stdout.rstrip().endswith("End")
 
 
+# flags outside their range, each refused by its argparse type as "argument FLAG: ..."
+RANGE_ERRORS = [
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--search-max", "-1"), "--search-max"),
+    (("hex-table", "--p-max", "-1"), "--p-max"),
+    (("hex-table", "--q-max", "-1"), "--q-max"),
+    (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "1"), "--k"),
+    (("threshold", "--case", "1", "--k", "1", "--b-lo", "1.25", "--b-hi", "1.4"), "--k"),
+    (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
+      "--b-hi", "1.4", "--tol", "nan"), "--tol"),
+    (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
+      "--b-hi", "1.4", "--tol", "0"), "--tol"),
+    # the graph flags are checked before any graph is built
+    (("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--n", "0"), "--n"),
+    (("export", "--what", "dimacs", "--case", "1", "--b", "0.9"), "--b"),
+    (("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--eps", "nan"), "--eps"),
+    (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--n", "0"), "--n"),
+    (("annulus-lower", "--case", "1", "--b", "nan", "--k", "4"), "--b"),
+    (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--eps", "0"), "--eps"),
+    (("threshold", "--case", "1", "--k", "4", "--n", "0", "--b-lo", "1.25",
+      "--b-hi", "1.4"), "--n"),
+    # the radial scheme needs k >= 2
+    (("annulus-upper", "--k", "0"), "--k"),
+    (("annulus-upper", "--k", "1"), "--k"),
+    # the min-colors grid: finite ends and step, b > 1, a positive step
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "nan"), "--b-hi"),
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "inf"), "--b-hi"),
+    (("min-colors", "--b-lo", "nan", "--b-hi", "1.5"), "--b-lo"),
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "inf"), "--step"),
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "nan"), "--step"),
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "0"), "--step"),
+    (("min-colors", "--b-lo", "1.0", "--b-hi", "1.5"), "--b-lo"),
+    (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
+      "--b-hi", "inf"), "--b-hi"),
+    (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "nan",
+      "--b-hi", "1.4"), "--b-lo"),
+    # a budget is a finite number of seconds > 0
+    (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--budget", "nan"),
+     "--budget"),
+    (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--budget", "0"),
+     "--budget"),
+    (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
+      "--b-hi", "1.4", "--budget", "inf"), "--budget"),
+] + [
+    # an export --k is at least 1
+    (("export", "--what", what, "--case", "2", "--b", "1.48", "--n", "10", "--k", k), "--k")
+    for what in ("cnf", "lp") for k in ("0", "-1")
+]
+
+# a flag that is not a number still reads as one of the type it names
+NOT_A_NUMBER = [
+    (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--n", "x"),
+     "argument --n: invalid int value: 'x'"),
+    (("annulus-upper", "--k", "2.5"), "argument --k: invalid int value: '2.5'"),
+    (("hex-table", "--p-max", "x"), "argument --p-max: invalid int value: 'x'"),
+    (("min-colors", "--b-lo", "x", "--b-hi", "1.5"), "argument --b-lo: invalid float value: 'x'"),
+    (("threshold", "--case", "1", "--k", "4", "--b-lo", "1.25", "--b-hi", "1.4",
+      "--budget", "soon"), "argument --budget: invalid float value: 'soon'"),
+]
+PARSE_ERRORS = [(args, f"argument {flag}:") for args, flag in RANGE_ERRORS] + NOT_A_NUMBER
+
+
+def test_range_errors_refused_by_the_parser(capsys):
+    for args, message in PARSE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(list(args))
+        assert exc.value.code == 2, args
+        assert message in capsys.readouterr().err, args
+
+
 def test_usage_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing")
     cfg = tmp_path / "cfg.json"
@@ -355,15 +424,11 @@ def test_usage_errors(tmp_path, capsys):
         (("annulus-lower", "--case", "9", "--b", "1.3", "--k", "4"), None),
         (("no-such-command",), None),
         (("min-colors", "--b-lo", "1.2", "--b-hi", "1.1"), None),
-        (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--search-max", "-1"), "--search-max"),
-        (("hex-table", "--p-max", "-1"), "--p-max"),
         (("export", "--what", "dimacs", "--config", missing + ".json"), "--config"),
         # --config gives the whole graph, so the flags that also give it are refused
         (("export", "--what", "dimacs", "--config", str(cfg), "--case", "1", "--b", "1.9",
           "--n", "50", "--eps", "0.01"), "--case, --b, --n, --eps"),
         (("annulus-upper", "--k", "3", "--out", missing + "/dir/x"), "--out"),
-        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "1"), "--k"),
-        (("threshold", "--case", "1", "--k", "1", "--b-lo", "1.25", "--b-hi", "1.4"), "--k"),
         # each flag parses only on the commands that read it
         (("hex-table", "--seed", "1"), "--seed"),
         (("min-colors", "--b-lo", "2", "--b-hi", "2", "--budget", "1"), "--budget"),
@@ -374,52 +439,29 @@ def test_usage_errors(tmp_path, capsys):
         (("eight-opt", "--tol", "nan"), "--tol"),
         (("eight-opt", "--tol", "inf"), "--tol"),
         (("eight-opt", "--tol", "-1"), "--tol"),
-        (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
-          "--b-hi", "1.4", "--tol", "nan"), "--tol"),
-        # the graph flags are checked before any graph is built
-        (("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--n", "0"), "--n"),
-        (("export", "--what", "dimacs", "--case", "1", "--b", "0.9"), "--b"),
-        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--n", "0"), "--n"),
-        (("threshold", "--case", "1", "--k", "4", "--n", "0", "--b-lo", "1.25",
-          "--b-hi", "1.4"), "--n"),
+        # --eps must lie below (--b - 1) / 2
         (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--eps", "0.5"), "--eps"),
-        # the radial scheme needs k >= 2 and at least 2k sectors
-        (("annulus-upper", "--k", "0"), "--k"),
-        (("annulus-upper", "--k", "1"), "--k"),
+        (("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--eps", "0.2"), "--eps"),
+        # the radial scheme needs at least 2k sectors
         (("annulus-upper", "--k", "3", "--s-max", "4"), "--s-max"),
-        # the min-colors grid: finite ends and step, b > 1, a positive step
-        (("min-colors", "--b-lo", "1.3", "--b-hi", "nan"), "--b-hi"),
-        (("min-colors", "--b-lo", "1.3", "--b-hi", "inf"), "--b-hi"),
-        (("min-colors", "--b-lo", "nan", "--b-hi", "1.5"), "--b-lo"),
-        (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "inf"), "--step"),
-        (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "nan"), "--step"),
-        (("min-colors", "--b-lo", "1.3", "--b-hi", "1.5", "--step", "0"), "--step"),
-        (("min-colors", "--b-lo", "1.0", "--b-hi", "1.5"), "--b-lo"),
+        # a grid of more points than an array can index
         (("min-colors", "--b-lo", "1.5", "--b-hi", "1e300", "--step", "1e-300"), "--step"),
-        (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
-          "--b-hi", "inf"), "--b-hi"),
-        (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "nan",
-          "--b-hi", "1.4"), "--b-lo"),
-        # a budget is a finite number of seconds > 0
-        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--budget", "nan"),
-         "--budget"),
-        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--budget", "0"),
-         "--budget"),
-        (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
-          "--b-hi", "1.4", "--budget", "inf"), "--budget"),
     ]
-    # a --config graph needs a finite b > 1 and eps in [0, (b - 1) / 2)
-    for name, b, eps in [("b_low", 0.9, 0.0001), ("b_inf", math.inf, 0.0001),
-                         ("b_nan", math.nan, 0.0001), ("eps_neg", 1.25, -0.1),
-                         ("eps_wide", 1.25, 0.125), ("eps_nan", 1.25, math.nan)]:
+    # a --config graph needs a finite b > 1, eps in [0, (b - 1) / 2) and
+    # finite radii > 0 (json writes and reads NaN and Infinity literals)
+    for name, b, eps, r in [("b_low", 0.9, 0.0001, 1.0001), ("b_inf", math.inf, 0.0001, 1.0001),
+                            ("b_nan", math.nan, 0.0001, 1.0001), ("eps_neg", 1.25, -0.1, 1.0001),
+                            ("eps_wide", 1.25, 0.125, 1.0001), ("eps_nan", 1.25, math.nan, 1.0001),
+                            ("r_nan", 1.5, 0.0, math.nan), ("r_inf", 1.5, 0.0, math.inf)]:
         path = tmp_path / f"cfg_{name}.json"
-        path.write_text(json.dumps({**good, "b": b, "eps": eps}))
+        circles = [{"n": 6, "r": r}, {"n": 6, "r": 1.2}]
+        path.write_text(json.dumps({"circles": circles, "b": b, "eps": eps}))
         cases.append((("export", "--what", "dimacs", "--config", str(path)), "--config"))
     # --k is checked before the graph is built, so no chunk and no --out file appear
-    for what in ("cnf", "lp"):
-        for k in ("0", "-1"):
-            args = ("export", "--what", what, "--case", "2", "--b", "1.48", "--n", "10", "--k", k)
-            cases += [(args, "--k"), (args + ("--out", str(tmp_path / "k.txt")), "--k")]
+    out_file = ("--out", str(tmp_path / "k.txt"))
+    cases += [(args + out_file, f"argument {flag}:") for args, flag in RANGE_ERRORS
+              if args[0] == "export" and flag == "--k"]
+    cases += PARSE_ERRORS
     for args, flag in cases:
         rc, out, err = run_main(capsys, *args)
         assert rc == 2, (args, err)

@@ -41,6 +41,8 @@ def test_circle_points_rejects_bad_input():
         circle_points(0, 1)
     with pytest.raises(ValueError):
         circle_points(3, 0)
+    with pytest.raises(ValueError):
+        circle_points(3, math.nan)
 
 
 def test_config_validation():
@@ -50,6 +52,9 @@ def test_config_validation():
         PointConfig((CircleSpec(5, 1.0), CircleSpec(7, 1.0)))  # duplicate radius
     with pytest.raises(ValueError):
         PointConfig((CircleSpec(0, 1.0),))
+    for r in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            PointConfig((CircleSpec(6, r), CircleSpec(6, 1.2)))
     with pytest.raises(ValueError, match="integer"):
         PointConfig((CircleSpec(4.5, 1.0),))  # would silently become 4 points
     assert PointConfig((CircleSpec(4.0, 1.0),)).circles == (CircleSpec(4, 1.0),)
@@ -195,7 +200,7 @@ def test_export_dimacs_examples():
 def reference_export_dimacs(g):
     """The list-and-join export_dimacs, kept as the oracle of the streamed one."""
     lines = [f"p edge {g.n} {len(g.edges)}"]
-    for i, j in sorted(g.edges):
+    for i, j in g.edges:
         lines.append(f"e {i + 1} {j + 1}")
     return "\n".join(lines) + "\n"
 

@@ -40,6 +40,11 @@ def test_chord_rejects_bad_input():
         chord(1.0, -0.1)
     with pytest.raises(ValueError):
         chord(1.0, 3.5)
+    with pytest.raises(ValueError):
+        chord(math.nan, 1.0)
+    for r1, r2 in [(0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            mixed_chord(r1, r2, 0.5)
 
 
 def test_mixed_chord_examples():

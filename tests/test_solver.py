@@ -437,7 +437,7 @@ def test_export_lp_case2_size():
 def reference_export_cnf(graph, k):
     """The list-and-join export_cnf, kept as the oracle of the streamed one."""
     n = graph.n
-    edges = sorted(graph.edges)
+    edges = graph.edges
     lines = [f"p cnf {n * k} {n + len(edges) * k}"]
     for i in range(1, n + 1):
         base = (i - 1) * k
@@ -451,7 +451,7 @@ def reference_export_cnf(graph, k):
 def reference_export_lp(graph, k):
     """The list-and-join export_lp, kept as the oracle of the streamed one."""
     n = graph.n
-    edges = sorted(graph.edges)
+    edges = graph.edges
     out = ["Minimize", " obj: " + " + ".join(f"{c} y{c}" for c in range(1, k + 1))]
     out.append("Subject To")
     for i in range(1, n + 1):

@@ -19,7 +19,6 @@ from chromaplane.annulus import (
     RadialScheme,
     radial_best,
     radial_color,
-    radial_constraints,
     radial_max_b_detail,
     radial_max_b_numeric,
     annulus_bounds_csv,
@@ -32,8 +31,7 @@ print(f"maximal width b = {b3:.6f} (binding constraint: {binding})")
 print(f"algebraic form sqrt(2 - 2 sin(pi/18)) = {math.sqrt(2 - 2 * math.sin(math.pi / 18)):.6f}")
 
 scheme = RadialScheme(3, 9, b3)
-c = radial_constraints(3, 9, b3)
-print(f"at that width the wrap-around gap equals b itself: gap = {c.gap:.9f}")
+print(f"at that width the wrap-around gap equals b itself: gap = {caps['gap']:.9f}")
 print("sector colors around the circle:",
       [radial_color(scheme, (s + 0.5) * scheme.alpha) for s in range(9)])
 

@@ -15,7 +15,7 @@ distance in [1, b] share a color. It provides:
 """
 
 from . import annulus, distgraph, eightcol, geom, hexcolor, solver
-from .geom import Point2, chord, dist, mixed_chord
+from .geom import Point2, chord, dist
 from .distgraph import (
     CircleSpec,
     DistanceGraph,
@@ -60,6 +60,5 @@ __all__ = [
     "export_lp",
     "graph_from_points",
     "k_colorable",
-    "mixed_chord",
     "verify_coloring",
 ]

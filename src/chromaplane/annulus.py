@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .distgraph import (
+    DEFAULT_EPS_SCALE,
     EPS_STABILITY_SCALES,
     DistanceGraph,
     PointConfig,
@@ -23,9 +25,7 @@ from .distgraph import (
     build_graph,
     default_eps,
 )
-from .geom import (
-    B_TOL, chord, forbidden_distances, forbidden_pair_draws, mixed_chord, pair_distances
-)
+from .geom import B_TOL, chord, forbidden_distances, forbidden_pair_draws, pair_distances
 from .solver import ColoringOutcome, KColorQuery, NOT_COLORABLE, k_colorable
 from .text import table_text
 
@@ -82,21 +82,6 @@ class RadialScheme:
         return TWO_PI / self.s
 
 
-@dataclass(frozen=True)
-class RadialConstraints:
-    """The three distances that decide whether a radial scheme is proper.
-
-    d1: within-sector outer-outer diameter (must stay below 1),
-    d2: within-sector outer-inner diameter (must stay below 1),
-    gap: inner-circle chord between nearest same-color sectors (must
-    exceed b).
-    """
-
-    d1: float
-    d2: float
-    gap: float
-
-
 def _sector_colors(scheme: RadialScheme, angles: np.ndarray) -> np.ndarray:
     """Color of the sector containing each angle in [0, 2*pi)."""
     return np.minimum((angles / scheme.alpha).astype(int), scheme.s - 1) % scheme.k
@@ -109,20 +94,12 @@ def radial_color(scheme: RadialScheme, angle: float) -> int:
     return int(_sector_colors(scheme, np.float64(angle)))
 
 
-def radial_constraints(k: int, s: int, b: float) -> RadialConstraints:
-    scheme = RadialScheme(k, s, b)
-    a = scheme.alpha
-    return RadialConstraints(
-        d1=chord(b, a),
-        d2=mixed_chord(b, 1.0, a),
-        gap=chord(1.0, (k - 1) * a),
-    )
-
-
 def radial_max_b_detail(k: int, s: int) -> tuple[float | None, dict[str, float], str]:
     """Largest proper b for the (k, s) radial scheme, with the per-constraint caps.
 
-    Each constraint caps b in closed form: d1 = 1 at b = 1/chord(1, alpha),
+    A sector's outer-outer diameter d1 and outer-inner diameter d2 must stay
+    below 1, and the inner chord gap between nearest same-color sectors
+    must exceed b. Each caps b in closed form: d1 = 1 at b = 1/chord(1, alpha),
     d2 = 1 at b = 2 cos(alpha), and gap = b at b = chord(1, (k-1) alpha).
     Returns (b or None, all three caps, binding name): None when the cap is
     not above 1 by more than B_TOL, as a cap of exactly 1 computes to 1 plus
@@ -252,7 +229,8 @@ def threshold_bisect(
     front), bisects to tol, then re-verifies both sides of the returned
     value; the config's radii move with b so monotonicity is empirical,
     not guaranteed. The whole search runs once per EPS_STABILITY_SCALES
-    scale and the results must agree to 1e-6.
+    scale, the results must agree to 1e-6, and the DEFAULT_EPS_SCALE run's
+    b* is returned.
     """
     if not (1.0 < b_lo < b_hi):
         raise BracketInvalid(f"need 1 < b_lo < b_hi, got [{b_lo}, {b_hi}]")
@@ -275,16 +253,14 @@ def threshold_bisect(
 
     if max(results) - min(results) > 1e-6:
         raise EpsInstability(f"thresholds across eps scales spread {results}")
-    # report the run at the scale closest to the default 1e-6
-    pick = min(range(len(results)), key=lambda i: abs(math.log10(EPS_STABILITY_SCALES[i]) + 6.0))
-    return results[pick]
+    return results[EPS_STABILITY_SCALES.index(DEFAULT_EPS_SCALE)]
 
 
-@dataclass(frozen=True)
-class AnnulusBoundsRow:
-    """Chromatic bounds for the annulus A_b on one b interval (lo, hi]."""
+class AnnulusBoundsRow(NamedTuple):
+    """Chromatic bounds for the annulus A_b on one b interval (b_lo, b_hi]."""
 
-    b_interval: tuple[float, float]
+    b_lo: float
+    b_hi: float
     lower: int
     upper: int
     source: str
@@ -300,24 +276,21 @@ def annulus_bounds_rows() -> list[AnnulusBoundsRow]:
         mid = 0.5 * (lo + hi)
         lower = 3 + sum(1 for t, _ in thresholds if t < mid)
         upper = next(k for cap, k, _ in caps if cap >= mid)
-        rows.append(AnnulusBoundsRow((lo, hi), lower, upper, source))
+        rows.append(AnnulusBoundsRow(lo, hi, lower, upper, source))
         lo = hi
     return rows
 
 
 def annulus_bounds(b: float) -> AnnulusBoundsRow:
-    """Bounds row whose interval (lo, hi] contains b."""
+    """Bounds row whose interval (b_lo, b_hi] contains b."""
     for row in annulus_bounds_rows():
-        if row.b_interval[0] < b <= row.b_interval[1]:
+        if row.b_lo < b <= row.b_hi:
             return row
     raise ValueError(f"b = {b} is outside the tabulated range")
 
 
 def annulus_bounds_csv() -> str:
-    return table_text(
-        ("b_lo", "b_hi", "lower", "upper", "source"),
-        [(*r.b_interval, r.lower, r.upper, r.source) for r in annulus_bounds_rows()],
-    )
+    return table_text(AnnulusBoundsRow._fields, annulus_bounds_rows())
 
 
 def radial_violation_exists(

@@ -160,7 +160,7 @@ def cmd_threshold(args) -> str:
 
 
 def cmd_hex_table(args) -> str:
-    rows = [(r.b, r.n_colors, r.p, r.q) for r in hexcolor.pareto_table(args.p_max, args.q_max)]
+    rows = hexcolor.pareto_table(args.p_max, args.q_max)
     return table_text(hexcolor.PARETO_FIELDS, rows, args.format)
 
 
@@ -169,7 +169,7 @@ def cmd_min_colors(args) -> str:
         raise UsageError("need --b-lo <= --b-hi")
     try:
         grid = np.arange(args.b_lo, args.b_hi + args.step / 2, args.step)
-    except ValueError as exc:  # more grid points than an array can index
+    except (ValueError, MemoryError) as exc:  # more grid points than an array can index or fit
         raise UsageError(f"--b-lo to --b-hi by --step: {exc}") from exc
     rows = hexcolor.min_colors_curve(grid, args.search_max)
     return table_text(hexcolor.MIN_COLORS_FIELDS, rows, args.format)

@@ -110,8 +110,8 @@ def circle_points(n: int, r: float, center: Point2 = Point2(0.0, 0.0)) -> list[P
     """n points evenly spaced on the radius-r circle, point 0 at the top."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not r > 0:  # NaN fails too
-        raise ValueError(f"need r > 0, got {r}")
+    if not 0 < r < math.inf:  # NaN fails too
+        raise ValueError(f"need 0 < r < inf, got {r}")
     cx, cy = center
     return [
         Point2(cx + r * math.sin(2.0 * math.pi * k / n), cy + r * math.cos(2.0 * math.pi * k / n))
@@ -185,14 +185,14 @@ def build_graph(config: PointConfig, b: float, eps: float | None = None) -> Dist
     return DistanceGraph(tuple(points), _circulant_edges(config, points, b), b, eps)
 
 
-def graph_from_points(points, b: float, eps: float = 0.0) -> DistanceGraph:
+def graph_from_points(points, b: float) -> DistanceGraph:
     """Distance graph on arbitrary points, same [1, b] edge rule.
 
     Escape hatch for fixed embeddings (unit-distance gadgets and test
     graphs); the annulus pipelines always go through PointConfig.
     """
     pts = tuple(Point2(float(p[0]), float(p[1])) for p in points)
-    return DistanceGraph(pts, _edges_for_points(list(pts), b), b, eps)
+    return DistanceGraph(pts, _edges_for_points(list(pts), b), b)
 
 
 def export_runs(items):
@@ -220,9 +220,13 @@ def config_from_json(text: str) -> tuple[PointConfig, float, float]:
     payload = json.loads(text)
     try:
         circles = tuple(CircleSpec(c["n"], c["r"]) for c in payload["circles"])
-        config, b, eps = PointConfig(circles), float(payload["b"]), float(payload["eps"])
+        b, eps = payload["b"], payload["eps"]
     except KeyError as exc:
         raise ValueError(f"config lacks field {exc.args[0]!r}") from exc
+    for v in [x for circle in circles for x in circle] + [b, eps]:
+        if type(v) not in (int, float):  # json reads true and false as bool, not int
+            raise ValueError(f"n, r, b and eps must be JSON numbers, got {v!r}")
+    config, b, eps = PointConfig(circles), float(b), float(eps)
     if not (1.0 < b < math.inf and 0.0 <= eps < (b - 1.0) / 2.0):
         raise ValueError(f"need 1 < b < inf and 0 <= eps < (b-1)/2, got b={b}, eps={eps}")
     return config, b, eps

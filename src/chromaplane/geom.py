@@ -78,13 +78,3 @@ def chord(radius: float, angle: float) -> float:
         raise ValueError(f"angle must lie in [0, pi], got {angle}")
     return 2.0 * radius * math.sin(angle / 2.0)
 
-
-def mixed_chord(r1: float, r2: float, angle: float) -> float:
-    """Distance between points at radii r1, r2 with central angle `angle`.
-
-    Law of cosines: sqrt(r1^2 + r2^2 - 2 r1 r2 cos(angle)). Symmetric in
-    (r1, r2) and reduces to chord(r, angle) when r1 == r2.
-    """
-    if not (r1 > 0 and r2 > 0):  # NaN fails too
-        raise ValueError(f"radii must be positive, got {r1}, {r2}")
-    return math.sqrt(max(0.0, r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(angle)))

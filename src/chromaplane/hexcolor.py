@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,10 +51,6 @@ class HexScheme:
             raise ValueError(f"need p, q >= 0 and (p, q) != (0, 0), got ({self.p}, {self.q})")
 
     @property
-    def color_count_formula(self) -> int:
-        return self.p * self.p + self.p * self.q + self.q * self.q
-
-    @property
     def v(self) -> Point2:
         return Point2(self.p * S1.x + self.q * S2.x, self.p * S1.y + self.q * S2.y)
 
@@ -81,6 +78,11 @@ def point_to_tile(p) -> tuple[int, int]:
     return int(ii[0]), int(jj[0])
 
 
+def _color_count(p: int, q: int) -> int:
+    """N = p^2 + pq + q^2, the colors of the (p, q) scheme."""
+    return p * p + p * q + q * q
+
+
 def _coset_key(p: int, q: int, n_colors: int, i, j):
     # N * k1 + k2 for tile (i, j), ints or arrays: (di, dj) lies in the
     # scheme's sublattice iff both forms k1, k2 vanish mod N
@@ -96,22 +98,20 @@ def _color(p: int, q: int, i, j):
     """
     g = math.gcd(p, q)
     p, q = p // g, q // g
-    n = p * p + p * q + q * q
+    n = _color_count(p, q)
     if g == 1:
         return (p * i + (p + q) * j) % n
     return (p * (i // g) + (p + q) * (j // g)) % n + n * (g * (i % g) + j % g)
 
 
-def enumerated_color_count(p: int, q: int, window: int | None = None) -> int:
-    """Distinct colors seen on a window of tiles, by pure orbit enumeration.
+def enumerated_color_count(p: int, q: int) -> int:
+    """Distinct colors seen on a 4(p+q)-wide square of tiles, by pure orbit enumeration.
 
     Independent of the closed-form count: tiles are classed together only
     via the sublattice membership test.
     """
-    n_formula = p * p + p * q + q * q
-    w = window if window is not None else 4 * (p + q)
-    keys = {_coset_key(p, q, n_formula, i, j) for i in range(w) for j in range(w)}
-    return len(keys)
+    n, w = _color_count(p, q), 4 * (p + q)
+    return len({_coset_key(p, q, n, i, j) for i in range(w) for j in range(w)})
 
 
 def color_of_tile(scheme: HexScheme, i: int, j: int) -> int:
@@ -120,29 +120,23 @@ def color_of_tile(scheme: HexScheme, i: int, j: int) -> int:
 
 def color_count(scheme: HexScheme) -> int:
     """Number of colors the scheme uses."""
-    return scheme.color_count_formula
+    return _color_count(scheme.p, scheme.q)
 
 
 def _same_color_offsets(scheme: HexScheme, limit: float) -> Iterator[tuple[float, float]]:
-    """Same-color tile center offsets k*v + l*vbar no farther than limit, ring by ring.
+    """Nonzero same-color tile center offsets k*v + l*vbar no farther than limit.
 
-    Ring r holds the offsets with max(|k|, |l|) = r. Since
-    k^2 + kl + l^2 >= 3/4 * max(|k|,|l|)^2 bounds a ring's center distances
-    from below, the walk ends at the first ring that lies wholly beyond limit.
+    |k*v + l*vbar| >= |v| * sqrt(3)/2 * max(|k|, |l|), so the box
+    |k|, |l| <= limit / (|v| sqrt(3)/2) holds every such offset.
     """
     v, vb = scheme.v, scheme.vbar
-    vlen = math.hypot(v.x, v.y)
-    ring = 1
-    while vlen * (SQRT3 / 2.0) * ring <= limit:
-        for k in range(-ring, ring + 1):
-            for l in range(-ring, ring + 1):
-                if max(abs(k), abs(l)) != ring:
-                    continue
-                ox = k * v.x + l * vb.x
-                oy = k * v.y + l * vb.y
-                if math.hypot(ox, oy) <= limit:
-                    yield ox, oy
-        ring += 1
+    m = int(limit // (math.hypot(v.x, v.y) * SQRT3 / 2.0))
+    for k in range(-m, m + 1):
+        for l in range(-m, m + 1):
+            ox = k * v.x + l * vb.x
+            oy = k * v.y + l * vb.y
+            if (k, l) != (0, 0) and math.hypot(ox, oy) <= limit:
+                yield ox, oy
 
 
 def _tile_gap(ox: float, oy: float) -> float:
@@ -187,15 +181,14 @@ def hex_b_max(p: int, q: int) -> float | None:
     return d if d >= 1.0 else None
 
 
-@dataclass(frozen=True)
-class SchemeRow:
+class SchemeRow(NamedTuple):
     b: float
     n_colors: int
     p: int
     q: int
 
 
-PARETO_FIELDS = ("b", "n_colors", "p", "q")
+PARETO_FIELDS = SchemeRow._fields
 
 
 def sweep_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
@@ -218,7 +211,7 @@ def _scheme_rows(
     for p, q in sweep_pairs(p_max, q_max):
         b = b_values[(p, q)] if b_values is not None else hex_b_max(p, q)
         if b is not None:
-            rows.append(SchemeRow(b, p * p + p * q + q * q, p, q))
+            rows.append(SchemeRow(b, _color_count(p, q), p, q))
     return rows
 
 
@@ -235,12 +228,12 @@ def pareto_table(
     swept pair; otherwise the reaches are computed here.
     """
     rows = _scheme_rows(p_max, q_max, b_values)
-    keep = [
-        r
-        for r in rows
-        if not any(o.b >= r.b - B_TOL and o.n_colors < r.n_colors for o in rows)
-    ]
-    keep.sort(key=lambda r: (r.b, r.n_colors, r.p, r.q))
+    keep = []
+    for r in rows:
+        reach, n = r.b - B_TOL, r.n_colors  # read once: NamedTuple field reads are not cheap
+        if not any(o.b >= reach and o.n_colors < n for o in rows):
+            keep.append(r)
+    keep.sort()  # by (b, n_colors, p, q), the field order
     return keep
 
 
@@ -252,7 +245,8 @@ def _fewest_colors(rows: list[SchemeRow], b: float) -> tuple[int, int, int] | No
     """
     if not b > 1.0:  # NaN fails too
         raise ValueError(f"need b > 1, got {b}")
-    return min(((r.n_colors, r.p, r.q) for r in rows if r.b >= b - B_TOL), default=None)
+    reach = float(b) - B_TOL  # once, and as a float: a numpy scalar compares slowly
+    return min(((r.n_colors, r.p, r.q) for r in rows if r.b >= reach), default=None)
 
 
 def best_scheme_for_b(b: float, search_max: int = 10) -> tuple[int, int, int] | None:
@@ -266,33 +260,31 @@ def best_scheme_for_b(b: float, search_max: int = 10) -> tuple[int, int, int] | 
     return best[1], best[2], best[0]
 
 
-FAMILIES = ("exoo", "lonc", "gjssw")
+# The classic one-parameter scheme families: family -> r -> ((p, q), known reach)
+_FAMILY_TABLE = {
+    "exoo": lambda r: ((r, r + 1), math.sqrt(9 * r * r - 3 * r + 1) / 2.0),
+    "lonc": lambda r: ((r, r), 1.5 * r - 1.0),
+    "gjssw": lambda r: ((r, 0), SQRT3 / 2.0 * (r - 1)),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def _family(family: str, r: int) -> tuple[tuple[int, int], float]:
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    if family not in _FAMILY_TABLE:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    return _FAMILY_TABLE[family](r)
 
 
 def named_family(family: str, r: int) -> HexScheme:
-    """The classic one-parameter scheme families: (r, r+1), (r, r), (r, 0)."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if family == "exoo":
-        return HexScheme(r, r + 1)
-    if family == "lonc":
-        return HexScheme(r, r)
-    if family == "gjssw":
-        return HexScheme(r, 0)
-    raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    """The family's scheme at parameter r: exoo (r, r+1), lonc (r, r), gjssw (r, 0)."""
+    return HexScheme(*_family(family, r)[0])
 
 
 def family_bound(family: str, r: int) -> float:
     """The b reach each family is known to achieve at parameter r."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if family == "exoo":
-        return math.sqrt(9 * r * r - 3 * r + 1) / 2.0
-    if family == "lonc":
-        return 1.5 * r - 1.0
-    if family == "gjssw":
-        return SQRT3 / 2.0 * (r - 1)
-    raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    return _family(family, r)[1]
 
 
 def _tile_indices_vectorized(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +372,7 @@ def verify_scheme_sampled(
 
 
 def pareto_table_csv(rows: list[SchemeRow]) -> str:
-    return table_text(PARETO_FIELDS, [(r.b, r.n_colors, r.p, r.q) for r in rows])
+    return table_text(PARETO_FIELDS, rows)
 
 
 def min_colors_curve(b_values, search_max: int = 10) -> list[tuple[float, int | None]]:

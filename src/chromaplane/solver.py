@@ -113,8 +113,8 @@ def _rank_clique(radj: list[int], rank: list[int], restarts: int, seed: int) -> 
     return best
 
 
-def greedy_clique(adj: list[int], restarts: int = _CLIQUE_RESTARTS, seed: int = 0) -> list[int]:
-    """Greedy max clique: extend by highest-degree candidate, many restarts.
+def greedy_clique(adj: list[int], seed: int = 0) -> list[int]:
+    """Greedy max clique: extend by highest-degree candidate, _CLIQUE_RESTARTS restarts.
 
     Ties go to the lowest index. Restart 0 starts from the highest-degree
     vertex, the rest from random vertices drawn from a seeded generator, so
@@ -132,7 +132,7 @@ def greedy_clique(adj: list[int], restarts: int = _CLIQUE_RESTARTS, seed: int = 
             edges.append((i, i + low.bit_length()))
     rank, radj = _rank_masks(n, edges)
     by_rank = sorted(range(n), key=rank.__getitem__)
-    return [by_rank[r] for r in _rank_clique(radj, rank, restarts, seed)]
+    return [by_rank[r] for r in _rank_clique(radj, rank, _CLIQUE_RESTARTS, seed)]
 
 
 def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOutcome:

@@ -17,7 +17,6 @@ from chromaplane.annulus import (
     lift_lower_bound,
     radial_best,
     radial_color,
-    radial_constraints,
     radial_max_b,
     radial_max_b_detail,
     radial_max_b_numeric,
@@ -83,26 +82,6 @@ def test_radial_color_is_the_vectorized_sector_rule():
         scalar = [radial_color(scheme, a) for a in angles]
         assert scalar == vectorized.tolist() == want, (k, s)
         assert all(type(c) is int for c in scalar)
-
-
-def test_radial_constraints_paper_identities():
-    b3 = math.sqrt(2 - 2 * math.sin(math.pi / 18))
-    c = radial_constraints(3, 9, b3)
-    assert c.gap == pytest.approx(b3, abs=1e-12)
-
-    c = radial_constraints(4, 12, math.sqrt(2))
-    assert c.gap == pytest.approx(math.sqrt(2), abs=1e-12)
-
-    c = radial_constraints(6, 12, math.sqrt(3))
-    assert c.d2 == pytest.approx(1, abs=1e-12)
-
-    assert c.d1 > 0 and c.d2 > 0 and c.gap > 0
-    assert c.d2 <= c.d1 + (math.sqrt(3) - 1) + 1e-12
-
-
-def test_radial_constraints_rejects_non_divisible():
-    with pytest.raises(ValueError):
-        radial_constraints(3, 10, 1.2)
 
 
 RADIAL_EXPECTED = {
@@ -331,11 +310,11 @@ def test_threshold_bisect_detects_eps_instability(monkeypatch):
 def test_annulus_bounds_rows_structure():
     rows = annulus_bounds_rows()
     assert len(rows) == 10
-    assert rows[0].b_interval[0] == 1.0
-    assert rows[-1].b_interval[1] == pytest.approx(math.sqrt(2 + math.sqrt(2)), abs=1e-12)
+    assert rows[0].b_lo == 1.0
+    assert rows[-1].b_hi == pytest.approx(math.sqrt(2 + math.sqrt(2)), abs=1e-12)
     for row in rows:
         assert row.lower <= row.upper
-    intervals = [r.b_interval for r in rows]
+    intervals = [(r.b_lo, r.b_hi) for r in rows]
     for (lo1, hi1), (lo2, _) in zip(intervals, intervals[1:]):
         assert hi1 == lo2
 

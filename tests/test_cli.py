@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from chromaplane import hexcolor, solver
@@ -402,7 +403,9 @@ def test_usage_errors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     good = {"circles": [{"n": 4, "r": 1.0001}], "b": 1.25, "eps": 0.0001}
     cfg.write_text(json.dumps(good))
-    # malformed --config files: each missing field, a wrong type, not an object
+    # malformed --config files: each missing field, a wrong type, not an object;
+    # n, r, b and eps must be JSON numbers, and true, false and strings are not
+    two = [{"n": 6, "r": 1.1}, {"n": 6, "r": 1.2}]
     malformed = []
     for name, payload in [
         ("r", {**good, "circles": [{"n": 4}]}),
@@ -413,11 +416,17 @@ def test_usage_errors(tmp_path, capsys):
         ("null", {**good, "b": None}),
         ("fraction", {**good, "circles": [{"n": 4.5, "r": 1.0001}]}),
         ("list", [good]),
+        ("mixed", {"circles": [{"n": True, "r": "1.1"}, two[1]], "b": "1.5", "eps": False}),
+        ("n_true", {"circles": [{"n": True, "r": 1.1}, two[1]], "b": 1.5, "eps": 0.0}),
+        ("r_str", {"circles": [{"n": 6, "r": "1.1"}, two[1]], "b": 1.5, "eps": 0.0}),
+        ("b_str", {"circles": two, "b": "1.5", "eps": 0.0}),
+        ("eps_false", {"circles": two, "b": 1.5, "eps": False}),
+        ("eps_str", {"circles": two, "b": 1.5, "eps": "0"}),
     ]:
         path = tmp_path / f"cfg_{name}.json"
         path.write_text(json.dumps(payload))
         flag = f"--config {path}: config lacks field '{name}'"
-        if name in ("null", "fraction", "list"):
+        if name not in ("r", "n", "b", "eps", "circles"):
             flag = "--config"
         malformed.append((("export", "--what", "dimacs", "--config", str(path)), flag))
     cases = malformed + [
@@ -479,6 +488,24 @@ def test_usage_errors(tmp_path, capsys):
     assert rc == 0, err
     rc, _, err = run_main(capsys, "eight-opt", "--tol", "0.375")
     assert rc == 0, err
+    # an integral float is still a point count
+    path = tmp_path / "cfg_n_float.json"
+    path.write_text(json.dumps({**good, "circles": [{"n": 4.0, "r": 1.0001}]}))
+    rc, out, err = run_main(capsys, "export", "--what", "dimacs", "--config", str(path))
+    assert (rc, out) == (0, "p edge 4 0\n"), err
+
+
+def test_min_colors_grid_out_of_memory_is_usage(capsys, monkeypatch):
+    # a grid too large to allocate is refused like one too large to index;
+    # np.arange is faked, as a real request might be granted and then filled
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 924. TiB")
+
+    monkeypatch.setattr(np, "arange", no_memory)
+    rc, out, err = run_main(capsys, "min-colors", "--b-lo", "1.3", "--b-hi", "14",
+                            "--step", "1e-13")
+    assert (rc, out) == (2, "")
+    assert "usage: --b-lo to --b-hi by --step: Unable to allocate" in err, err
 
 
 def test_internal_value_error_exits_4(capsys, monkeypatch):

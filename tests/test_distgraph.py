@@ -43,6 +43,8 @@ def test_circle_points_rejects_bad_input():
         circle_points(3, 0)
     with pytest.raises(ValueError):
         circle_points(3, math.nan)
+    with pytest.raises(ValueError):
+        circle_points(2, math.inf)
 
 
 def test_config_validation():

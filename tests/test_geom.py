@@ -12,7 +12,6 @@ from chromaplane.geom import (
     dist,
     forbidden_distances,
     forbidden_pair_draws,
-    mixed_chord,
     pair_distances,
 )
 from chromaplane.hexcolor import BASE_TILE, S1, S2, _tile_gap
@@ -42,26 +41,6 @@ def test_chord_rejects_bad_input():
         chord(1.0, 3.5)
     with pytest.raises(ValueError):
         chord(math.nan, 1.0)
-    for r1, r2 in [(0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)]:
-        with pytest.raises(ValueError):
-            mixed_chord(r1, r2, 0.5)
-
-
-def test_mixed_chord_examples():
-    assert mixed_chord(1, 1, 2 * math.pi / 9) == pytest.approx(chord(1, 2 * math.pi / 9), abs=1e-12)
-    # binding constraint of the six-color annulus scheme
-    assert mixed_chord(math.sqrt(3), 1, math.pi / 6) == pytest.approx(1, abs=1e-12)
-    assert mixed_chord(2, 1, 0) == pytest.approx(1, abs=1e-12)
-
-
-def test_mixed_chord_symmetric_and_reduces_to_chord():
-    rng = random.Random(7)
-    for _ in range(300):
-        r1 = rng.uniform(0.1, 3)
-        r2 = rng.uniform(0.1, 3)
-        a = rng.uniform(0, math.pi)
-        assert mixed_chord(r1, r2, a) == pytest.approx(mixed_chord(r2, r1, a), abs=1e-12)
-        assert chord(r1, a) == pytest.approx(mixed_chord(r1, r1, a), abs=1e-12)
 
 
 def test_chord_strictly_increasing_in_angle():

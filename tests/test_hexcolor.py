@@ -193,13 +193,13 @@ def test_scheme_validation():
         HexScheme(0, 0)
     with pytest.raises(ValueError):
         HexScheme(-1, 2)
-    assert HexScheme(1, 0).color_count_formula == 1
+    assert color_count(HexScheme(1, 0)) == 1
 
 
 def test_generator_vectors():
     for p, q in sweep_pairs(10, 10):
         s = HexScheme(p, q)
-        n = s.color_count_formula
+        n = color_count(s)
         lv = math.hypot(*s.v)
         lvb = math.hypot(*s.vbar)
         assert lv == pytest.approx(math.sqrt(3 * n) / 2, abs=1e-12)
@@ -294,6 +294,22 @@ def test_min_same_color_distance_matches_ring_walk():
             offsets = hexcolor._same_color_offsets(s, limit)
             want = min(hexcolor._tile_gap(ox, oy) for ox, oy in offsets)
             assert min_same_color_distance(p, q) == want, (p, q)
+
+
+def test_same_color_offsets_box_misses_nothing():
+    # every offset a brute-force box two rings wider finds within limit, at
+    # limit = hex_b_max + 1 (min_same_color_distance where hex_b_max is None)
+    # and one ring further
+    for p, q in sweep_pairs(10, 10):
+        s = HexScheme(p, q)
+        v, vb = s.v, s.vbar
+        ring = math.hypot(*v) * SQRT3 / 2
+        for limit in (min_same_color_distance(p, q) + 1, min_same_color_distance(p, q) + 1 + ring):
+            m = int(limit // ring) + 2
+            box = [(k * v.x + l * vb.x, k * v.y + l * vb.y)
+                   for k in range(-m, m + 1) for l in range(-m, m + 1) if (k, l) != (0, 0)]
+            want = sorted(o for o in box if math.hypot(*o) <= limit)
+            assert sorted(hexcolor._same_color_offsets(s, limit)) == want, (p, q, limit)
 
 
 def test_hex_b_max_symmetry():

@@ -148,13 +148,17 @@ def search_graphs():
     return graphs + [random_dense_graph(rng, max_n=20) for _ in range(40)]
 
 
-def test_greedy_clique_matches_reference():
+def test_greedy_clique_matches_reference(monkeypatch):
     graphs = search_graphs() + [case_graph(1, 1.35, None, 65), case_graph(3, 1.4, None, 30)]
     for g in graphs:
         adj = g.adjacency_masks()
         for seed in (0, 1, 2):
             assert greedy_clique(adj, seed=seed) == reference_greedy_clique(adj, seed=seed)
-        assert greedy_clique(adj, restarts=3, seed=5) == reference_greedy_clique(adj, 3, 5)
+    # greedy_clique reads _CLIQUE_RESTARTS when called
+    monkeypatch.setattr(solver, "_CLIQUE_RESTARTS", 3)
+    for g in graphs:
+        adj = g.adjacency_masks()
+        assert greedy_clique(adj, seed=5) == reference_greedy_clique(adj, 3, 5)
 
 
 def test_k_colorable_seeds_with_greedy_clique(monkeypatch):

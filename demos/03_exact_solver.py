@@ -38,7 +38,7 @@ for k in (3, 4):
     if out.colorable:
         print("  certificate:", out.assignment, "valid:", verify_coloring(spindle, out.assignment))
 
-print("chromatic number:", chromatic_number(spindle, 2, 7))
+print("chromatic number:", chromatic_number(spindle))
 
 print()
 print("=== a triangle as CNF (satisfiable with 3 colors, not with 2) ===")

@@ -3,7 +3,7 @@
 The package studies colorings of the plane in which no two points at
 distance in [1, b] share a color. It provides:
 
-- geom: points, distances, chords, pair distances, seeded forbidden-pair draws;
+- geom: points, unit-circle chords, pair distances, seeded forbidden-pair draws;
 - distgraph: finite distance graphs on circle point configurations;
 - solver: exact k-colorability plus DIMACS/CNF/LP exports;
 - annulus: radial annulus colorings, lower-bound configurations,
@@ -15,7 +15,7 @@ distance in [1, b] share a color. It provides:
 """
 
 from . import annulus, distgraph, eightcol, geom, hexcolor, solver
-from .geom import Point2, chord, dist
+from .geom import Point2, chord
 from .distgraph import (
     CircleSpec,
     DistanceGraph,
@@ -54,7 +54,6 @@ __all__ = [
     "chord",
     "chromatic_number",
     "circle_points",
-    "dist",
     "export_cnf",
     "export_dimacs",
     "export_lp",

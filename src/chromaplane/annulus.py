@@ -48,6 +48,10 @@ CASE_CIRCLE_COUNTS = {1: (1300, 2), 2: (190, 2), 3: (180, 3), 4: (120, 3), 5: (1
 # Sector counts of the reference radial schemes per color count.
 RADIAL_SECTORS = {3: 9, 4: 12, 5: 10, 6: 12, 7: 14, 8: 16}
 
+# radial_max_b_numeric bisects this b bracket to this width.
+NUMERIC_BRACKET = (1.001, 2.5)
+NUMERIC_TOL = 1e-7
+
 
 class BracketInvalid(Exception):
     """Bisection bracket endpoints do not straddle the verdict change."""
@@ -99,8 +103,8 @@ def radial_max_b_detail(k: int, s: int) -> tuple[float | None, dict[str, float],
 
     A sector's outer-outer diameter d1 and outer-inner diameter d2 must stay
     below 1, and the inner chord gap between nearest same-color sectors
-    must exceed b. Each caps b in closed form: d1 = 1 at b = 1/chord(1, alpha),
-    d2 = 1 at b = 2 cos(alpha), and gap = b at b = chord(1, (k-1) alpha).
+    must exceed b. Each caps b in closed form: d1 = 1 at b = 1/chord(alpha),
+    d2 = 1 at b = 2 cos(alpha), and gap = b at b = chord((k-1) alpha).
     Returns (b or None, all three caps, binding name): None when the cap is
     not above 1 by more than B_TOL, as a cap of exactly 1 computes to 1 plus
     float noise (at k = 3, s = 6).
@@ -108,9 +112,9 @@ def radial_max_b_detail(k: int, s: int) -> tuple[float | None, dict[str, float],
     RadialScheme(k, s, 1.5)  # validate (k, s) only
     a = TWO_PI / s
     caps = {
-        "d1": 1.0 / chord(1.0, a),
+        "d1": 1.0 / chord(a),
         "d2": 2.0 * math.cos(a),
-        "gap": chord(1.0, (k - 1) * a),
+        "gap": chord((k - 1) * a),
     }
     binding = min(caps, key=lambda name: (caps[name], name))
     b = caps[binding]
@@ -160,9 +164,7 @@ def lower_bound_config(
     if not 0.0 < eps < (b - 1.0) / 2.0:
         raise ValueError(f"need 0 < eps < (b-1)/2, got eps={eps} for b={b}")
     n_full, rings = CASE_CIRCLE_COUNTS[case]
-    n = n_full if n_override is None else int(n_override)
-    if n < 1:
-        raise ValueError(f"need n_override >= 1, got {n_override}")
+    n = n_full if n_override is None else n_override
     radii = [1.0 + eps, b - eps] if rings == 2 else [1.0 + eps, (1.0 + b) / 2.0, b - eps]
     return PointConfig(tuple(CircleSpec(n, r) for r in radii))
 
@@ -335,21 +337,14 @@ def radial_violation_exists(
     return False
 
 
-def radial_max_b_numeric(
-    k: int,
-    s: int,
-    b_lo: float = 1.001,
-    b_hi: float = 2.5,
-    tol: float = 1e-7,
-    n_pairs: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Largest b the sampled checker accepts, found by bisection.
+def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) -> float:
+    """Largest b the sampled checker accepts, found by bisection of
+    NUMERIC_BRACKET to NUMERIC_TOL.
 
     Independent numerical route to the same quantity as radial_max_b;
     the two must agree to 1e-6.
     """
     return _bisect(
-        lambda b: radial_violation_exists(k, s, b, n_pairs, seed), b_lo, b_hi, tol,
+        lambda b: radial_violation_exists(k, s, b, n_pairs, seed), *NUMERIC_BRACKET, NUMERIC_TOL,
         f"the ({k}, {s}) scheme is invalid",
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -54,22 +55,24 @@ class CircleSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Union of evenly spaced circle point sets around a common center."""
+    """Union of evenly spaced circle point sets around the origin."""
 
     circles: tuple[CircleSpec, ...]
-    center: Point2 = Point2(0.0, 0.0)
 
     def __post_init__(self):
         if not self.circles:
             raise ValueError("config needs at least one circle")
-        circles = tuple(CircleSpec(int(n), float(r)) for n, r in self.circles)
-        for (n, r), (given, _) in zip(circles, self.circles):
-            if n != given:
-                raise ValueError(f"circle point count must be an integer, got {given!r}")
+        for n, r in self.circles:
+            for v in (n, r):
+                if isinstance(v, bool) or not isinstance(v, Real):
+                    raise ValueError(f"circle point count and radius must be numbers, got {v!r}")
+            if n % 1 != 0:  # NaN and inf fail too
+                raise ValueError(f"circle point count must be an integer, got {n!r}")
             if n < 1:
                 raise ValueError(f"circle point count must be >= 1, got {n}")
             if not 0 < r < math.inf:  # NaN fails too
                 raise ValueError(f"circle radius must be a finite number > 0, got {r}")
+        circles = tuple(CircleSpec(int(n), float(r)) for n, r in self.circles)
         radii = [r for _, r in circles]
         if len(set(radii)) != len(radii):
             raise ValueError("circles must have pairwise distinct radii")
@@ -106,15 +109,14 @@ class DistanceGraph:
         return masks
 
 
-def circle_points(n: int, r: float, center: Point2 = Point2(0.0, 0.0)) -> list[Point2]:
-    """n points evenly spaced on the radius-r circle, point 0 at the top."""
+def circle_points(n: int, r: float) -> list[Point2]:
+    """n points evenly spaced on the origin-centered radius-r circle, point 0 at the top."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 < r < math.inf:  # NaN fails too
         raise ValueError(f"need 0 < r < inf, got {r}")
-    cx, cy = center
     return [
-        Point2(cx + r * math.sin(2.0 * math.pi * k / n), cy + r * math.cos(2.0 * math.pi * k / n))
+        Point2(r * math.sin(2.0 * math.pi * k / n), r * math.cos(2.0 * math.pi * k / n))
         for k in range(n)
     ]
 
@@ -129,7 +131,7 @@ def _edge_tuple(ii: np.ndarray, jj: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 def _edges_for_points(points: list[Point2], b: float) -> tuple[tuple[int, int], ...]:
     """Dense O(n^2) edge pass for arbitrary points, edges sorted (i asc, j asc)."""
-    arr = np.asarray(points, dtype=float)
+    arr = np.asarray(points, dtype=float).reshape(-1, 2)  # [] is 1-D otherwise
     ii, jj = np.nonzero(_in_window(pair_distances(arr, arr), b))
     keep = ii < jj
     return _edge_tuple(ii[keep], jj[keep])
@@ -181,7 +183,7 @@ def build_graph(config: PointConfig, b: float, eps: float | None = None) -> Dist
         raise ValueError(f"need 0 <= eps < (b-1)/2, got eps={eps} for b={b}")
     points: list[Point2] = []
     for n, r in config.circles:
-        points.extend(circle_points(n, r, config.center))
+        points.extend(circle_points(n, r))
     return DistanceGraph(tuple(points), _circulant_edges(config, points, b), b, eps)
 
 
@@ -223,9 +225,9 @@ def config_from_json(text: str) -> tuple[PointConfig, float, float]:
         b, eps = payload["b"], payload["eps"]
     except KeyError as exc:
         raise ValueError(f"config lacks field {exc.args[0]!r}") from exc
-    for v in [x for circle in circles for x in circle] + [b, eps]:
+    for v in (b, eps):
         if type(v) not in (int, float):  # json reads true and false as bool, not int
-            raise ValueError(f"n, r, b and eps must be JSON numbers, got {v!r}")
+            raise ValueError(f"b and eps must be JSON numbers, got {v!r}")
     config, b, eps = PointConfig(circles), float(b), float(eps)
     if not (1.0 < b < math.inf and 0.0 <= eps < (b - 1.0) / 2.0):
         raise ValueError(f"need 1 < b < inf and 0 <= eps < (b-1)/2, got b={b}, eps={eps}")

@@ -1,6 +1,6 @@
-"""Planar geometry primitives: points, distances, circle chords, and the
-numpy pair distances, forbidden-window test and seeded forbidden-pair
-draws the checks share.
+"""Planar geometry primitives: points, unit-circle chords, and the numpy
+pair distances, forbidden-window test and seeded forbidden-pair draws the
+checks share.
 
 Everything here works in plain double precision. Threshold comparisons
 elsewhere in the package use absolute tolerances; no exact arithmetic.
@@ -25,11 +25,6 @@ B_TOL = 1e-9
 class Point2(NamedTuple):
     x: float
     y: float
-
-
-def dist(p: Point2, q: Point2) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
 def pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -66,15 +61,12 @@ def forbidden_pair_draws(seed: int, n: int, u_range, v_range, b: float):
         yield chunk
 
 
-def chord(radius: float, angle: float) -> float:
-    """Length of the chord subtending `angle` on a circle of `radius`.
+def chord(angle: float) -> float:
+    """Length of the chord subtending `angle` on the unit circle.
 
     Equals the distance between two points on the circle whose central
     angle differs by `angle`; strictly increasing in angle on [0, pi].
     """
-    if not radius > 0:  # NaN fails too
-        raise ValueError(f"radius must be positive, got {radius}")
     if not 0 <= angle <= math.pi:
         raise ValueError(f"angle must lie in [0, pi], got {angle}")
-    return 2.0 * radius * math.sin(angle / 2.0)
-
+    return 2.0 * math.sin(angle / 2.0)

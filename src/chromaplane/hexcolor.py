@@ -62,7 +62,8 @@ class HexScheme:
         )
 
 
-def tile_center(i: int, j: int) -> Point2:
+def tile_center(i, j) -> Point2:
+    """Center of tile (i, j), for ints or int64 arrays alike."""
     return Point2(i * S1.x + j * S2.x, i * S1.y + j * S2.y)
 
 
@@ -249,12 +250,13 @@ def _fewest_colors(rows: list[SchemeRow], b: float) -> tuple[int, int, int] | No
     return min(((r.n_colors, r.p, r.q) for r in rows if r.b >= reach), default=None)
 
 
-def best_scheme_for_b(b: float, search_max: int = 10) -> tuple[int, int, int] | None:
-    """Scheme with the fewest colors whose reach covers b, or None.
+def best_scheme_for_b(b: float) -> tuple[int, int, int] | None:
+    """Scheme of the p, q <= 10 sweep with the fewest colors whose reach
+    covers b, or None.
 
     Ties break to the lexicographically smallest (p, q).
     """
-    best = _fewest_colors(_scheme_rows(search_max, search_max), b)
+    best = _fewest_colors(_scheme_rows(10, 10), b)
     if best is None:
         return None
     return best[1], best[2], best[0]
@@ -288,25 +290,25 @@ def family_bound(family: str, r: int) -> float:
 
 
 def _tile_indices_vectorized(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """point_to_tile over arrays: nearest tile center, exact ties to the smallest (i, j).
+
+    S1 and S2 are equally long and 60 degrees apart, so each lattice cell
+    splits into two equilateral triangles and the nearest center is one of
+    the four corners of the cell holding the point. They are tried in (i, j)
+    order and only a strictly closer one replaces the best.
+    """
     j0 = -ys / 0.75
-    i0 = (xs - j0 * S2.x) / S1.x
-    bi = np.rint(i0).astype(np.int64)
-    bj = np.rint(j0).astype(np.int64)
+    i = np.floor((xs - j0 * S2.x) / S1.x).astype(np.int64)
+    j = np.floor(j0).astype(np.int64)
     best_d2 = np.full(xs.shape, np.inf)
-    best_i = np.zeros(xs.shape, dtype=np.int64)
-    best_j = np.zeros(xs.shape, dtype=np.int64)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            ii = bi + di
-            jj = bj + dj
-            cx = ii * S1.x + jj * S2.x
-            cy = ii * S1.y + jj * S2.y
-            d2 = (xs - cx) ** 2 + (ys - cy) ** 2
-            closer = d2 < best_d2
-            best_d2 = np.where(closer, d2, best_d2)
-            best_i = np.where(closer, ii, best_i)
-            best_j = np.where(closer, jj, best_j)
-    return best_i, best_j
+    corner = np.zeros(xs.shape, dtype=np.int8)  # 2 * di + dj of the best corner
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cx, cy = tile_center(i + di, j + dj)
+        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
+        closer = d2 < best_d2
+        np.copyto(best_d2, d2, where=closer)
+        np.copyto(corner, 2 * di + dj, where=closer)
+    return i + (corner >> 1), j + (corner & 1)
 
 
 def _colors_of_points(scheme: HexScheme, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -49,10 +49,6 @@ class BudgetExhausted(Exception):
         self.elapsed = elapsed
 
 
-class InconsistentBounds(Exception):
-    """Caller-supplied chromatic bounds contradict solver verdicts."""
-
-
 @dataclass(frozen=True)
 class KColorQuery:
     graph: DistanceGraph
@@ -268,29 +264,15 @@ def verify_coloring(graph: DistanceGraph, assignment) -> bool:
     return all(assignment[i] != assignment[j] for i, j in graph.edges)
 
 
-def chromatic_number(
-    graph: DistanceGraph,
-    lo: int,
-    hi: int,
-    time_budget: float | None = None,
-    seed: int = 0,
-) -> int:
-    """Least k in [lo, hi] with the graph k-colorable.
+def chromatic_number(graph: DistanceGraph) -> int:
+    """Least k >= 1 with the graph k-colorable, counting k up from 1.
 
-    The caller warrants chi(graph) lies in [lo, hi]; both warrant
-    violations surface as InconsistentBounds (including a colorable check
-    at lo - 1 when lo > 1).
+    Every k below the seeded clique's size is refuted with 0 search nodes.
     """
-    if not 1 <= lo <= hi:
-        raise InconsistentBounds(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if lo > 1:
-        below = k_colorable(KColorQuery(graph, lo - 1, time_budget), seed=seed)
-        if below.colorable:
-            raise InconsistentBounds(f"graph is {lo - 1}-colorable, lower bound {lo} is wrong")
-    for k in range(lo, hi + 1):
-        if k_colorable(KColorQuery(graph, k, time_budget), seed=seed).colorable:
-            return k
-    raise InconsistentBounds(f"graph is not {hi}-colorable, upper bound {hi} is wrong")
+    k = 1
+    while not k_colorable(KColorQuery(graph, k)).colorable:
+        k += 1
+    return k
 
 
 def cnf_chunks(graph: DistanceGraph, k: int):

@@ -149,7 +149,7 @@ def test_radial_binding_constraints():
 def test_radial_closed_form_vs_numeric_bisect(ks):
     k, s = ks
     closed = radial_max_b(k, s)
-    numeric = radial_max_b_numeric(k, s, tol=1e-7, n_pairs=100_000)
+    numeric = radial_max_b_numeric(k, s, n_pairs=100_000)
     assert numeric == pytest.approx(closed, abs=1e-6)
 
 
@@ -184,6 +184,10 @@ def test_lower_bound_config_cases():
         lower_bound_config(6, 1.5, eps)
     with pytest.raises(ValueError):
         lower_bound_config(1, 1.29, 0.5)
+    # a point count is an integer: 65.5 is not truncated, True is not 1
+    for n in (65.5, True):
+        with pytest.raises(ValueError):
+            lower_bound_config(1, 1.35, None, n)
 
 
 def test_case_thresholds_values():
@@ -278,22 +282,31 @@ def test_radial_max_b_numeric_ends_for_every_tol(monkeypatch):
         return b > 1.5
 
     monkeypatch.setattr(annulus, "radial_violation_exists", fake)
+    bracket, default_tol = annulus.NUMERIC_BRACKET, annulus.NUMERIC_TOL
     # probes 1.5, 1.625, 1.5625, 1.53125, 1.515625 after the bracket ends
-    assert radial_max_b_numeric(4, 12, 1.25, 1.75, tol=2.0**-6) == 1.5078125
+    monkeypatch.setattr(annulus, "NUMERIC_BRACKET", (1.25, 1.75))
+    monkeypatch.setattr(annulus, "NUMERIC_TOL", 2.0**-6)
+    assert radial_max_b_numeric(4, 12) == 1.5078125
     assert probes == [1.25, 1.75, 1.5, 1.625, 1.5625, 1.53125, 1.515625]
+    monkeypatch.setattr(annulus, "NUMERIC_BRACKET", bracket)
     for tol in (1e-300, 5e-324):
         probes.clear()
-        assert radial_max_b_numeric(4, 12, tol=tol) in (1.5, math.nextafter(1.5, 2.0))
+        monkeypatch.setattr(annulus, "NUMERIC_TOL", tol)
+        assert radial_max_b_numeric(4, 12) in (1.5, math.nextafter(1.5, 2.0))
         assert len(probes) < 60
     for tol in (0.0, -1.0, math.nan):
         probes.clear()
+        monkeypatch.setattr(annulus, "NUMERIC_TOL", tol)
         with pytest.raises(ValueError, match="tol"):
-            radial_max_b_numeric(4, 12, tol=tol)
+            radial_max_b_numeric(4, 12)
         assert probes == []
+    monkeypatch.setattr(annulus, "NUMERIC_TOL", default_tol)
+    monkeypatch.setattr(annulus, "NUMERIC_BRACKET", (1.6, 2.0))
     with pytest.raises(BracketInvalid):
-        radial_max_b_numeric(4, 12, b_lo=1.6, b_hi=2.0)
+        radial_max_b_numeric(4, 12)
+    monkeypatch.setattr(annulus, "NUMERIC_BRACKET", (1.1, 1.2))
     with pytest.raises(BracketInvalid):
-        radial_max_b_numeric(4, 12, b_lo=1.1, b_hi=1.2)
+        radial_max_b_numeric(4, 12)
 
 
 def test_threshold_bisect_detects_eps_instability(monkeypatch):

@@ -20,7 +20,7 @@ from chromaplane.distgraph import (
     export_dimacs,
     graph_from_points,
 )
-from chromaplane.geom import Point2, dist
+from chromaplane.geom import Point2
 from conftest import brute_force_k_colorable, export_graphs
 
 
@@ -33,7 +33,7 @@ def test_circle_points_examples():
         assert p.y == pytest.approx(e[1], abs=1e-12)
     hexpts = circle_points(6, 1)
     for i in range(6):
-        assert dist(hexpts[i], hexpts[(i + 1) % 6]) == pytest.approx(1, abs=1e-12)
+        assert math.dist(hexpts[i], hexpts[(i + 1) % 6]) == pytest.approx(1, abs=1e-12)
 
 
 def test_circle_points_rejects_bad_input():
@@ -59,6 +59,10 @@ def test_config_validation():
             PointConfig((CircleSpec(6, r), CircleSpec(6, 1.2)))
     with pytest.raises(ValueError, match="integer"):
         PointConfig((CircleSpec(4.5, 1.0),))  # would silently become 4 points
+    # a bool or a string is not a number, even where int() or float() takes it
+    for n, r in ((True, 1.1), (6, "1.1"), ("6", 1.1), (6, True)):
+        with pytest.raises(ValueError, match="numbers"):
+            PointConfig((CircleSpec(n, r), CircleSpec(6, 1.2)))
     assert PointConfig((CircleSpec(4.0, 1.0),)).circles == (CircleSpec(4, 1.0),)
 
 
@@ -147,15 +151,12 @@ def test_circulant_build_matches_dense_random_configs():
     rng = random.Random(77)
     configs = [
         PointConfig((CircleSpec(12, 1.1), CircleSpec(18, 1.4), CircleSpec(7, 0.8))),
-        PointConfig((CircleSpec(6, 1.0),), Point2(2.5, -1.0)),
+        PointConfig((CircleSpec(6, 1.0),)),
     ]
     for _ in range(60):
         radii = rng.sample([0.3 + 0.07 * i for i in range(25)], rng.randint(1, 3))
         counts = rng.choice([(1, 2, 40), (13, 7, 30), (24, 36, 16), (2, 1, 1)])
-        center = Point2(0, 0)
-        if rng.random() < 0.5:
-            center = Point2(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        configs.append(PointConfig(tuple(CircleSpec(n, r) for n, r in zip(counts, radii)), center))
+        configs.append(PointConfig(tuple(CircleSpec(n, r) for n, r in zip(counts, radii))))
     edges = 0
     for config in configs:
         b = rng.uniform(1.05, 2.5)
@@ -188,6 +189,10 @@ def test_scaling_invariance():
 def test_export_dimacs_examples():
     empty = graph_from_points([(0, 0), (5, 0), (10, 0)], b=1.5)
     assert export_dimacs(empty) == "p edge 3 0\n"
+
+    none = graph_from_points([], b=1.5)
+    assert (none.n, none.edges) == (0, ())
+    assert export_dimacs(none) == "p edge 0 0\n"
 
     tri = graph_from_points([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], b=1.1)
     assert export_dimacs(tri) == "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chromaplane import hexcolor
-from chromaplane.geom import dist
 from chromaplane.hexcolor import (
     B_TOL,
     BASE_TILE,
@@ -103,7 +102,7 @@ def test_lattice_constants():
     assert S2 == pytest.approx((SQRT3 / 4, -0.75), abs=1e-15)
     vs = BASE_TILE
     assert len(vs) == 6
-    diam = max(dist(a, b) for a in vs for b in vs)
+    diam = max(math.dist(a, b) for a in vs for b in vs)
     assert diam == pytest.approx(1.0, abs=1e-12)
     # two vertical sides
     xs = sorted(v.x for v in vs)
@@ -145,6 +144,14 @@ def test_point_to_tile_partition():
     si, sj = _tile_indices_vectorized(pts[:500, 0], pts[:500, 1])
     for idx, (x, y) in enumerate(pts[:500]):
         assert point_to_tile((x, y)) == (si[idx], sj[idx])
+
+    # the four-corner lookup is the nearest center over a whole window,
+    # ties included; |i|, |j| <= 8 here, inside the reference's window
+    near = rng.uniform(-4, 4, size=(1_000, 2))
+    near = np.concatenate([near, near + 1e-9, near - 1e-9])
+    ii, jj = _tile_indices_vectorized(near[:, 0], near[:, 1])
+    for (x, y), i, j in zip(near, ii, jj):
+        assert _reference_nearest_tile(x, y)[1:] == (i, j), (x, y)
 
 
 def _reference_nearest_tile(x, y, window=9):

@@ -17,7 +17,6 @@ from chromaplane.solver import (
     COLORABLE,
     NOT_COLORABLE,
     BudgetExhausted,
-    InconsistentBounds,
     KColorQuery,
     chromatic_number,
     cnf_chunks,
@@ -339,22 +338,18 @@ def test_chromatic_number_examples(moser_spindle):
     r = 1 / (2 * math.sin(math.pi / 5))
     k5 = graph_from_points(circle_points(5, r), b=1.7)
     assert len(k5.edges) == 10
-    assert chromatic_number(k5, 1, 6) == 5
+    assert chromatic_number(k5) == 5
 
-    assert chromatic_number(moser_spindle, 2, 7) == 4
+    assert chromatic_number(moser_spindle) == 4
 
     empty = graph_from_points([(3 * i, 0) for i in range(10)], b=1.5)
-    assert chromatic_number(empty, 1, 4) == 1
+    assert chromatic_number(empty) == 1
+    assert chromatic_number(six_cycle()) == 2
 
-
-def test_chromatic_number_bound_validation():
-    g = six_cycle()
-    with pytest.raises(InconsistentBounds):
-        chromatic_number(g, 3, 5)  # graph is 2-colorable, lo too high
-    with pytest.raises(InconsistentBounds):
-        chromatic_number(g, 1, 1)  # graph has edges, hi too low
-    with pytest.raises(InconsistentBounds):
-        chromatic_number(g, 2, 1)
+    # an odd cycle: its largest clique is an edge, yet it needs 3 colors
+    five = build_graph(PointConfig((CircleSpec(5, 0.86),)), b=1.5)
+    assert len(five.edges) == 5 and len(greedy_clique(five.adjacency_masks())) == 2
+    assert chromatic_number(five) == 3
 
 
 def test_budget_exhausted_distinct():

@@ -10,9 +10,13 @@ circle pair (one row when the counts are equal), and never forms the
 all-pairs distance matrix; graph_from_points, for arbitrary points, keeps
 the dense all-pairs pass.
 
+A graph's edges are one read-only (m, 2) index array, so no Python object
+is made per edge.
+
 The exports (DIMACS here, CNF and LP in solver) are generators of text
 chunks over export_runs, so the CLI streams them; each export_* function
-is the join of its generator.
+is the join of its generator. A run of edges is written by edge_text from
+per-vertex string tables (vertex_table) indexed by its two columns.
 """
 from __future__ import annotations
 
@@ -83,18 +87,26 @@ class PointConfig:
         return sum(n for n, _ in self.circles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceGraph:
     """Immutable graph: points plus index-pair edges for distances in [1, b].
 
-    build_graph and graph_from_points store each edge as (i, j) with i < j,
-    sorted (i asc, j asc); the exports write edges in stored order.
+    edges is a read-only (m, 2) np.intp array, one row (i, j) per edge; the
+    constructor takes an array or a sequence of pairs, () for no edges.
+    build_graph and graph_from_points store i < j, sorted (i asc, j asc);
+    the exports write edges in stored order. Graphs compare by identity:
+    an array field has no tuple-like == or hash.
     """
 
     points: tuple[Point2, ...]
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     b: float
     eps: float = 0.0
+
+    def __post_init__(self):
+        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n(self) -> int:
@@ -103,7 +115,7 @@ class DistanceGraph:
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks (vertex j set in mask i iff edge ij)."""
         masks = [0] * self.n
-        for i, j in self.edges:
+        for i, j in self.edges.tolist():
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         return masks
@@ -125,21 +137,15 @@ def _in_window(d: np.ndarray, b: float) -> np.ndarray:
     return (d >= 1.0 - BOUNDARY_TOL) & (d <= b + BOUNDARY_TOL)
 
 
-def _edge_tuple(ii: np.ndarray, jj: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple(zip(ii.tolist(), jj.tolist()))
-
-
-def _edges_for_points(points: list[Point2], b: float) -> tuple[tuple[int, int], ...]:
+def _edges_for_points(points: list[Point2], b: float) -> np.ndarray:
     """Dense O(n^2) edge pass for arbitrary points, edges sorted (i asc, j asc)."""
     arr = np.asarray(points, dtype=float).reshape(-1, 2)  # [] is 1-D otherwise
     ii, jj = np.nonzero(_in_window(pair_distances(arr, arr), b))
     keep = ii < jj
-    return _edge_tuple(ii[keep], jj[keep])
+    return np.column_stack((ii[keep], jj[keep]))
 
 
-def _circulant_edges(
-    config: PointConfig, points: list[Point2], b: float
-) -> tuple[tuple[int, int], ...]:
+def _circulant_edges(config: PointConfig, points: list[Point2], b: float) -> np.ndarray:
     """Edges of a circle configuration from one offset slice per circle pair.
 
     With g = gcd(n_a, n_b), rotating by 2 pi / g maps point i of circle A to
@@ -165,7 +171,7 @@ def _circulant_edges(
             keep = i < j
             keys.append(i[keep] * total + j[keep])
     key = np.sort(np.concatenate(keys))
-    return _edge_tuple(key // total, key % total)
+    return np.column_stack((key // total, key % total))
 
 
 def build_graph(config: PointConfig, b: float, eps: float | None = None) -> DistanceGraph:
@@ -203,12 +209,36 @@ def export_runs(items):
         yield items[start : start + EXPORT_CHUNK]
 
 
+def vertex_table(template: str, n: int, k: int = 1) -> np.ndarray:
+    """n x k object array: row i, column c - 1 is template.format(v=i + 1, c=c,
+    x=i * k + c), with v the vertex's 1-based label and x its color c literal."""
+    return np.array(
+        [[template.format(v=i + 1, c=c, x=i * k + c) for c in range(1, k + 1)] for i in range(n)],
+        dtype=object,
+    ).reshape(n, k)
+
+
+def edge_text(run: np.ndarray, *parts: tuple[np.ndarray, int]) -> str:
+    """Text of a run of edges (rows (i, j) of an edge array).
+
+    Each part is (table, end): the n x 1 or n x k vertex_table read at the
+    edge's i (end 0) or j (end 1). For each edge and each of the k columns
+    the parts' pieces are written in order. They are gathered by reference
+    and joined once, so no piece is concatenated on its own.
+    """
+    k = max(table.shape[1] for table, _ in parts)
+    pieces = np.empty((len(run), k, len(parts)), dtype=object)
+    for t, (table, end) in enumerate(parts):
+        pieces[:, :, t] = table[run[:, end]]
+    return "".join(pieces.ravel().tolist())
+
+
 def dimacs_chunks(g: DistanceGraph):
     """export_dimacs's text in pieces of at most EXPORT_CHUNK edges."""
     yield f"p edge {g.n} {len(g.edges)}\n"
-    v = [str(i) for i in range(1, g.n + 1)]
+    head, tail = vertex_table("e {v} ", g.n), vertex_table("{v}\n", g.n)
     for run in export_runs(g.edges):
-        yield "".join([f"e {v[i]} {v[j]}\n" for i, j in run])
+        yield edge_text(run, (head, 0), (tail, 1))
 
 
 def export_dimacs(g: DistanceGraph) -> str:

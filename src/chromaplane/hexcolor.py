@@ -73,9 +73,15 @@ def point_to_tile(p) -> tuple[int, int]:
     The tiling is the Voronoi partition of the tile centers, so the owner
     is the nearest center; exact boundary ties break to the
     lexicographically smallest index, which keeps the assignment a
-    partition (every point gets exactly one tile).
+    partition (every point gets exactly one tile). A coordinate that is
+    not finite, or of magnitude 2**62 or more, raises ValueError.
     """
-    ii, jj = _tile_indices_vectorized(np.array([float(p[0])]), np.array([float(p[1])]))
+    x, y = float(p[0]), float(p[1])
+    # |i| <= 1.16 |x| + 0.67 |y| and |j| <= 1.34 |y|: below 2**62 each, they
+    # and the cell corner one past them fit int64; NaN fails too
+    if not (abs(x) < 2.0**62 and abs(y) < 2.0**62):
+        raise ValueError(f"need finite coordinates of magnitude < 2**62, got ({x}, {y})")
+    ii, jj = _tile_indices_vectorized(np.array([x]), np.array([y]))
     return int(ii[0]), int(jj[0])
 
 

@@ -18,17 +18,19 @@ vertex touch only the uncolored neighbors whose saturation actually
 grows.
 
 The CNF and LP exports are generators of text chunks (cnf_chunks,
-lp_chunks) over distgraph.export_runs, built from per-vertex string
-tables; export_cnf and export_lp are their joins.
+lp_chunks) over distgraph.export_runs; a run of edges is written by
+distgraph.edge_text from per-vertex string tables. export_cnf and
+export_lp are their joins.
 """
 from __future__ import annotations
 
 import random
 import time
 from dataclasses import dataclass
-from operator import add
 
-from .distgraph import DistanceGraph, export_runs
+import numpy as np
+
+from .distgraph import DistanceGraph, edge_text, export_runs, vertex_table
 
 COLORABLE = "colorable"
 NOT_COLORABLE = "not_colorable"
@@ -72,17 +74,14 @@ class ColoringOutcome:
         return self.status == COLORABLE
 
 
-def _rank_masks(n: int, edges) -> tuple[list[int], list[int]]:
+def _rank_masks(n: int, edges: np.ndarray) -> tuple[list[int], list[int]]:
     """rank[v]: v's position in the order (-degree, index); radj[r]: rank r's neighbor ranks."""
-    deg = [0] * n
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
+    deg = np.bincount(edges.ravel(), minlength=n).tolist()
     rank = [0] * n
     for r, v in enumerate(sorted(range(n), key=lambda v: (-deg[v], v))):
         rank[v] = r
     radj = [0] * n
-    for i, j in edges:
+    for i, j in edges.tolist():
         radj[rank[i]] |= 1 << rank[j]
         radj[rank[j]] |= 1 << rank[i]
     return rank, radj
@@ -126,7 +125,7 @@ def greedy_clique(adj: list[int], seed: int = 0) -> list[int]:
             low = a & -a
             a ^= low
             edges.append((i, i + low.bit_length()))
-    rank, radj = _rank_masks(n, edges)
+    rank, radj = _rank_masks(n, np.array(edges, dtype=np.intp).reshape(-1, 2))
     by_rank = sorted(range(n), key=rank.__getitem__)
     return [by_rank[r] for r in _rank_clique(radj, rank, _CLIQUE_RESTARTS, seed)]
 
@@ -261,14 +260,17 @@ def verify_coloring(graph: DistanceGraph, assignment) -> bool:
     """True iff the assignment colors every vertex and no edge is monochromatic."""
     if len(assignment) != graph.n:
         return False
-    return all(assignment[i] != assignment[j] for i, j in graph.edges)
+    a, e = np.asarray(assignment), graph.edges
+    return bool(np.all(a[e[:, 0]] != a[e[:, 1]]))
 
 
 def chromatic_number(graph: DistanceGraph) -> int:
-    """Least k >= 1 with the graph k-colorable, counting k up from 1.
+    """Least k with the graph k-colorable, counting k up from 1; 0 for no vertices.
 
     Every k below the seeded clique's size is refuted with 0 search nodes.
     """
+    if graph.n == 0:
+        return 0
     k = 1
     while not k_colorable(KColorQuery(graph, k)).colorable:
         k += 1
@@ -279,22 +281,17 @@ def cnf_chunks(graph: DistanceGraph, k: int):
     """export_cnf's text in pieces of at most EXPORT_CHUNK edges or vertices.
 
     A conflict line "-a -b 0" is split as "-a -" + "b 0" so each half is
-    taken from a per-vertex table: an edge's k lines are k concatenations.
+    taken from a per-vertex table.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n = graph.n
-    lits = [tuple(map(str, range(i * k + 1, i * k + k + 1))) for i in range(n)]
     yield f"p cnf {n * k} {n + len(graph.edges) * k}\n"
-    for run in export_runs(lits):
-        yield "".join([" ".join(row) + " 0\n" for row in run])
-    heads = [tuple(f"-{x} -" for x in row) for row in lits]
-    tails = [tuple(f"{x} 0\n" for x in row) for row in lits]
+    for run in export_runs(vertex_table("{x} ", n, k).tolist()):
+        yield "".join(["".join(row) + "0\n" for row in run])
+    heads, tails = vertex_table("-{x} -", n, k), vertex_table("{x} 0\n", n, k)
     for run in export_runs(graph.edges):
-        out = []
-        for i, j in run:
-            out += map(add, heads[i], tails[j])
-        yield "".join(out)
+        yield edge_text(run, (heads, 0), (tails, 1))
 
 
 def export_cnf(graph: DistanceGraph, k: int) -> str:
@@ -311,22 +308,28 @@ def export_cnf(graph: DistanceGraph, k: int) -> str:
 def lp_chunks(graph: DistanceGraph, k: int):
     """export_lp's text in pieces of at most EXPORT_CHUNK edges or vertices.
 
-    Each section fills one %-template per vertex or edge that holds all k
-    of its lines, from vertex strings made once.
+    Each per-vertex section fills one %-template per vertex that holds all k
+    of its lines. A conflict line " conflict_a_b_c: x_a_c + x_b_c <= 1" is
+    split at its vertex labels into four pieces, each from a per-vertex
+    table.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    v = [str(i) for i in range(1, graph.n + 1)]
+    n = graph.n
+    v = [str(i) for i in range(1, n + 1)]
     colors = range(1, k + 1)
     cover = " cover_%s: " + " + ".join(f"x_%s_{c}" for c in colors) + " >= 1\n"
-    conflict = "".join(f" conflict_%s_{c}: x_%s_{c} + x_%s_{c} <= 1\n" for c in colors)
     link = "".join(f" link_%s_{c}: x_%s_{c} - y{c} <= 0\n" for c in colors)
     binary = "".join(f" x_%s_{c}\n" for c in colors)
     yield "Minimize\n obj: " + " + ".join(f"{c} y{c}" for c in colors) + "\nSubject To\n"
     for run in export_runs(v):
         yield "".join([cover % ((i,) * (k + 1)) for i in run])
+    name = vertex_table(" conflict_{v}_", n)
+    first = vertex_table("{v}_{c}: x_", n, k)
+    second = vertex_table("{v}_{c} + x_", n, k)
+    end = vertex_table("{v}_{c} <= 1\n", n, k)
     for run in export_runs(graph.edges):
-        yield "".join([conflict % ((v[i] + "_" + v[j], v[i], v[j]) * k) for i, j in run])
+        yield edge_text(run, (name, 0), (first, 1), (second, 0), (end, 1))
     for run in export_runs(v):
         yield "".join([link % ((i,) * (2 * k)) for i in run])
     yield "Binary\n"

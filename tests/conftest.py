@@ -100,7 +100,7 @@ def export_graphs(rng: random.Random) -> list[DistanceGraph]:
         pts = [(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(rng.randint(2, 30))]
         graphs.append(graph_from_points(pts, b=1.5))
     g = max(graphs, key=lambda g: len(g.edges))
-    graphs.append(DistanceGraph(g.points, tuple(reversed(g.edges)), g.b))
+    graphs.append(DistanceGraph(g.points, g.edges[::-1], g.b))
     return graphs
 
 

@@ -146,7 +146,7 @@ def test_criterion_6_solver_soundness(moser_spindle):
         g = random_circulant(rng, max_n=12)
         for k in (2, 3, 4):
             got = k_colorable(KColorQuery(g, k)).colorable
-            want = brute_force_k_colorable(g.n, g.edges, k)
+            want = brute_force_k_colorable(g.n, g.edges.tolist(), k)
             assert got == want, (g.n, g.edges, k)
     report(6, f"spindle in {spindle_time:.3f}s; 200 circulants agree with brute force")
 

@@ -11,6 +11,7 @@ from chromaplane.distgraph import (
     BOUNDARY_TOL,
     EPS_STABILITY_SCALES,
     CircleSpec,
+    DistanceGraph,
     PointConfig,
     build_graph,
     circle_points,
@@ -68,16 +69,35 @@ def test_config_validation():
 
 def test_build_graph_triangle_no_edges():
     g = build_graph(PointConfig((CircleSpec(3, 1.0),)), b=1.3)
-    assert g.edges == ()
+    assert g.edges.shape == (0, 2)
 
 
 def test_build_graph_six_cycle():
     g = build_graph(PointConfig((CircleSpec(6, 1.0),)), b=1.2)
     assert len(g.edges) == 6
-    for i, j in g.edges:
+    for i, j in g.edges.tolist():
         assert (j - i) % 6 in (1, 5)
     # brute-force 2-coloring of the 6-cycle
-    assert brute_force_k_colorable(6, g.edges, 2)
+    assert brute_force_k_colorable(6, g.edges.tolist(), 2)
+
+
+def test_edges_are_one_read_only_index_array():
+    graphs = {
+        "build_graph": build_graph(PointConfig((CircleSpec(6, 1.0), CircleSpec(9, 1.3))), b=1.4),
+        "graph_from_points": graph_from_points([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], b=1.1),
+        "tuples": DistanceGraph(tuple(Point2(x, 0.0) for x in (0, 1, 2)), ((0, 1), (1, 2)), b=1.5),
+        "empty": DistanceGraph((), (), b=1.5),
+    }
+    rows = {"graph_from_points": [[0, 1], [0, 2], [1, 2]], "tuples": [[0, 1], [1, 2]], "empty": []}
+    for name, g in graphs.items():
+        e = g.edges
+        assert e.ndim == 2 and e.shape[1] == 2 and e.dtype == np.intp, name
+        assert not e.flags.writeable, name
+        with pytest.raises(ValueError):
+            e[:1] = 0
+        if name in rows:
+            assert e.tolist() == rows[name], name
+    assert graphs["build_graph"].edges.shape[0] > 0
 
 
 def test_build_graph_rejects_bad_eps():
@@ -100,7 +120,7 @@ def test_case2_graph_vertex_transitive():
     cfg = PointConfig((CircleSpec(190, 1 + eps), CircleSpec(190, b - eps)))
     g = build_graph(cfg, b, eps)
     assert g.n == 380
-    edges = set(g.edges)
+    edges = edge_set(g)
     assert len(edges) % 190 == 0
 
     def shift(v):
@@ -112,9 +132,14 @@ def test_case2_graph_vertex_transitive():
 
 def test_single_circle_circulant_symmetry():
     g = build_graph(PointConfig((CircleSpec(17, 1.02),)), b=1.5)
-    edges = set(g.edges)
+    edges = edge_set(g)
     shifted = {tuple(sorted(((i + 1) % 17, (j + 1) % 17))) for i, j in edges}
     assert shifted == edges
+
+
+def edge_set(g):
+    """The graph's edges as a set of (i, j) int tuples."""
+    return set(map(tuple, g.edges.tolist()))
 
 
 def dense_edges(g):
@@ -129,7 +154,7 @@ def test_circulant_build_matches_dense_desk_scale(case):
             for scale in EPS_STABILITY_SCALES:
                 eps = (b - 1.0) * scale
                 g = build_graph(lower_bound_config(case, b, eps, n), b, eps)
-                assert g.edges == dense_edges(g), (case, b, n, scale)
+                assert np.array_equal(g.edges, dense_edges(g)), (case, b, n, scale)
 
 
 @pytest.mark.parametrize("case, b, edges", [(1, 1.35, 388_700), (2, 1.48, 11_400)])
@@ -142,9 +167,10 @@ def test_circulant_build_matches_dense_full_scale(case, b, edges):
     finally:
         tracemalloc.stop()
     assert len(g.edges) == edges
-    assert g.edges == dense_edges(g)
-    # the dense pass needs an n x n x 2 float temporary: 258 MB for case 1
-    assert peak_mb < 100, peak_mb
+    assert np.array_equal(g.edges, dense_edges(g))
+    # the dense pass needs an n x n x 2 float temporary: 258 MB for case 1;
+    # a tuple of 388,700 Python pairs alone took some 45 MB of it
+    assert peak_mb < 32, peak_mb
 
 
 def test_circulant_build_matches_dense_random_configs():
@@ -161,7 +187,7 @@ def test_circulant_build_matches_dense_random_configs():
     for config in configs:
         b = rng.uniform(1.05, 2.5)
         g = build_graph(config, b, 0.0)
-        assert g.edges == dense_edges(g), (config, b)
+        assert np.array_equal(g.edges, dense_edges(g)), (config, b)
         edges += len(g.edges)
     assert edges > 5_000
 
@@ -170,7 +196,7 @@ def test_edge_monotonicity_in_b():
     cfg = PointConfig((CircleSpec(20, 1.05), CircleSpec(20, 1.3)))
     g1 = build_graph(cfg, b=1.25, eps=0.01)
     g2 = build_graph(cfg, b=1.45, eps=0.01)
-    assert set(g1.edges) <= set(g2.edges)
+    assert edge_set(g1) <= edge_set(g2)
 
 
 def test_scaling_invariance():
@@ -183,7 +209,7 @@ def test_scaling_invariance():
     lo, hi = lam * (1 - BOUNDARY_TOL), lam * (1.4 + BOUNDARY_TOL)
     ii, jj = np.nonzero((d >= lo) & (d <= hi))
     scaled_edges = {(int(i), int(j)) for i, j in zip(ii, jj) if i < j}
-    assert scaled_edges == set(g.edges)
+    assert scaled_edges == edge_set(g)
 
 
 def test_export_dimacs_examples():
@@ -191,7 +217,7 @@ def test_export_dimacs_examples():
     assert export_dimacs(empty) == "p edge 3 0\n"
 
     none = graph_from_points([], b=1.5)
-    assert (none.n, none.edges) == (0, ())
+    assert (none.n, none.edges.shape) == (0, (0, 2))
     assert export_dimacs(none) == "p edge 0 0\n"
 
     tri = graph_from_points([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], b=1.1)
@@ -207,7 +233,7 @@ def test_export_dimacs_examples():
 def reference_export_dimacs(g):
     """The list-and-join export_dimacs, kept as the oracle of the streamed one."""
     lines = [f"p edge {g.n} {len(g.edges)}"]
-    for i, j in g.edges:
+    for i, j in g.edges.tolist():
         lines.append(f"e {i + 1} {j + 1}")
     return "\n".join(lines) + "\n"
 

@@ -122,6 +122,17 @@ def test_point_to_tile_examples():
     assert point_to_tile((SQRT3 / 2, 0.0)) == (1, 0)
 
 
+def test_point_to_tile_rejects_coordinates_without_a_tile():
+    # no int64 tile index holds these; a cast would make one up
+    for bad in (math.nan, math.inf, -math.inf, 1e300, -1e300, 2.0**62):
+        for p in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                point_to_tile(p)
+    # just inside the limit, a point on the i axis still gets its own tile
+    i, j = point_to_tile((4e18, 0.0))
+    assert j == 0 and i == pytest.approx(4e18 / (SQRT3 / 2), rel=1e-15)
+
+
 def test_point_to_tile_partition():
     from chromaplane.hexcolor import _tile_indices_vectorized
 

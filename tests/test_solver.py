@@ -62,7 +62,7 @@ def test_six_cycle_two_colorable():
     out = k_colorable(KColorQuery(g, 2))
     assert out.colorable
     assert verify_coloring(g, out.assignment)
-    assert brute_force_k_colorable(6, g.edges, 2)
+    assert brute_force_k_colorable(6, g.edges.tolist(), 2)
 
 
 def test_oracle_agreement_random_circulants():
@@ -71,7 +71,7 @@ def test_oracle_agreement_random_circulants():
         g = random_circulant(rng)
         for k in (2, 3, 4):
             got = k_colorable(KColorQuery(g, k)).colorable
-            want = brute_force_k_colorable(g.n, g.edges, k)
+            want = brute_force_k_colorable(g.n, g.edges.tolist(), k)
             assert got == want, f"n={g.n} edges={g.edges} k={k}"
 
 
@@ -88,7 +88,7 @@ def test_oracle_agreement_random_dense_graphs():
         g = random_dense_graph(rng)
         for k in (2, 3, 4):
             got = k_colorable(KColorQuery(g, k)).colorable
-            want = brute_force_k_colorable(g.n, g.edges, k)
+            want = brute_force_k_colorable(g.n, g.edges.tolist(), k)
             assert got == want, f"n={g.n} edges={g.edges} k={k}"
 
 
@@ -344,6 +344,8 @@ def test_chromatic_number_examples(moser_spindle):
 
     empty = graph_from_points([(3 * i, 0) for i in range(10)], b=1.5)
     assert chromatic_number(empty) == 1
+    # no vertices: the empty coloring uses 0 colors
+    assert chromatic_number(DistanceGraph((), (), 1.5)) == 0
     assert chromatic_number(six_cycle()) == 2
 
     # an odd cycle: its largest clique is an edge, yet it needs 3 colors
@@ -441,7 +443,7 @@ def reference_export_cnf(graph, k):
     for i in range(1, n + 1):
         base = (i - 1) * k
         lines.append(" ".join(str(base + c) for c in range(1, k + 1)) + " 0")
-    for i, j in edges:
+    for i, j in edges.tolist():
         for c in range(1, k + 1):
             lines.append(f"-{i * k + c} -{j * k + c} 0")
     return "\n".join(lines) + "\n"
@@ -456,7 +458,7 @@ def reference_export_lp(graph, k):
     for i in range(1, n + 1):
         terms = " + ".join(f"x_{i}_{c}" for c in range(1, k + 1))
         out.append(f" cover_{i}: {terms} >= 1")
-    for i, j in edges:
+    for i, j in edges.tolist():
         for c in range(1, k + 1):
             out.append(f" conflict_{i + 1}_{j + 1}_{c}: x_{i + 1}_{c} + x_{j + 1}_{c} <= 1")
     for i in range(1, n + 1):

@@ -25,7 +25,10 @@ from .distgraph import (
     build_graph,
     default_eps,
 )
-from .geom import B_TOL, chord, forbidden_distances, forbidden_pair_draws, pair_distances
+from .geom import (
+    B_TOL, chord, column_blocks, forbidden_distances, forbidden_window, pair_distances,
+    scale_draws, unit_draws,
+)
 from .solver import ColoringOutcome, KColorQuery, NOT_COLORABLE, k_colorable
 from .text import table_text
 
@@ -86,16 +89,16 @@ class RadialScheme:
         return TWO_PI / self.s
 
 
-def _sector_colors(scheme: RadialScheme, angles: np.ndarray) -> np.ndarray:
-    """Color of the sector containing each angle in [0, 2*pi)."""
-    return np.minimum((angles / scheme.alpha).astype(int), scheme.s - 1) % scheme.k
+def _sector_colors(k: int, s: int, angles: np.ndarray) -> np.ndarray:
+    """Color of the (k, s) scheme's sector containing each angle in [0, 2*pi)."""
+    return np.minimum((angles / (TWO_PI / s)).astype(int), s - 1) % k
 
 
 def radial_color(scheme: RadialScheme, angle: float) -> int:
     """Color of the sector containing `angle` (angle in [0, 2*pi))."""
     if not 0.0 <= angle < TWO_PI:
         raise ValueError(f"angle must lie in [0, 2*pi), got {angle}")
-    return int(_sector_colors(scheme, np.float64(angle)))
+    return int(_sector_colors(scheme.k, scheme.s, np.float64(angle)))
 
 
 def radial_max_b_detail(k: int, s: int) -> tuple[float | None, dict[str, float], str]:
@@ -295,6 +298,62 @@ def annulus_bounds_csv() -> str:
     return table_text(AnnulusBoundsRow._fields, annulus_bounds_rows())
 
 
+def _strata_violation(scheme: RadialScheme) -> bool:
+    """radial_violation_exists' strata: its deterministic half."""
+    offs = np.array([1e-9, 1e-7, -1e-9, -1e-7])
+    boundary = np.add.outer(np.arange(scheme.s) * scheme.alpha, offs).ravel() % TWO_PI
+    ang = np.repeat(boundary, 2)
+    rad = np.tile([1.0, scheme.b], boundary.size)
+    pts = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
+    d = pair_distances(pts, pts)
+    cols = _sector_colors(scheme.k, scheme.s, ang)
+    return bool(np.any((cols[:, None] == cols[None, :]) & forbidden_distances(d, scheme.b)))
+
+
+class _PairBlock(NamedTuple):
+    """The part of a block of random pairs that no b changes: both angle
+    ranges are (0, 2 pi), so only r^2 and d are scaled per b."""
+
+    unit_r_sq: np.ndarray  # r^2 of the first point is uniform on (1, b^2): by area
+    cos1: np.ndarray  # direction of the first point
+    sin1: np.ndarray
+    col1: np.ndarray  # and its sector color
+    unit_d: np.ndarray  # distance to the second point, in forbidden_window(b)
+    cos_phi: np.ndarray  # direction to the second point
+    sin_phi: np.ndarray
+
+
+def _pair_blocks(k: int, s: int, seed: int, n_pairs: int):
+    """The n_pairs seeded random pairs of the (k, s) scheme, in column_blocks."""
+    for chunk in unit_draws(seed, n_pairs):
+        for unit_r_sq, unit_a1, unit_d, unit_phi in column_blocks(chunk):
+            a1 = scale_draws(unit_a1, 0.0, TWO_PI)
+            phi = scale_draws(unit_phi, 0.0, TWO_PI)
+            yield _PairBlock(
+                unit_r_sq.copy(), np.cos(a1), np.sin(a1), _sector_colors(k, s, a1),
+                unit_d.copy(), np.cos(phi), np.sin(phi),
+            )
+
+
+def _radial_violation(k: int, s: int, b: float, blocks) -> bool:
+    """radial_violation_exists at b over the given _pair_blocks."""
+    scheme = RadialScheme(k, s, b)
+    if _strata_violation(scheme):
+        return True
+    d_low, d_high = forbidden_window(b)
+    for blk in blocks:
+        r1 = np.sqrt(scale_draws(blk.unit_r_sq, 1.0, b * b))
+        dd = scale_draws(blk.unit_d, d_low, d_high)
+        x2 = r1 * blk.cos1 + dd * blk.cos_phi
+        y2 = r1 * blk.sin1 + dd * blk.sin_phi
+        r2 = np.hypot(x2, y2)
+        inside = (r2 >= 1.0) & (r2 <= b)
+        a2 = np.arctan2(y2[inside], x2[inside]) % TWO_PI
+        if np.any(blk.col1[inside] == _sector_colors(k, s, a2)):
+            return True
+    return False
+
+
 def radial_violation_exists(
     k: int,
     s: int,
@@ -308,33 +367,10 @@ def radial_violation_exists(
     Deterministic strata put points just inside every sector boundary on
     both extreme radii, which is where the scheme's critical pairs live;
     seeded random pairs (second point drawn at a forbidden distance from
-    the first) sweep everything else.
+    the first) sweep everything else. The pairs are drawn as they are
+    checked, so memory does not grow with n_pairs.
     """
-    scheme = RadialScheme(k, s, b)
-
-    # strata: both radii, angles a hair on each side of every boundary
-    offs = np.array([1e-9, 1e-7, -1e-9, -1e-7])
-    boundary = np.add.outer(np.arange(s) * scheme.alpha, offs).ravel() % TWO_PI
-    ang = np.repeat(boundary, 2)
-    rad = np.tile([1.0, b], boundary.size)
-    pts = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
-    d = pair_distances(pts, pts)
-    cols = _sector_colors(scheme, ang)
-    if np.any((cols[:, None] == cols[None, :]) & forbidden_distances(d, b)):
-        return True
-
-    # first point uniform in the annulus by area: r^2 uniform on (1, b^2)
-    draws = forbidden_pair_draws(seed, n_pairs, (1.0, b * b), (0.0, TWO_PI), b)
-    for r_sq, a1, dd, phi in draws:
-        r1 = np.sqrt(r_sq)
-        x2 = r1 * np.cos(a1) + dd * np.cos(phi)
-        y2 = r1 * np.sin(a1) + dd * np.sin(phi)
-        r2 = np.hypot(x2, y2)
-        inside = (r2 >= 1.0) & (r2 <= b)
-        a2 = np.arctan2(y2[inside], x2[inside]) % TWO_PI
-        if np.any(_sector_colors(scheme, a1[inside]) == _sector_colors(scheme, a2)):
-            return True
-    return False
+    return _radial_violation(k, s, b, _pair_blocks(k, s, seed, n_pairs))
 
 
 def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) -> float:
@@ -342,9 +378,14 @@ def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) 
     NUMERIC_BRACKET to NUMERIC_TOL.
 
     Independent numerical route to the same quantity as radial_max_b;
-    the two must agree to 1e-6.
+    the two must agree to 1e-6. Every probe is radial_violation_exists(k,
+    s, b, n_pairs, seed), but the random pairs are drawn once per call,
+    with all the work that no b changes, and reused by every probe; they
+    take 56 bytes per pair for the whole call.
     """
+    RadialScheme(k, s, 1.5)  # validate (k, s) before drawing
+    blocks = list(_pair_blocks(k, s, seed, n_pairs))
     return _bisect(
-        lambda b: radial_violation_exists(k, s, b, n_pairs, seed), *NUMERIC_BRACKET, NUMERIC_TOL,
+        lambda b: _radial_violation(k, s, b, blocks), *NUMERIC_BRACKET, NUMERIC_TOL,
         f"the ({k}, {s}) scheme is invalid",
     )

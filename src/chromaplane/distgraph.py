@@ -91,8 +91,9 @@ class PointConfig:
 class DistanceGraph:
     """Immutable graph: points plus index-pair edges for distances in [1, b].
 
-    edges is a read-only (m, 2) np.intp array, one row (i, j) per edge; the
-    constructor takes an array or a sequence of pairs, () for no edges.
+    edges is a read-only (m, 2) np.intp array, one row (i, j) per edge with
+    0 <= i, j < n and i != j; the constructor takes an array or a sequence of
+    pairs, () for no edges, and refuses any other index with ValueError.
     build_graph and graph_from_points store i < j, sorted (i asc, j asc);
     the exports write edges in stored order. Graphs compare by identity:
     an array field has no tuple-like == or hash.
@@ -105,6 +106,11 @@ class DistanceGraph:
 
     def __post_init__(self):
         edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        n = len(self.points)
+        if edges.size and not (
+            0 <= edges.min() and edges.max() < n and (edges[:, 0] != edges[:, 1]).all()
+        ):
+            raise ValueError(f"edges must join two distinct vertices in 0..{n - 1}")
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 

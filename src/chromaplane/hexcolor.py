@@ -22,7 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import B_TOL, Point2, forbidden_distances, forbidden_pair_draws, pair_distances
+from .geom import (
+    B_TOL, Point2, column_blocks, forbidden_distances, forbidden_pair_draws, pair_distances,
+)
 from .text import table_text
 
 SQRT3 = math.sqrt(3.0)
@@ -371,11 +373,12 @@ def verify_scheme_sampled(
     v, vb = scheme.v, scheme.vbar
     span = abs(v.x) + abs(vb.x) + abs(v.y) + abs(vb.y) + b + 2.0
     window = (-span, span)
-    for x1, y1, d, phi in forbidden_pair_draws(seed, samples, window, window, b):
-        x2 = x1 + d * np.cos(phi)
-        y2 = y1 + d * np.sin(phi)
-        if np.any(_colors_of_points(scheme, x1, y1) == _colors_of_points(scheme, x2, y2)):
-            return False
+    for chunk in forbidden_pair_draws(seed, samples, window, window, b):
+        for x1, y1, d, phi in column_blocks(chunk):
+            x2 = x1 + d * np.cos(phi)
+            y2 = y1 + d * np.sin(phi)
+            if np.any(_colors_of_points(scheme, x1, y1) == _colors_of_points(scheme, x2, y2)):
+                return False
     return True
 
 

@@ -28,6 +28,7 @@ from chromaplane.annulus import (
     threshold_bisect,
 )
 from chromaplane.distgraph import CircleSpec
+from chromaplane.geom import DRAW_CHUNK
 from chromaplane.solver import COLORABLE, NOT_COLORABLE
 
 
@@ -78,7 +79,7 @@ def test_radial_color_is_the_vectorized_sector_rule():
                                   ((t * alpha - 1e-9) % (2 * math.pi), t - 1)):
                 angles.append(angle)
                 want.append(sector % k)
-        vectorized = annulus._sector_colors(scheme, np.array(angles))
+        vectorized = annulus._sector_colors(k, s, np.array(angles))
         scalar = [radial_color(scheme, a) for a in angles]
         assert scalar == vectorized.tolist() == want, (k, s)
         assert all(type(c) is int for c in scalar)
@@ -158,6 +159,66 @@ def test_radial_scheme_valid_below_max(ks):
     k, s = ks
     b = radial_max_b(k, s) - 1e-3
     assert not radial_violation_exists(k, s, b, n_pairs=1_000_000, seed=1)
+
+
+@pytest.mark.parametrize("pairs_only", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("ks", sorted(annulus.RADIAL_SECTORS.items()))
+def test_radial_max_b_numeric_is_the_bisection_of_radial_violation_exists(
+    ks, seed, pairs_only, monkeypatch
+):
+    # the pairs drawn once per call give every probe the verdict a fresh
+    # radial_violation_exists(k, s, b, n_pairs, seed) gives, so the same b.
+    # With the strata on, they alone end the bisection at the cap; with them
+    # off, the b is the random pairs' own, and moves with the seed and every block
+    k, s = ks
+    n_pairs = 100_000
+    if pairs_only:
+        monkeypatch.setattr(annulus, "_strata_violation", lambda scheme: False)
+        n_pairs = 20_000
+    assert radial_max_b_numeric(k, s, n_pairs, seed) == _streamed_max_b(k, s, n_pairs, seed)
+
+
+def _streamed_max_b(k, s, n_pairs, seed):
+    return annulus._bisect(
+        lambda b: radial_violation_exists(k, s, b, n_pairs, seed),
+        *annulus.NUMERIC_BRACKET, annulus.NUMERIC_TOL, "invalid",
+    )
+
+
+def test_pair_blocks_hold_the_seeded_draws():
+    # what radial_max_b_numeric keeps for all its probes: rng.uniform's draws
+    # bit for bit, over a full chunk and a partial one of one reused buffer
+    k, s, seed, n_pairs = 4, 12, 1, DRAW_CHUNK + 5_000
+    blocks = list(annulus._pair_blocks(k, s, seed, n_pairs))
+    got = {f: np.concatenate([getattr(blk, f) for blk in blocks]) for f in blocks[0]._fields}
+    rng = np.random.default_rng(seed)
+    want = {f: [] for f in got}
+    for m in (DRAW_CHUNK, 5_000):
+        want["unit_r_sq"].append(rng.uniform(0.0, 1.0, m))
+        a1 = rng.uniform(0.0, 2.0 * math.pi, m)
+        want["unit_d"].append(rng.uniform(0.0, 1.0, m))
+        phi = rng.uniform(0.0, 2.0 * math.pi, m)
+        want["cos1"].append(np.cos(a1))
+        want["sin1"].append(np.sin(a1))
+        want["col1"].append(annulus._sector_colors(k, s, a1))
+        want["cos_phi"].append(np.cos(phi))
+        want["sin_phi"].append(np.sin(phi))
+    for f, arrays in want.items():
+        assert np.array_equal(got[f], np.concatenate(arrays)), f
+
+
+def test_radial_max_b_numeric_draws_once(monkeypatch):
+    rngs = []
+    default_rng = np.random.default_rng
+
+    def spy(seed):
+        rngs.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    radial_max_b_numeric(4, 12, seed=3)
+    assert rngs == [3]
 
 
 def test_lower_bound_config_cases():
@@ -277,11 +338,12 @@ def test_threshold_bisect_ends_for_every_tol(monkeypatch):
 def test_radial_max_b_numeric_ends_for_every_tol(monkeypatch):
     probes = []
 
-    def fake(k, s, b, n_pairs=100_000, seed=0):
+    # each bisection probe is one _radial_violation over the call's pair blocks
+    def fake(k, s, b, blocks):
         probes.append(b)
         return b > 1.5
 
-    monkeypatch.setattr(annulus, "radial_violation_exists", fake)
+    monkeypatch.setattr(annulus, "_radial_violation", fake)
     bracket, default_tol = annulus.NUMERIC_BRACKET, annulus.NUMERIC_TOL
     # probes 1.5, 1.625, 1.5625, 1.53125, 1.515625 after the bracket ends
     monkeypatch.setattr(annulus, "NUMERIC_BRACKET", (1.25, 1.75))

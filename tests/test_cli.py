@@ -7,11 +7,12 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chromaplane import hexcolor, solver
+from chromaplane import annulus, hexcolor, solver
 from chromaplane.cli import build_parser, main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -519,6 +520,25 @@ def test_internal_value_error_exits_4(capsys, monkeypatch):
     assert rc == 4
     assert out == ""
     assert "internal: ValueError: boom" in err
+
+
+@pytest.mark.parametrize("label", ["eps_instability", "non_monotone"])
+def test_threshold_instance_verdicts_exit_2(capsys, monkeypatch, label):
+    # a threshold that moves with eps, or a verdict that is not monotone around
+    # b*, is a statement about the instance, like a bracket that does not straddle
+    def verdict(case, b, k, n_override=None, eps=None, time_budget=None, seed=0):
+        if label == "eps_instability":
+            needs = b >= (1.4 if eps / (b - 1.0) < 1e-6 else 1.3)
+        else:
+            needs = b >= 1.4 and not 1.41 < b < 1.42
+        return SimpleNamespace(status=solver.NOT_COLORABLE if needs else solver.COLORABLE)
+
+    monkeypatch.setattr(annulus, "annulus_verdict", verdict)
+    rc, out, err = run_main(capsys, "threshold", "--case", "1", "--k", "4", "--n", "65",
+                            "--b-lo", "1.25", "--b-hi", "1.5", "--tol", "0.015625")
+    assert (rc, out) == (2, "")
+    assert f"chromaplane: error: {label}: " in err, err
+    assert "internal" not in err
 
 
 def test_main_callable_in_process(capsys):

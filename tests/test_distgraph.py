@@ -100,6 +100,17 @@ def test_edges_are_one_read_only_index_array():
     assert graphs["build_graph"].edges.shape[0] > 0
 
 
+def test_distance_graph_refuses_bad_edge_indices():
+    pts = (Point2(0.0, 0.0), Point2(1.0, 0.0))
+    for edges in (((0, -1),), ((0, 2),), ((1, 1),), ((0, 1), (2, 0))):
+        with pytest.raises(ValueError, match="distinct vertices"):
+            DistanceGraph(pts, edges, 1.5)
+    with pytest.raises(ValueError, match="distinct vertices"):
+        DistanceGraph((), ((0, 1),), 1.5)
+    for edges in ((), np.empty((0, 2), dtype=np.intp), ((0, 1),)):
+        assert DistanceGraph(pts, edges, 1.5).edges.shape == (len(edges), 2)
+
+
 def test_build_graph_rejects_bad_eps():
     cfg = PointConfig((CircleSpec(6, 1.0),))
     with pytest.raises(ValueError):

@@ -517,8 +517,12 @@ def test_verify_scheme_sampled_points_pinned(monkeypatch):
         d = rng.uniform(1.0 + 1e-9, b - 1e-9, m)
         phi = rng.uniform(0.0, 2.0 * math.pi, m)
         want += [(x1, y1), (x1 + d * np.cos(phi), y1 + d * np.sin(phi))]
-    assert len(seen) == len(want)
-    for (xs, ys), (wx, wy) in zip(seen, want):
+    # the check walks each chunk in blocks, first points then second points;
+    # joined, they are every drawn point of both sets in draw order
+    for got, wanted in ((seen[0::2], want[0::2]), (seen[1::2], want[1::2])):
+        xs, ys = (np.concatenate([pt[c] for pt in got]) for c in (0, 1))
+        wx, wy = (np.concatenate([pt[c] for pt in wanted]) for c in (0, 1))
+        assert xs.size == ys.size == samples
         assert np.array_equal(xs, wx) and np.array_equal(ys, wy)
 
 

@@ -286,14 +286,6 @@ def annulus_bounds_rows() -> list[AnnulusBoundsRow]:
     return rows
 
 
-def annulus_bounds(b: float) -> AnnulusBoundsRow:
-    """Bounds row whose interval (b_lo, b_hi] contains b."""
-    for row in annulus_bounds_rows():
-        if row.b_lo < b <= row.b_hi:
-            return row
-    raise ValueError(f"b = {b} is outside the tabulated range")
-
-
 def annulus_bounds_csv() -> str:
     return table_text(AnnulusBoundsRow._fields, annulus_bounds_rows())
 
@@ -382,6 +374,11 @@ def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) 
     s, b, n_pairs, seed), but the random pairs are drawn once per call,
     with all the work that no b changes, and reused by every probe; they
     take 56 bytes per pair for the whole call.
+
+    The strata decide the result: above the cap they stop every probe
+    first, and below it the scheme is valid. The random pairs are an
+    independent cross-check that has not decided a result near the cap;
+    with the strata left out, 100k pairs alone stop 0.03-0.12 above it.
     """
     RadialScheme(k, s, 1.5)  # validate (k, s) before drawing
     blocks = list(_pair_blocks(k, s, seed, n_pairs))

@@ -10,12 +10,14 @@ All decisions are deterministic for a fixed seed.
 The search relabels vertices by rank, sorted by (-degree, index), so the
 lowest set bit of any mask of ranks is its highest-degree, lowest-index
 vertex. The clique search runs on the same rank masks, so one adjacency
-build serves both. Uncolored ranks sit in saturation buckets (bucket[s]
-holds those with s distinct neighbor colors); the branch vertex is the
-lowest set bit of the highest nonempty bucket, an O(k) pick. Per-color
-masks of the ranks that already see each color let a newly colored
-vertex touch only the uncolored neighbors whose saturation actually
-grows.
+build serves both. The search state is masks of ranks only: seen[c]
+holds the ranks with a neighbor colored c, and the count of colors each
+rank sees is bit-sliced over k.bit_length() planes (plane p holds bit p
+of every count). Coloring v with c adds radj[v] & ~seen[c] to seen[c]
+and ripple-adds it into the planes; each frame saves the old seen[c]
+and planes, so undo is two restores. The branch vertex comes from
+narrowing the uncolored mask plane by plane, highest first. No step
+loops over neighbors.
 
 The CNF and LP exports are generators of text chunks (cnf_chunks,
 lp_chunks) over distgraph.export_runs; a run of edges is written by
@@ -152,21 +154,17 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
         return ColoringOutcome(NOT_COLORABLE, None, 0, time.monotonic() - start)
 
     color = [-1] * n
-    sat = [0] * n  # bit c set: some neighbor has color c
-    seen = [0] * k  # seen[c]: ranks with bit c set in sat
+    seen = [0] * k  # seen[c]: ranks with a neighbor colored c
+    cnt = [0] * k.bit_length()  # cnt[p]: bit p of each rank's count of colors seen
     unc = (1 << n) - 1  # uncolored ranks
     for idx, r in enumerate(clique):
         color[r] = idx
         unc ^= 1 << r
-        seen[idx] = c = radj[r]
-        while c:
-            low = c & -c
-            c ^= low
-            sat[low.bit_length() - 1] |= 1 << idx
-    bucket = [0] * (k + 1)  # bucket[s]: uncolored ranks with s bits set in sat
-    for r in range(n):
-        if color[r] == -1:
-            bucket[sat[r].bit_count()] |= 1 << r
+        seen[idx] = new = radj[r]
+        p = 0
+        while new:  # ripple-add one to the count of each rank in new
+            cnt[p], new = cnt[p] ^ new, cnt[p] & new
+            p += 1
 
     nodes = 0
     next_check = _BUDGET_CHECK_INTERVAL
@@ -183,23 +181,6 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
             progress(nodes, now - start)
             next_progress = now + _PROGRESS_INTERVAL
 
-    # each frame: [rank, remaining candidate mask, ranks it saturated, saved max_used]
-    stack = []
-
-    def descend(max_used: int) -> bool:
-        """Push the most saturated uncolored rank, lowest on ties; False if none."""
-        nonlocal unc
-        for s in range(k, -1, -1):
-            b = bucket[s]
-            if b:
-                low = b & -b
-                bucket[s] = b ^ low
-                unc ^= low
-                w = low.bit_length() - 1
-                stack.append([w, ~sat[w] & ((1 << min(k, max_used + 1)) - 1), 0, max_used])
-                return True
-        return False
-
     def outcome(status: str) -> ColoringOutcome:
         elapsed = time.monotonic() - start
         if status == NOT_COLORABLE:
@@ -209,51 +190,55 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
             raise RuntimeError("search produced an improper coloring")
         return ColoringOutcome(status, assignment, nodes, elapsed)
 
-    if not descend(len(clique)):
-        return outcome(COLORABLE)
-    while stack:
-        frame = stack[-1]
-        v, cand, changed, saved_max = frame
-        if changed:
-            ci = color[v]
-            bit = 1 << ci
-            seen[ci] ^= changed
-            frame[2] = 0
-            while changed:
-                low = changed & -changed
-                changed ^= low
-                u = low.bit_length() - 1
-                s = sat[u].bit_count()
-                sat[u] ^= bit
-                bucket[s] ^= low
-                bucket[s - 1] |= low
-        if cand == 0:
-            color[v] = -1
-            bucket[sat[v].bit_count()] |= 1 << v
-            unc |= 1 << v
-            stack.pop()
-            continue
-        bit = cand & -cand
-        frame[1] = cand ^ bit
-        ci = bit.bit_length() - 1
-        color[v] = ci
-        nodes += 1
-        if nodes >= next_check:
-            tick()
-        c = frame[2] = radj[v] & unc & ~seen[ci]
-        seen[ci] |= c
-        while c:
-            low = c & -c
-            c ^= low
-            u = low.bit_length() - 1
-            s = sat[u].bit_count()
-            sat[u] |= bit
-            bucket[s] ^= low
-            bucket[s + 1] |= low
-        # a rank in bucket[k] has no color left: try the next color for v
-        if not bucket[k] and not descend(max(saved_max, ci + 1)):
+    # each frame: [rank, its bit, next color to try, colors allowed, saved
+    # max_used, and, once the rank is colored, seen[color] and cnt from before]
+    stack = []
+    max_used = len(clique)
+    while True:
+        # push the most saturated uncolored rank, lowest rank on ties. One that
+        # sees all k colors is a dead end: it is picked first and has no color
+        # to try, so the search backs up without counting a node
+        if not unc:
             return outcome(COLORABLE)
-    return outcome(NOT_COLORABLE)
+        top = unc
+        for plane in reversed(cnt):
+            if top & plane:
+                top &= plane
+        bit = top & -top
+        unc ^= bit
+        limit = max_used + 1 if max_used < k else k
+        stack.append([bit.bit_length() - 1, bit, 0, limit, max_used, 0, None])
+        while stack:
+            frame = stack[-1]
+            v, bit, c, limit, saved_max, saved_seen, saved_cnt = frame
+            if saved_cnt:
+                seen[color[v]] = saved_seen
+                cnt = saved_cnt
+            while c < limit and seen[c] & bit:
+                c += 1
+            if c == limit:
+                color[v] = -1
+                unc |= bit
+                stack.pop()
+                continue
+            frame[2] = c + 1
+            color[v] = c
+            nodes += 1
+            if nodes >= next_check:
+                tick()
+            frame[5] = s = seen[c]
+            frame[6] = cnt
+            cnt = cnt[:]
+            new = radj[v] & ~s
+            seen[c] = s | new
+            p = 0
+            while new:  # the ripple add, on a copy: the frame keeps the old planes
+                cnt[p], new = cnt[p] ^ new, cnt[p] & new
+                p += 1
+            max_used = c + 1 if c >= saved_max else saved_max
+            break
+        else:
+            return outcome(NOT_COLORABLE)
 
 
 def verify_coloring(graph: DistanceGraph, assignment) -> bool:

@@ -21,7 +21,6 @@ from chromaplane.annulus import (
     radial_max_b_detail,
     radial_max_b_numeric,
     radial_violation_exists,
-    annulus_bounds,
     annulus_bounds_csv,
     annulus_bounds_rows,
     lower_bound_config,
@@ -395,20 +394,17 @@ def test_annulus_bounds_rows_structure():
 
 
 def test_annulus_bounds_examples():
-    row = annulus_bounds(1.40)
-    assert (row.lower, row.upper) == (4, 4)
-    row = annulus_bounds(1.45)
-    assert (row.lower, row.upper) == (4, 5)
-    row = annulus_bounds(1.83)
-    assert (row.lower, row.upper) == (7, 8)
-    row = annulus_bounds(1.81)
-    assert (row.lower, row.upper) == (6, 8)
-    row = annulus_bounds(1.1)
-    assert (row.lower, row.upper) == (3, 3)
-    with pytest.raises(ValueError):
-        annulus_bounds(1.9)
-    with pytest.raises(ValueError):
-        annulus_bounds(0.9)
+    def rows_holding(b):
+        return [(row.lower, row.upper) for row in annulus_bounds_rows() if row.b_lo < b <= row.b_hi]
+
+    assert rows_holding(1.40) == [(4, 4)]
+    assert rows_holding(1.45) == [(4, 5)]
+    assert rows_holding(1.83) == [(7, 8)]
+    assert rows_holding(1.81) == [(6, 8)]
+    assert rows_holding(1.1) == [(3, 3)]
+    # outside the tabulated range
+    assert rows_holding(1.9) == []
+    assert rows_holding(0.9) == []
 
 
 def test_annulus_bounds_csv():

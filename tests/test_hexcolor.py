@@ -15,7 +15,6 @@ from chromaplane.hexcolor import (
     color_count,
     color_of_tile,
     enumerated_color_count,
-    family_bound,
     min_colors_curve,
     hex_b_max,
     min_same_color_distance,
@@ -438,19 +437,19 @@ def test_named_families():
     s = named_family("exoo", 1)
     assert (s.p, s.q) == (1, 2)
     assert color_count(s) == 7
-    assert family_bound("exoo", 1) == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
-    assert hex_b_max(1, 2) == pytest.approx(family_bound("exoo", 1), abs=1e-9)
+    assert hexcolor._family("exoo", 1)[1] == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
+    assert hex_b_max(1, 2) == pytest.approx(hexcolor._family("exoo", 1)[1], abs=1e-9)
 
     s = named_family("lonc", 2)
     assert (s.p, s.q) == (2, 2)
     assert color_count(s) == 12
-    assert family_bound("lonc", 2) == 2
+    assert hexcolor._family("lonc", 2)[1] == 2
     assert hex_b_max(2, 2) == pytest.approx(2, abs=1e-9)
 
     s = named_family("gjssw", 3)
     assert (s.p, s.q) == (3, 0)
     assert color_count(s) == 9
-    assert family_bound("gjssw", 3) == pytest.approx(math.sqrt(3), abs=1e-12)
+    assert hexcolor._family("gjssw", 3)[1] == pytest.approx(math.sqrt(3), abs=1e-12)
     assert hex_b_max(3, 0) == pytest.approx(math.sqrt(3), abs=1e-9)
 
     with pytest.raises(ValueError):
@@ -463,7 +462,7 @@ def test_named_family_reach_meets_bound():
     for family in ("exoo", "lonc", "gjssw"):
         for r in range(1, 9):
             s = named_family(family, r)
-            bound = family_bound(family, r)
+            bound = hexcolor._family(family, r)[1]
             reach = min_same_color_distance(s.p, s.q)
             assert reach >= bound - 1e-9
             if reach - bound > 1e-6:

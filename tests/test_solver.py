@@ -75,10 +75,10 @@ def test_oracle_agreement_random_circulants():
             assert got == want, f"n={g.n} edges={g.edges} k={k}"
 
 
-def random_dense_graph(rng, max_n=11):
+def random_dense_graph(rng, max_n=11, density=0.5):
     # non-symmetric structure, unlike the circulant family
     n = rng.randint(4, max_n)
-    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5)
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density)
     return DistanceGraph(tuple(Point2(3.0 * i, 0.0) for i in range(n)), edges, b=1.0)
 
 
@@ -268,6 +268,29 @@ def test_search_matches_reference_dsatur(monkeypatch):
         out = k_colorable(KColorQuery(case_graph(case, b, None, n), k), seed=seed)
         assert out.search_nodes == nodes, (case, seed)
         assert out.colorable == (case == 2)
+
+
+def test_search_matches_reference_dsatur_at_every_plane_boundary(monkeypatch):
+    # the counts of colors seen are bit-sliced over k.bit_length() planes: k = 1
+    # is one plane, k = 5 and 7 fill three (7 is every bit), k = 8 carries into a
+    # fourth. Dense graphs make counts reach k, sparse ones keep k = 1 colorable.
+    rng = random.Random(1979)
+    graphs = [random_dense_graph(rng, max_n=28, density=rng.uniform(0.6, 0.9)) for _ in range(40)]
+    graphs += [random_dense_graph(rng, max_n=12, density=0.05) for _ in range(10)]
+    verdicts = set()
+    for use_clique_seed in (True, False):
+        if not use_clique_seed:
+            monkeypatch.setattr(solver, "_CLIQUE_RESTARTS", 0)
+        for g in graphs:
+            for k in (1, 5, 7, 8):
+                # each solve takes milliseconds; the budget ends a search that
+                # never leaves the colored ranks instead of letting it run on
+                out = k_colorable(KColorQuery(g, k, time_budget=5.0))
+                want = reference_dsatur(g, k, use_clique_seed=use_clique_seed)
+                assert (out.status, out.assignment, out.search_nodes) == want, (g.edges, k)
+                verdicts.add((k, out.status, out.search_nodes > 0))
+    # each k is searched to both verdicts
+    assert verdicts >= {(k, s, True) for k in (1, 5, 7, 8) for s in (COLORABLE, NOT_COLORABLE)}
 
 
 def test_colorable_monotone_in_k():

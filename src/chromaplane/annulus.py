@@ -51,6 +51,13 @@ CASE_CIRCLE_COUNTS = {1: (1300, 2), 2: (190, 2), 3: (180, 3), 4: (120, 3), 5: (1
 # Sector counts of the reference radial schemes per color count.
 RADIAL_SECTORS = {3: 9, 4: 12, 5: 10, 6: 12, 7: 14, 8: 16}
 
+# Relative half-width of the rims around r^2 = 1 and r^2 = b^2 on which the
+# radial pair check asks hypot whether a point is inside the annulus. Off
+# them, r^2 = x*x + y*y and the rim ends carry a few rounding errors of
+# 1.1e-16 relative each, and hypot is within 1 ulp of r: both forms lie on
+# the same side of 1 and of b, so the squared radius decides as hypot does.
+RIM_BAND = 1e-12
+
 # radial_max_b_numeric bisects this b bracket to this width.
 NUMERIC_BRACKET = (1.001, 2.5)
 NUMERIC_TOL = 1e-7
@@ -91,7 +98,7 @@ class RadialScheme:
 
 def _sector_colors(k: int, s: int, angles: np.ndarray) -> np.ndarray:
     """Color of the (k, s) scheme's sector containing each angle in [0, 2*pi)."""
-    return np.minimum((angles / (TWO_PI / s)).astype(int), s - 1) % k
+    return (np.arange(s) % k)[np.minimum((angles / (TWO_PI / s)).astype(int), s - 1)]
 
 
 def radial_color(scheme: RadialScheme, angle: float) -> int:
@@ -328,20 +335,37 @@ def _pair_blocks(k: int, s: int, seed: int, n_pairs: int):
 
 
 def _radial_violation(k: int, s: int, b: float, blocks) -> bool:
-    """radial_violation_exists at b over the given _pair_blocks."""
+    """radial_violation_exists at b over the given _pair_blocks.
+
+    Each pair gets the decisions that hypot, arctan2 % TWO_PI and
+    _sector_colors of its second point made, for less work. Off the
+    RIM_BAND rims the squared radius decides inside as hypot does, and
+    hypot decides the pairs on them. numpy's float % is fmod plus the
+    divisor when the result is negative, and fmod(a, 2 pi) = a for every
+    arctan2 angle a, so a + TWO_PI * (a < 0) has its bits, -0.0 included;
+    every pair gets an angle, so no gather picks out the inside ones.
+    """
     scheme = RadialScheme(k, s, b)
     if _strata_violation(scheme):
         return True
     d_low, d_high = forbidden_window(b)
+    b_sq = b * b
+    sure_lo, sure_hi = 1.0 + RIM_BAND, b_sq * (1.0 - RIM_BAND)  # r^2 between: inside
+    rim_lo, rim_hi = 1.0 - RIM_BAND, b_sq * (1.0 + RIM_BAND)  # r^2 not between: outside
     for blk in blocks:
-        r1 = np.sqrt(scale_draws(blk.unit_r_sq, 1.0, b * b))
+        r1 = np.sqrt(scale_draws(blk.unit_r_sq, 1.0, b_sq))
         dd = scale_draws(blk.unit_d, d_low, d_high)
         x2 = r1 * blk.cos1 + dd * blk.cos_phi
         y2 = r1 * blk.sin1 + dd * blk.sin_phi
-        r2 = np.hypot(x2, y2)
-        inside = (r2 >= 1.0) & (r2 <= b)
-        a2 = np.arctan2(y2[inside], x2[inside]) % TWO_PI
-        if np.any(blk.col1[inside] == _sector_colors(k, s, a2)):
+        r2_sq = x2 * x2 + y2 * y2
+        inside = (r2_sq > sure_lo) & (r2_sq < sure_hi)
+        rim = np.flatnonzero(((r2_sq >= rim_lo) & (r2_sq <= rim_hi)) != inside)
+        if rim.size:
+            r2 = np.hypot(x2[rim], y2[rim])
+            inside[rim] = (r2 >= 1.0) & (r2 <= b)
+        a2 = np.arctan2(y2, x2)
+        a2 += TWO_PI * (a2 < 0.0)
+        if np.any(inside & (blk.col1 == _sector_colors(k, s, a2))):
             return True
     return False
 
@@ -360,8 +384,11 @@ def radial_violation_exists(
     both extreme radii, which is where the scheme's critical pairs live;
     seeded random pairs (second point drawn at a forbidden distance from
     the first) sweep everything else. The pairs are drawn as they are
-    checked, so memory does not grow with n_pairs.
+    checked, so memory does not grow with n_pairs; n_pairs = 0 checks the
+    strata alone.
     """
+    if n_pairs < 0:
+        raise ValueError(f"need n_pairs >= 0, got {n_pairs}")
     return _radial_violation(k, s, b, _pair_blocks(k, s, seed, n_pairs))
 
 
@@ -381,6 +408,8 @@ def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) 
     with the strata left out, 100k pairs alone stop 0.03-0.12 above it.
     """
     RadialScheme(k, s, 1.5)  # validate (k, s) before drawing
+    if n_pairs < 0:
+        raise ValueError(f"need n_pairs >= 0, got {n_pairs}")
     blocks = list(_pair_blocks(k, s, seed, n_pairs))
     return _bisect(
         lambda b: _radial_violation(k, s, b, blocks), *NUMERIC_BRACKET, NUMERIC_TOL,

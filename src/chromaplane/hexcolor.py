@@ -297,26 +297,41 @@ def _tile_indices_vectorized(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray
 
     S1 and S2 are equally long and 60 degrees apart, so each lattice cell
     splits into two equilateral triangles and the nearest center is one of
-    the four corners of the cell holding the point. They are tried in (i, j)
-    order and only a strictly closer one replaces the best.
+    the four corners of the cell holding the point. The corner is the first
+    strict minimum of their squared distances in (i, j) order, found as a
+    tournament: the first minimum of each di pair, then di = 1 only if its
+    minimum is strictly smaller.
+
+    Each squared distance is tile_center's: the floats fi + di round the
+    same integer that an int64 i + di does, and S1.y = 0 adds only a zero.
     """
-    j0 = -ys / 0.75
-    i = np.floor((xs - j0 * S2.x) / S1.x).astype(np.int64)
-    j = np.floor(j0).astype(np.int64)
-    best_d2 = np.full(xs.shape, np.inf)
-    corner = np.zeros(xs.shape, dtype=np.int8)  # 2 * di + dj of the best corner
-    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        cx, cy = tile_center(i + di, j + dj)
-        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
-        closer = d2 < best_d2
-        np.copyto(best_d2, d2, where=closer)
-        np.copyto(corner, 2 * di + dj, where=closer)
-    return i + (corner >> 1), j + (corner & 1)
+    j0 = ys / -0.75  # -ys / 0.75, bit for bit
+    fi = xs - j0 * S2.x
+    fi /= S1.x
+    np.floor(fi, out=fi)
+    fj = np.floor(j0, out=j0)
+    dy2 = [_sq_gap(ys, fj * S2.y), _sq_gap(ys, (fj + 1.0) * S2.y)]
+    bx = [fj * S2.x, (fj + 1.0) * S2.x]
+    d2 = []
+    for ax in (fi * S1.x, (fi + 1.0) * S1.x):
+        for b, dy in zip(bx, dy2):
+            d = _sq_gap(xs, ax + b)
+            d += dy
+            d2.append(d)
+    d00, d01, d10, d11 = d2
+    dj0, dj1 = d01 < d00, d11 < d10
+    di = np.minimum(d10, d11, out=d10) < np.minimum(d00, d01, out=d00)
+    i, j = fi.astype(np.int64), fj.astype(np.int64)
+    i += di
+    j += (di & dj1) | (~di & dj0)
+    return i, j
 
 
-def _colors_of_points(scheme: HexScheme, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    ii, jj = _tile_indices_vectorized(xs, ys)
-    return _color(scheme.p, scheme.q, ii, jj)
+def _sq_gap(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(u - c) ** 2, written over c: fresh temporaries of a column block's
+    size cost the tile lookup more page faults than arithmetic."""
+    np.subtract(u, c, out=c)
+    return np.square(c, out=c)
 
 
 def _boundary_strata() -> np.ndarray:
@@ -364,10 +379,17 @@ def verify_scheme_sampled(
     The strata decide the verdict. The random samples are an independent
     cross-check that has not decided a verdict near the reach: with the
     strata left out, 1M samples first see a violation at reach + 0.03 to
-    reach + 0.1.
+    reach + 0.1. samples = 0 checks the strata alone.
+
+    A pair is same-colored when the offset between its two tiles gets color
+    0: a color names a coset of the scheme's sublattice, and the sublattice
+    is the coset colored 0, so this is the test of the two tiles' colors
+    for equality, one color per pair instead of two.
     """
     if not b > 1.0:  # NaN fails too
         raise ValueError(f"need b > 1, got {b}")
+    if samples < 0:
+        raise ValueError(f"need samples >= 0, got {samples}")
     if _strata_violation(scheme, b):
         return False
     v, vb = scheme.v, scheme.vbar
@@ -377,7 +399,9 @@ def verify_scheme_sampled(
         for x1, y1, d, phi in column_blocks(chunk):
             x2 = x1 + d * np.cos(phi)
             y2 = y1 + d * np.sin(phi)
-            if np.any(_colors_of_points(scheme, x1, y1) == _colors_of_points(scheme, x2, y2)):
+            i1, j1 = _tile_indices_vectorized(x1, y1)
+            i2, j2 = _tile_indices_vectorized(x2, y2)
+            if np.any(_color(scheme.p, scheme.q, i2 - i1, j2 - j1) == 0):
                 return False
     return True
 

@@ -175,7 +175,26 @@ def test_radial_max_b_numeric_is_the_bisection_of_radial_violation_exists(
     if pairs_only:
         monkeypatch.setattr(annulus, "_strata_violation", lambda scheme: False)
         n_pairs = 20_000
-    assert radial_max_b_numeric(k, s, n_pairs, seed) == _streamed_max_b(k, s, n_pairs, seed)
+    b = radial_max_b_numeric(k, s, n_pairs, seed)
+    assert b == _streamed_max_b(k, s, n_pairs, seed)
+    if pairs_only:
+        # the random pairs' own b moves if any pair's decision moves; on rims
+        # a billion times wider, hypot decides hundreds of pairs near r = 1 or b
+        assert repr(b) == PAIRS_ONLY_MAX_B[ks][seed]
+        monkeypatch.setattr(annulus, "RIM_BAND", 1e-3)
+        assert repr(radial_max_b_numeric(k, s, n_pairs, seed)) == PAIRS_ONLY_MAX_B[ks][seed]
+
+
+# radial_max_b_numeric(k, s, 20_000, seed) with the strata off, seeds 0 and 1:
+# recorded from the kernel that took hypot and arctan2 % 2 pi of the inside pairs
+PAIRS_ONLY_MAX_B = {
+    (3, 9): ("1.3640112307965757", "1.4352099103033544"),
+    (4, 12): ("1.5039119564592838", "1.560733394473791"),
+    (5, 10): ("1.6682520448863505", "1.7593272960484025"),
+    (6, 12): ("1.9101787025034431", "1.8481371448338026"),
+    (7, 14): ("1.932003672093153", "1.9369357358515265"),
+    (8, 16): ("1.9212343664467335", "1.944576900988817"),
+}
 
 
 def _streamed_max_b(k, s, n_pairs, seed):
@@ -205,6 +224,20 @@ def test_pair_blocks_hold_the_seeded_draws():
         want["sin_phi"].append(np.sin(phi))
     for f, arrays in want.items():
         assert np.array_equal(got[f], np.concatenate(arrays)), f
+
+
+def test_sampled_radial_checks_refuse_a_negative_pair_count(monkeypatch):
+    # refused before any draw, not taken as nothing to draw
+    monkeypatch.setattr(annulus, "_pair_blocks", None)
+    for call in (lambda n: radial_violation_exists(4, 12, 1.3, n_pairs=n),
+                 lambda n: radial_max_b_numeric(4, 12, n_pairs=n)):
+        with pytest.raises(ValueError, match="n_pairs"):
+            call(-3)
+    monkeypatch.undo()
+    # 0 pairs leaves the strata, which decide alone
+    assert not radial_violation_exists(4, 12, 1.3, n_pairs=0)
+    assert radial_violation_exists(4, 12, 1.5, n_pairs=0)
+    assert radial_max_b_numeric(4, 12, n_pairs=0) == pytest.approx(math.sqrt(2), abs=1e-6)
 
 
 def test_radial_max_b_numeric_draws_once(monkeypatch):

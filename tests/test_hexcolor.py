@@ -180,7 +180,7 @@ def _reference_nearest_tile(x, y, window=9):
 def test_point_to_tile_ties_at_vertices_and_edge_midpoints():
     # every vertex and edge midpoint lies on the boundary of two or three
     # tiles; a third of them are exact float ties between centers
-    ties = 0
+    ties, pts = 0, []
     for i in range(-4, 5):
         for j in range(-4, 5):
             c = tile_center(i, j)
@@ -190,6 +190,7 @@ def test_point_to_tile_ties_at_vertices_and_edge_midpoints():
                              (c.x + (a.x + b.x) / 2, c.y + (a.y + b.y) / 2)):
                     d2, ri, rj = _reference_nearest_tile(x, y)
                     assert point_to_tile((x, y)) == (ri, rj), (x, y)
+                    pts.append((x, y))
                     tied = sum(
                         (x - cx) * (x - cx) + (y - cy) * (y - cy) == d2
                         for cx, cy in (tile_center(ri + di, rj + dj)
@@ -197,6 +198,39 @@ def test_point_to_tile_ties_at_vertices_and_edge_midpoints():
                     )
                     ties += tied > 1
     assert ties > 100
+    xs, ys = np.array(pts).T
+    _assert_copyto_rule(xs, ys)
+
+
+def _copyto_tile_indices(xs, ys):
+    """The four-corner lookup with int64 corners, tried in (i, j) order: a
+    strictly closer corner replaces the best (np.copyto where closer)."""
+    j0 = -ys / 0.75
+    i = np.floor((xs - j0 * S2.x) / S1.x).astype(np.int64)
+    j = np.floor(j0).astype(np.int64)
+    best_d2 = np.full(xs.shape, np.inf)
+    corner = np.zeros(xs.shape, dtype=np.int8)  # 2 * di + dj of the best corner
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cx, cy = tile_center(i + di, j + dj)
+        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
+        closer = d2 < best_d2
+        np.copyto(best_d2, d2, where=closer)
+        np.copyto(corner, 2 * di + dj, where=closer)
+    return i + (corner >> 1), j + (corner & 1)
+
+
+def _assert_copyto_rule(xs, ys):
+    ii, jj = hexcolor._tile_indices_vectorized(xs, ys)
+    ri, rj = _copyto_tile_indices(xs, ys)
+    assert ii.dtype == jj.dtype == np.int64
+    assert np.array_equal(ii, ri) and np.array_equal(jj, rj)
+
+
+@pytest.mark.parametrize("scale", [1.0, 6.0, 40.0, 1e6])
+def test_tile_lookup_is_the_copyto_rule(scale):
+    # the tournament picks the corner the copyto rule picks, for every point
+    pts = np.random.default_rng(3).uniform(-scale, scale, size=(2, 500_000))
+    _assert_copyto_rule(*pts)
 
 
 def test_point_to_tile_roundtrip():
@@ -481,30 +515,53 @@ def test_verify_scheme_sampled():
     for b in (1.0, math.nan):
         with pytest.raises(ValueError):
             verify_scheme_sampled(s, b)
+    # a negative count is refused, not taken as nothing to draw; 0 is the strata alone
+    with pytest.raises(ValueError, match="samples"):
+        verify_scheme_sampled(s, 1.3, samples=-5)
+    assert verify_scheme_sampled(s, 1.3, samples=0)
+    assert not verify_scheme_sampled(s, 1.34, samples=0)
 
 
 def test_color_of_tile_is_the_vectorized_lookup():
-    # color_of_tile and the sampled checker's _colors_of_points share one closed form
+    # color_of_tile and the sampled checker's tile lookup share one closed form
     ii, jj = np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()
     xs, ys = ii * S1.x + jj * S2.x, ii * S1.y + jj * S2.y
     for p, q in sweep_pairs(10, 10):
         s = HexScheme(p, q)
         scalar = [color_of_tile(s, int(i), int(j)) for i, j in zip(ii, jj)]
-        assert scalar == hexcolor._colors_of_points(s, xs, ys).tolist(), (p, q)
+        vectorized = hexcolor._color(p, q, *hexcolor._tile_indices_vectorized(xs, ys))
+        assert scalar == vectorized.tolist(), (p, q)
         assert all(0 <= c < color_count(s) for c in scalar)
+
+
+def test_offset_color_is_the_same_color_test():
+    # the sampled checker colors the offset between two tiles, not the tiles:
+    # color 0 exactly when they share a color, gcd > 1 schemes included
+    rng = np.random.default_rng(2)
+    i1, j1, i2, j2 = rng.integers(-40, 41, size=(4, 4_000))
+    k, l = rng.integers(-3, 4, size=(2, 2_000))
+    schemes = sweep_pairs(10, 10)
+    assert {(2, 4), (3, 6)} <= set(schemes)
+    for p, q in schemes:
+        # every other second tile a sublattice step from the first
+        i2[1::2] = i1[1::2] + k * p + l * (p + q)
+        j2[1::2] = j1[1::2] + k * q - l * p
+        same = hexcolor._color(p, q, i1, j1) == hexcolor._color(p, q, i2, j2)
+        assert np.array_equal(hexcolor._color(p, q, i2 - i1, j2 - j1) == 0, same), (p, q)
+        assert same[1::2].all() and same.all() == (color_count(HexScheme(p, q)) == 1), (p, q)
 
 
 def test_verify_scheme_sampled_points_pinned(monkeypatch):
     # the sample points rng.uniform drew, over a full chunk and a partial one
     seen = []
-    colors_of_points = hexcolor._colors_of_points
+    tile_indices = hexcolor._tile_indices_vectorized
 
-    def spy(scheme, xs, ys):
+    def spy(xs, ys):
         seen.append((xs.copy(), ys.copy()))
-        return colors_of_points(scheme, xs, ys)
+        return tile_indices(xs, ys)
 
-    monkeypatch.setattr(hexcolor, "_colors_of_points", spy)
+    monkeypatch.setattr(hexcolor, "_tile_indices_vectorized", spy)
     s, b, samples = HexScheme(1, 2), 1.3, 250_000
     assert verify_scheme_sampled(s, b, samples=samples, seed=11)
     rng = np.random.default_rng(11)

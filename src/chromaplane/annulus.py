@@ -25,10 +25,7 @@ from .distgraph import (
     build_graph,
     default_eps,
 )
-from .geom import (
-    B_TOL, chord, column_blocks, forbidden_distances, forbidden_window, pair_distances,
-    scale_draws, unit_draws,
-)
+from .geom import B_TOL, chord, forbidden_distances, forbidden_pair_draws, pair_distances
 from .solver import ColoringOutcome, KColorQuery, NOT_COLORABLE, k_colorable
 from .text import table_text
 
@@ -88,8 +85,8 @@ class RadialScheme:
             raise ValueError(f"need k >= 2, got {self.k}")
         if self.s % self.k != 0 or self.s < 2 * self.k:
             raise ValueError(f"need s a multiple of k with s >= 2k, got k={self.k}, s={self.s}")
-        if not self.b > 1.0:  # NaN fails too
-            raise ValueError(f"need b > 1, got {self.b}")
+        if not 1.0 < self.b < math.inf:  # NaN fails too
+            raise ValueError(f"need 1 < b < inf, got {self.b}")
 
     @property
     def alpha(self) -> float:
@@ -197,12 +194,14 @@ def annulus_verdict(
 ) -> ColoringOutcome:
     """Solve (k-1)-colorability of the case config; not_colorable certifies
     that the annulus at this b needs at least k colors."""
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
     g = case_graph(case, b, eps, n_override)
     return k_colorable(KColorQuery(g, k - 1, time_budget), seed=seed, progress=progress)
 
 
-def _bisect(probe, lo: float, hi: float, tol: float, claim: str) -> float:
-    """Bisect [lo, hi] for where probe turns true; the final bracket's midpoint.
+def _bisect(probe, lo: float, hi: float, tol: float, claim: str) -> tuple[float, float]:
+    """Bisect [lo, hi] for where probe turns true; the final bracket (lo, hi).
 
     Needs tol > 0, probe(lo) false and probe(hi) true (claim says what probe
     tests). Halves until the bracket is at most tol wide or its midpoint
@@ -222,7 +221,7 @@ def _bisect(probe, lo: float, hi: float, tol: float, claim: str) -> float:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def threshold_bisect(
@@ -255,7 +254,8 @@ def threshold_bisect(
 
     results: list[float] = []
     for scale in EPS_STABILITY_SCALES:
-        b_star = _bisect(lambda b: needs(b, scale), b_lo, b_hi, tol, f"config needs >= {k} colors")
+        lo, hi = _bisect(lambda b: needs(b, scale), b_lo, b_hi, tol, f"config needs >= {k} colors")
+        b_star = 0.5 * (lo + hi)
         # a tol below the float spacing at b* re-checks the neighboring floats
         up = max(b_star + tol, math.nextafter(b_star, math.inf))
         down = min(b_star - tol, math.nextafter(b_star, -math.inf))
@@ -298,7 +298,8 @@ def annulus_bounds_csv() -> str:
 
 
 def _strata_violation(scheme: RadialScheme) -> bool:
-    """radial_violation_exists' strata: its deterministic half."""
+    """radial_violation_exists' strata, its deterministic half, and
+    radial_max_b_numeric's bisection probe."""
     offs = np.array([1e-9, 1e-7, -1e-9, -1e-7])
     boundary = np.add.outer(np.arange(scheme.s) * scheme.alpha, offs).ravel() % TWO_PI
     ang = np.repeat(boundary, 2)
@@ -309,73 +310,8 @@ def _strata_violation(scheme: RadialScheme) -> bool:
     return bool(np.any((cols[:, None] == cols[None, :]) & forbidden_distances(d, scheme.b)))
 
 
-class _PairBlock(NamedTuple):
-    """The part of a block of random pairs that no b changes: both angle
-    ranges are (0, 2 pi), so only r^2 and d are scaled per b."""
-
-    unit_r_sq: np.ndarray  # r^2 of the first point is uniform on (1, b^2): by area
-    cos1: np.ndarray  # direction of the first point
-    sin1: np.ndarray
-    col1: np.ndarray  # and its sector color
-    unit_d: np.ndarray  # distance to the second point, in forbidden_window(b)
-    cos_phi: np.ndarray  # direction to the second point
-    sin_phi: np.ndarray
-
-
-def _pair_blocks(k: int, s: int, seed: int, n_pairs: int):
-    """The n_pairs seeded random pairs of the (k, s) scheme, in column_blocks."""
-    for chunk in unit_draws(seed, n_pairs):
-        for unit_r_sq, unit_a1, unit_d, unit_phi in column_blocks(chunk):
-            a1 = scale_draws(unit_a1, 0.0, TWO_PI)
-            phi = scale_draws(unit_phi, 0.0, TWO_PI)
-            yield _PairBlock(
-                unit_r_sq.copy(), np.cos(a1), np.sin(a1), _sector_colors(k, s, a1),
-                unit_d.copy(), np.cos(phi), np.sin(phi),
-            )
-
-
-def _radial_violation(k: int, s: int, b: float, blocks) -> bool:
-    """radial_violation_exists at b over the given _pair_blocks.
-
-    Each pair gets the decisions that hypot, arctan2 % TWO_PI and
-    _sector_colors of its second point made, for less work. Off the
-    RIM_BAND rims the squared radius decides inside as hypot does, and
-    hypot decides the pairs on them. numpy's float % is fmod plus the
-    divisor when the result is negative, and fmod(a, 2 pi) = a for every
-    arctan2 angle a, so a + TWO_PI * (a < 0) has its bits, -0.0 included;
-    every pair gets an angle, so no gather picks out the inside ones.
-    """
-    scheme = RadialScheme(k, s, b)
-    if _strata_violation(scheme):
-        return True
-    d_low, d_high = forbidden_window(b)
-    b_sq = b * b
-    sure_lo, sure_hi = 1.0 + RIM_BAND, b_sq * (1.0 - RIM_BAND)  # r^2 between: inside
-    rim_lo, rim_hi = 1.0 - RIM_BAND, b_sq * (1.0 + RIM_BAND)  # r^2 not between: outside
-    for blk in blocks:
-        r1 = np.sqrt(scale_draws(blk.unit_r_sq, 1.0, b_sq))
-        dd = scale_draws(blk.unit_d, d_low, d_high)
-        x2 = r1 * blk.cos1 + dd * blk.cos_phi
-        y2 = r1 * blk.sin1 + dd * blk.sin_phi
-        r2_sq = x2 * x2 + y2 * y2
-        inside = (r2_sq > sure_lo) & (r2_sq < sure_hi)
-        rim = np.flatnonzero(((r2_sq >= rim_lo) & (r2_sq <= rim_hi)) != inside)
-        if rim.size:
-            r2 = np.hypot(x2[rim], y2[rim])
-            inside[rim] = (r2 >= 1.0) & (r2 <= b)
-        a2 = np.arctan2(y2, x2)
-        a2 += TWO_PI * (a2 < 0.0)
-        if np.any(inside & (blk.col1 == _sector_colors(k, s, a2))):
-            return True
-    return False
-
-
 def radial_violation_exists(
-    k: int,
-    s: int,
-    b: float,
-    n_pairs: int = 100_000,
-    seed: int = 0,
+    k: int, s: int, b: float, n_pairs: int = 100_000, seed: int = 0
 ) -> bool:
     """Search the radial scheme for a same-color pair at a forbidden
     distance (geom.forbidden_distances).
@@ -386,32 +322,66 @@ def radial_violation_exists(
     the first) sweep everything else. The pairs are drawn as they are
     checked, so memory does not grow with n_pairs; n_pairs = 0 checks the
     strata alone.
+
+    Each pair gets the decisions that hypot, arctan2 % TWO_PI and
+    _sector_colors of its second point would make, for less work. Off the
+    RIM_BAND rims the squared radius decides inside as hypot does, and
+    hypot decides the pairs on them. numpy's float % is fmod plus the
+    divisor when the result is negative, and fmod(a, 2 pi) = a for every
+    arctan2 angle a, so a + TWO_PI * (a < 0) has its bits, -0.0 included;
+    every pair gets an angle, so no gather picks out the inside ones.
     """
+    scheme = RadialScheme(k, s, b)
     if n_pairs < 0:
         raise ValueError(f"need n_pairs >= 0, got {n_pairs}")
-    return _radial_violation(k, s, b, _pair_blocks(k, s, seed, n_pairs))
+    if _strata_violation(scheme):
+        return True
+    b_sq = b * b
+    sure_lo, sure_hi = 1.0 + RIM_BAND, b_sq * (1.0 - RIM_BAND)  # r^2 between: inside
+    rim_lo, rim_hi = 1.0 - RIM_BAND, b_sq * (1.0 + RIM_BAND)  # r^2 not between: outside
+    # r^2 of the first point is uniform on (1, b^2): uniform by area
+    for r1_sq, a1, d, phi in forbidden_pair_draws(seed, n_pairs, (1.0, b_sq), (0.0, TWO_PI), b):
+        r1 = np.sqrt(r1_sq)
+        x2 = r1 * np.cos(a1) + d * np.cos(phi)
+        y2 = r1 * np.sin(a1) + d * np.sin(phi)
+        r2_sq = x2 * x2 + y2 * y2
+        inside = (r2_sq > sure_lo) & (r2_sq < sure_hi)
+        rim = np.flatnonzero(((r2_sq >= rim_lo) & (r2_sq <= rim_hi)) != inside)
+        if rim.size:
+            r2 = np.hypot(x2[rim], y2[rim])
+            inside[rim] = (r2 >= 1.0) & (r2 <= b)
+        a2 = np.arctan2(y2, x2)
+        a2 += TWO_PI * (a2 < 0.0)
+        if np.any(inside & (_sector_colors(k, s, a1) == _sector_colors(k, s, a2))):
+            return True
+    return False
 
 
 def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) -> float:
-    """Largest b the sampled checker accepts, found by bisection of
-    NUMERIC_BRACKET to NUMERIC_TOL.
+    """Largest b the strata accept, found by bisection of NUMERIC_BRACKET
+    to NUMERIC_TOL, then cross-checked once by the random pairs.
 
     Independent numerical route to the same quantity as radial_max_b;
-    the two must agree to 1e-6. Every probe is radial_violation_exists(k,
-    s, b, n_pairs, seed), but the random pairs are drawn once per call,
-    with all the work that no b changes, and reused by every probe; they
-    take 56 bytes per pair for the whole call.
-
-    The strata decide the result: above the cap they stop every probe
-    first, and below it the scheme is valid. The random pairs are an
-    independent cross-check that has not decided a result near the cap;
-    with the strata left out, 100k pairs alone stop 0.03-0.12 above it.
+    the two must agree to 1e-6. The strata decide: above the cap they
+    find a violation, and below it the scheme is valid. Then
+    radial_violation_exists(k, s, lo, n_pairs, seed) runs once at lo, the
+    largest b the strata accepted, and a violation there is a
+    RuntimeError. That one check covers every accepted probe: for b' < lo,
+    A_b' lies in A_lo, forbidden_window(b') in forbidden_window(lo), and
+    the sector colors do not depend on b, so a pair that violates the
+    scheme at b' violates it at lo too. With the strata left out, 100k
+    pairs alone stop 0.03-0.12 above the cap.
     """
-    RadialScheme(k, s, 1.5)  # validate (k, s) before drawing
+    RadialScheme(k, s, 1.5)  # validate (k, s) before bisecting
     if n_pairs < 0:
         raise ValueError(f"need n_pairs >= 0, got {n_pairs}")
-    blocks = list(_pair_blocks(k, s, seed, n_pairs))
-    return _bisect(
-        lambda b: _radial_violation(k, s, b, blocks), *NUMERIC_BRACKET, NUMERIC_TOL,
+    lo, hi = _bisect(
+        lambda b: _strata_violation(RadialScheme(k, s, b)), *NUMERIC_BRACKET, NUMERIC_TOL,
         f"the ({k}, {s}) scheme is invalid",
     )
+    if radial_violation_exists(k, s, lo, n_pairs, seed):
+        raise RuntimeError(
+            f"the random pairs find the ({k}, {s}) scheme invalid at b = {lo!r}, "
+            "where the strata accept it"
+        )
+    return 0.5 * (lo + hi)

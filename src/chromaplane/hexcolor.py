@@ -22,9 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import (
-    B_TOL, Point2, column_blocks, forbidden_distances, forbidden_pair_draws, pair_distances,
-)
+from .geom import B_TOL, Point2, forbidden_distances, forbidden_pair_draws, pair_distances
 from .text import table_text
 
 SQRT3 = math.sqrt(3.0)
@@ -386,8 +384,8 @@ def verify_scheme_sampled(
     is the coset colored 0, so this is the test of the two tiles' colors
     for equality, one color per pair instead of two.
     """
-    if not b > 1.0:  # NaN fails too
-        raise ValueError(f"need b > 1, got {b}")
+    if not 1.0 < b < math.inf:  # NaN fails too
+        raise ValueError(f"need 1 < b < inf, got {b}")
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")
     if _strata_violation(scheme, b):
@@ -395,14 +393,13 @@ def verify_scheme_sampled(
     v, vb = scheme.v, scheme.vbar
     span = abs(v.x) + abs(vb.x) + abs(v.y) + abs(vb.y) + b + 2.0
     window = (-span, span)
-    for chunk in forbidden_pair_draws(seed, samples, window, window, b):
-        for x1, y1, d, phi in column_blocks(chunk):
-            x2 = x1 + d * np.cos(phi)
-            y2 = y1 + d * np.sin(phi)
-            i1, j1 = _tile_indices_vectorized(x1, y1)
-            i2, j2 = _tile_indices_vectorized(x2, y2)
-            if np.any(_color(scheme.p, scheme.q, i2 - i1, j2 - j1) == 0):
-                return False
+    for x1, y1, d, phi in forbidden_pair_draws(seed, samples, window, window, b):
+        x2 = x1 + d * np.cos(phi)
+        y2 = y1 + d * np.sin(phi)
+        i1, j1 = _tile_indices_vectorized(x1, y1)
+        i2, j2 = _tile_indices_vectorized(x2, y2)
+        if np.any(_color(scheme.p, scheme.q, i2 - i1, j2 - j1) == 0):
+            return False
     return True
 
 

@@ -27,7 +27,6 @@ from chromaplane.annulus import (
     threshold_bisect,
 )
 from chromaplane.distgraph import CircleSpec
-from chromaplane.geom import DRAW_CHUNK
 from chromaplane.solver import COLORABLE, NOT_COLORABLE
 
 
@@ -39,11 +38,13 @@ def test_radial_scheme_validation():
         RadialScheme(3, 10, 1.2)  # k does not divide s
     with pytest.raises(ValueError):
         RadialScheme(3, 3, 1.2)  # s < 2k
-    for b in (0.9, math.nan):  # NaN is refused, not taken as valid
-        with pytest.raises(ValueError):
+    # NaN and infinity are refused, not taken as valid: at b = inf the pair
+    # check would draw NaN radii and report a violation
+    for b in (0.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="1 < b < inf"):
             RadialScheme(3, 9, b)
-        with pytest.raises(ValueError):
-            radial_violation_exists(3, 9, b)
+        with pytest.raises(ValueError, match="1 < b < inf"):
+            radial_violation_exists(4, 12, b, n_pairs=10)
 
 
 def test_radial_color_examples():
@@ -166,27 +167,30 @@ def test_radial_scheme_valid_below_max(ks):
 def test_radial_max_b_numeric_is_the_bisection_of_radial_violation_exists(
     ks, seed, pairs_only, monkeypatch
 ):
-    # the pairs drawn once per call give every probe the verdict a fresh
-    # radial_violation_exists(k, s, b, n_pairs, seed) gives, so the same b.
-    # With the strata on, they alone end the bisection at the cap; with them
-    # off, the b is the random pairs' own, and moves with the seed and every block
+    # with the strata on, bisecting the whole check (strata, then 100k pairs)
+    # ends where bisecting the strata alone does: the pairs decide no probe.
+    # With them off, the b is the random pairs' own, and moves with the seed
+    # and every block; radial_max_b_numeric then has no violation to bisect
     k, s = ks
     n_pairs = 100_000
     if pairs_only:
         monkeypatch.setattr(annulus, "_strata_violation", lambda scheme: False)
         n_pairs = 20_000
-    b = radial_max_b_numeric(k, s, n_pairs, seed)
-    assert b == _streamed_max_b(k, s, n_pairs, seed)
-    if pairs_only:
+        with pytest.raises(BracketInvalid):
+            radial_max_b_numeric(k, s, n_pairs, seed)
         # the random pairs' own b moves if any pair's decision moves; on rims
         # a billion times wider, hypot decides hundreds of pairs near r = 1 or b
-        assert repr(b) == PAIRS_ONLY_MAX_B[ks][seed]
+        assert repr(_streamed_max_b(k, s, n_pairs, seed)) == PAIRS_ONLY_MAX_B[ks][seed]
         monkeypatch.setattr(annulus, "RIM_BAND", 1e-3)
-        assert repr(radial_max_b_numeric(k, s, n_pairs, seed)) == PAIRS_ONLY_MAX_B[ks][seed]
+        assert repr(_streamed_max_b(k, s, n_pairs, seed)) == PAIRS_ONLY_MAX_B[ks][seed]
+    else:
+        b = radial_max_b_numeric(k, s, n_pairs, seed)
+        assert b == _streamed_max_b(k, s, n_pairs, seed)
 
 
-# radial_max_b_numeric(k, s, 20_000, seed) with the strata off, seeds 0 and 1:
-# recorded from the kernel that took hypot and arctan2 % 2 pi of the inside pairs
+# the bisection of radial_violation_exists(k, s, b, 20_000, seed) with the
+# strata off, seeds 0 and 1: recorded from the kernel that took hypot and
+# arctan2 % 2 pi of the inside pairs
 PAIRS_ONLY_MAX_B = {
     (3, 9): ("1.3640112307965757", "1.4352099103033544"),
     (4, 12): ("1.5039119564592838", "1.560733394473791"),
@@ -198,37 +202,43 @@ PAIRS_ONLY_MAX_B = {
 
 
 def _streamed_max_b(k, s, n_pairs, seed):
-    return annulus._bisect(
+    lo, hi = annulus._bisect(
         lambda b: radial_violation_exists(k, s, b, n_pairs, seed),
         *annulus.NUMERIC_BRACKET, annulus.NUMERIC_TOL, "invalid",
     )
+    return 0.5 * (lo + hi)
 
 
-def test_pair_blocks_hold_the_seeded_draws():
-    # what radial_max_b_numeric keeps for all its probes: rng.uniform's draws
-    # bit for bit, over a full chunk and a partial one of one reused buffer
-    k, s, seed, n_pairs = 4, 12, 1, DRAW_CHUNK + 5_000
-    blocks = list(annulus._pair_blocks(k, s, seed, n_pairs))
-    got = {f: np.concatenate([getattr(blk, f) for blk in blocks]) for f in blocks[0]._fields}
-    rng = np.random.default_rng(seed)
-    want = {f: [] for f in got}
-    for m in (DRAW_CHUNK, 5_000):
-        want["unit_r_sq"].append(rng.uniform(0.0, 1.0, m))
-        a1 = rng.uniform(0.0, 2.0 * math.pi, m)
-        want["unit_d"].append(rng.uniform(0.0, 1.0, m))
-        phi = rng.uniform(0.0, 2.0 * math.pi, m)
-        want["cos1"].append(np.cos(a1))
-        want["sin1"].append(np.sin(a1))
-        want["col1"].append(annulus._sector_colors(k, s, a1))
-        want["cos_phi"].append(np.cos(phi))
-        want["sin_phi"].append(np.sin(phi))
-    for f, arrays in want.items():
-        assert np.array_equal(got[f], np.concatenate(arrays)), f
+# radial_max_b_numeric(k, s, seed=seed), the same at seeds 0, 1 and 2: the
+# strata decide it, so the seed of the random pairs cannot move it
+NUMERIC_MAX_B = {
+    (3, 9): "1.2855752362310886",
+    (4, 12): "1.4142135481536386",
+    (5, 10): "1.6180340023934838",
+    (6, 12): "1.732050797134638",
+    (7, 14): "1.8019377680122854",
+    (8, 16): "1.8477590267956252",
+}
+
+
+@pytest.mark.parametrize("ks", sorted(NUMERIC_MAX_B))
+def test_radial_max_b_numeric_pinned(ks):
+    for seed in (0, 1, 2):
+        assert repr(radial_max_b_numeric(*ks, seed=seed)) == NUMERIC_MAX_B[ks]
+
+
+def test_radial_max_b_numeric_reports_a_pair_the_strata_miss(monkeypatch):
+    # strata that accept up to 1.9 leave (4, 12) invalid at the largest b
+    # they accept, within NUMERIC_TOL below 1.9, and the one check of the
+    # random pairs there says so rather than moving the result
+    monkeypatch.setattr(annulus, "_strata_violation", lambda scheme: scheme.b > 1.9)
+    with pytest.raises(RuntimeError, match=r"\(4, 12\) scheme invalid at b = 1\.89999"):
+        radial_max_b_numeric(4, 12)
 
 
 def test_sampled_radial_checks_refuse_a_negative_pair_count(monkeypatch):
     # refused before any draw, not taken as nothing to draw
-    monkeypatch.setattr(annulus, "_pair_blocks", None)
+    monkeypatch.setattr(annulus, "forbidden_pair_draws", None)
     for call in (lambda n: radial_violation_exists(4, 12, 1.3, n_pairs=n),
                  lambda n: radial_max_b_numeric(4, 12, n_pairs=n)):
         with pytest.raises(ValueError, match="n_pairs"):
@@ -306,6 +316,15 @@ def test_desk_scale_case1_refutation():
     assert lift_lower_bound(4) == 7
 
 
+def test_annulus_verdict_names_the_callers_k():
+    # k colors are certified by refuting k - 1, so k = 1 would ask for 0
+    for k in (1, 0):
+        with pytest.raises(ValueError, match=f"need k >= 2, got {k}$"):
+            annulus_verdict(1, 1.35, k, n_override=5)
+    with pytest.raises(ValueError, match="need k >= 2, got 1$"):
+        threshold_bisect(1, 5, 1, 1.25, 1.4, 1e-3)
+
+
 def test_threshold_bisect_desk_scale_case1():
     b_star = threshold_bisect(1, 65, 4, b_lo=1.25, b_hi=1.4, tol=1e-3)
     # coarser configs are vertex subsets of the full one, so their
@@ -370,24 +389,26 @@ def test_threshold_bisect_ends_for_every_tol(monkeypatch):
 def test_radial_max_b_numeric_ends_for_every_tol(monkeypatch):
     probes = []
 
-    # each bisection probe is one _radial_violation over the call's pair blocks
-    def fake(k, s, b, blocks):
-        probes.append(b)
-        return b > 1.5
+    # each bisection probe is one _strata_violation; the pairs check of the
+    # accepted end (n_pairs = 0 here: the strata alone) probes it once more
+    def fake(scheme):
+        probes.append(scheme.b)
+        return scheme.b > 1.5
 
-    monkeypatch.setattr(annulus, "_radial_violation", fake)
+    monkeypatch.setattr(annulus, "_strata_violation", fake)
     bracket, default_tol = annulus.NUMERIC_BRACKET, annulus.NUMERIC_TOL
     # probes 1.5, 1.625, 1.5625, 1.53125, 1.515625 after the bracket ends
     monkeypatch.setattr(annulus, "NUMERIC_BRACKET", (1.25, 1.75))
     monkeypatch.setattr(annulus, "NUMERIC_TOL", 2.0**-6)
-    assert radial_max_b_numeric(4, 12) == 1.5078125
-    assert probes == [1.25, 1.75, 1.5, 1.625, 1.5625, 1.53125, 1.515625]
+    assert radial_max_b_numeric(4, 12, n_pairs=0) == 1.5078125
+    assert probes == [1.25, 1.75, 1.5, 1.625, 1.5625, 1.53125, 1.515625, 1.5]
     monkeypatch.setattr(annulus, "NUMERIC_BRACKET", bracket)
     for tol in (1e-300, 5e-324):
         probes.clear()
         monkeypatch.setattr(annulus, "NUMERIC_TOL", tol)
-        assert radial_max_b_numeric(4, 12) in (1.5, math.nextafter(1.5, 2.0))
+        assert radial_max_b_numeric(4, 12, n_pairs=0) in (1.5, math.nextafter(1.5, 2.0))
         assert len(probes) < 60
+        assert probes[-1] == 1.5
     for tol in (0.0, -1.0, math.nan):
         probes.clear()
         monkeypatch.setattr(annulus, "NUMERIC_TOL", tol)

@@ -512,9 +512,11 @@ def test_verify_scheme_sampled():
     a = verify_scheme_sampled(s, 1.3, samples=50_000, seed=7)
     b = verify_scheme_sampled(s, 1.3, samples=50_000, seed=7)
     assert a == b
-    for b in (1.0, math.nan):
-        with pytest.raises(ValueError):
-            verify_scheme_sampled(s, b)
+    # NaN and infinity are refused, not taken as valid: at b = inf the
+    # same-color offsets would have no bound
+    for b in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="1 < b < inf"):
+            verify_scheme_sampled(s, b, samples=10)
     # a negative count is refused, not taken as nothing to draw; 0 is the strata alone
     with pytest.raises(ValueError, match="samples"):
         verify_scheme_sampled(s, 1.3, samples=-5)

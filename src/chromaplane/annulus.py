@@ -164,8 +164,8 @@ def lower_bound_config(
     """
     if case not in CASE_CIRCLE_COUNTS:
         raise ValueError(f"case must be 1..5, got {case}")
-    if not b > 1.0:  # NaN fails too
-        raise ValueError(f"need b > 1, got {b}")
+    if not 1.0 < b < math.inf:  # NaN fails too
+        raise ValueError(f"need 1 < b < inf, got b={b}")
     if eps is None:
         eps = default_eps(b)
     if not 0.0 < eps < (b - 1.0) / 2.0:
@@ -243,8 +243,8 @@ def threshold_bisect(
     scale, the results must agree to 1e-6, and the DEFAULT_EPS_SCALE run's
     b* is returned.
     """
-    if not (1.0 < b_lo < b_hi):
-        raise BracketInvalid(f"need 1 < b_lo < b_hi, got [{b_lo}, {b_hi}]")
+    if not 1.0 < b_lo < b_hi < math.inf:
+        raise BracketInvalid(f"need 1 < b_lo < b_hi < inf, got b_lo={b_lo}, b_hi={b_hi}")
 
     def needs(b: float, scale: float) -> bool:
         out = annulus_verdict(

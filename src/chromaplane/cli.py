@@ -9,6 +9,7 @@ its argparse type; rules that join two flags raise UsageError.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -223,7 +224,10 @@ def cmd_export(args):
     return solver.lp_chunks(graph, args.k)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process: parse_args reads it and
+    leaves it as it was, so main shares it across calls."""
     ap = argparse.ArgumentParser(
         prog="chromaplane",
         description="Bounds and exact colorings for interval-distance graphs of the plane.",

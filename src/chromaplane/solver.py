@@ -10,14 +10,18 @@ All decisions are deterministic for a fixed seed.
 The search relabels vertices by rank, sorted by (-degree, index), so the
 lowest set bit of any mask of ranks is its highest-degree, lowest-index
 vertex. The clique search runs on the same rank masks, so one adjacency
-build serves both. The search state is masks of ranks only: seen[c]
-holds the ranks with a neighbor colored c, and the count of colors each
-rank sees is bit-sliced over k.bit_length() planes (plane p holds bit p
-of every count). Coloring v with c adds radj[v] & ~seen[c] to seen[c]
-and ripple-adds it into the planes; each frame saves the old seen[c]
-and planes, so undo is two restores. The branch vertex comes from
-narrowing the uncolored mask plane by plane, highest first. No step
-loops over neighbors.
+build serves both. The masks come from distgraph.neighbor_masks on the
+edge array relabeled by rank: numpy sets both ends of each edge in an
+n x n bool matrix (n^2 bytes, 6.8 MB at 2,600 vertices) and packs each
+row into one int, so no set-up step loops over edges in Python.
+
+The search state is masks of ranks only: seen[c] holds the ranks with a
+neighbor colored c, and the count of colors each rank sees is bit-sliced
+over k.bit_length() planes (plane p holds bit p of every count).
+Coloring v with c adds radj[v] & ~seen[c] to seen[c] and ripple-adds it
+into the planes; each frame saves the old seen[c] and planes, so undo is
+two restores. The branch vertex comes from narrowing the uncolored mask
+plane by plane, highest first. No step loops over neighbors.
 
 The CNF and LP exports are generators of text chunks (cnf_chunks,
 lp_chunks) over distgraph.export_runs; a run of edges is written by
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distgraph import DistanceGraph, edge_text, export_runs, vertex_table
+from .distgraph import DistanceGraph, edge_text, export_runs, neighbor_masks, vertex_table
 
 COLORABLE = "colorable"
 NOT_COLORABLE = "not_colorable"
@@ -78,15 +82,10 @@ class ColoringOutcome:
 
 def _rank_masks(n: int, edges: np.ndarray) -> tuple[list[int], list[int]]:
     """rank[v]: v's position in the order (-degree, index); radj[r]: rank r's neighbor ranks."""
-    deg = np.bincount(edges.ravel(), minlength=n).tolist()
-    rank = [0] * n
-    for r, v in enumerate(sorted(range(n), key=lambda v: (-deg[v], v))):
-        rank[v] = r
-    radj = [0] * n
-    for i, j in edges.tolist():
-        radj[rank[i]] |= 1 << rank[j]
-        radj[rank[j]] |= 1 << rank[i]
-    return rank, radj
+    deg = np.bincount(edges.ravel(), minlength=n)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort((np.arange(n), -deg))] = np.arange(n)
+    return rank.tolist(), neighbor_masks(n, rank[edges])
 
 
 def _rank_clique(radj: list[int], rank: list[int], restarts: int, seed: int) -> list[int]:
@@ -98,9 +97,16 @@ def _rank_clique(radj: list[int], rank: list[int], restarts: int, seed: int) -> 
     n = len(radj)
     rng = random.Random(seed)
     best: list[int] = []
+    tried = set()
     for it in range(restarts):
-        clique = [0 if it == 0 else rank[rng.randrange(n)]]
-        cand = radj[clique[0]]
+        # a start tried before gives the same clique, which cannot beat best;
+        # randrange is still drawn so later starts do not change
+        start = 0 if it == 0 else rank[rng.randrange(n)]
+        if start in tried:
+            continue
+        tried.add(start)
+        clique = [start]
+        cand = radj[start]
         while cand:
             r = (cand & -cand).bit_length() - 1
             clique.append(r)
@@ -120,15 +126,12 @@ def greedy_clique(adj: list[int], seed: int = 0) -> list[int]:
     n = len(adj)
     if n == 0:
         return []
-    edges = []  # (i, j) for each bit j > i of adj[i]
-    for i, a in enumerate(adj):
-        a >>= i + 1
-        while a:
-            low = a & -a
-            a ^= low
-            edges.append((i, i + low.bit_length()))
-    rank, radj = _rank_masks(n, np.array(edges, dtype=np.intp).reshape(-1, 2))
-    by_rank = sorted(range(n), key=rank.__getitem__)
+    w = -(-n // 8)
+    packed = np.frombuffer(b"".join(a.to_bytes(w, "little") for a in adj), np.uint8)
+    bits = np.unpackbits(packed.reshape(n, w), axis=1, bitorder="little")
+    edges = np.transpose(np.nonzero(np.triu(bits, 1)))  # (i, j) for each bit j > i of adj[i]
+    rank, radj = _rank_masks(n, edges)
+    by_rank = np.argsort(rank).tolist()
     return [by_rank[r] for r in _rank_clique(radj, rank, _CLIQUE_RESTARTS, seed)]
 
 

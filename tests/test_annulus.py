@@ -325,6 +325,14 @@ def test_annulus_verdict_names_the_callers_k():
         threshold_bisect(1, 5, 1, 1.25, 1.4, 1e-3)
 
 
+def test_infinite_b_is_refused_as_b():
+    # b = inf is named as b, not blamed on the default eps it would give
+    with pytest.raises(ValueError, match=r"^need 1 < b < inf, got b=inf$"):
+        lower_bound_config(1, math.inf)
+    with pytest.raises(BracketInvalid, match=r"^need 1 < b_lo < b_hi < inf, got b_lo=1.25, b_hi=inf$"):
+        threshold_bisect(1, 5, 4, 1.25, math.inf, 1e-3)
+
+
 def test_threshold_bisect_desk_scale_case1():
     b_star = threshold_bisect(1, 65, 4, b_lo=1.25, b_hi=1.4, tol=1e-3)
     # coarser configs are vertex subsets of the full one, so their

@@ -569,3 +569,27 @@ def test_cli_byte_identical_across_runs(args):
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout.encode() == second.stdout.encode()
+
+
+def test_shared_parser_gives_what_a_fresh_parser_gives(capsys):
+    # main builds its parser once per process; no call may leave anything in
+    # it for the next, so an --eps given once is not the next call's eps
+    lower = ("annulus-lower", "--case", "1", "--b", "1.35", "--k", "4", "--n", "13")
+    calls = [("annulus-lower", "--case", "1", "--b", "1.35"), lower + ("--eps", "1e-4"), lower,
+             ("--help",)]
+
+    def run(argv):
+        rc, out, _ = run_main(capsys, *argv)
+        return rc, out.encode()
+
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [rc for rc, _ in shared] == [2, 0, 0, 0]
+    assert b"0.0001" in shared[1][1] and b"0.0001" not in shared[2][1]
+    assert shared[3][1].startswith(b"usage: chromaplane ")

@@ -119,6 +119,14 @@ def test_build_graph_rejects_bad_eps():
         build_graph(cfg, b=1.0)
 
 
+def test_build_graph_names_an_infinite_b():
+    # b = inf is refused as b, not blamed on the default eps it would give
+    cfg = PointConfig((CircleSpec(6, 1.0),))
+    for b in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"^need 1 < b < inf, got b={b}$"):
+            build_graph(cfg, b)
+
+
 def test_build_graph_default_eps():
     cfg = PointConfig((CircleSpec(6, 1.0),))
     g = build_graph(cfg, b=1.2)

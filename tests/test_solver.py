@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from chromaplane import distgraph, solver
@@ -138,6 +139,67 @@ def reference_greedy_clique(adj, restarts=200, seed=0):
         if len(clique) > len(best):
             best = clique
     return best
+
+
+def reference_adjacency_masks(n, edges):
+    """The per-edge loop neighbor_masks replaced."""
+    masks = [0] * n
+    for i, j in edges.tolist():
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+def reference_rank_masks(n, edges):
+    """The sort and per-edge loop _rank_masks replaced: (rank of each vertex, rank masks)."""
+    deg = [0] * n
+    for i, j in edges.tolist():
+        deg[i] += 1
+        deg[j] += 1
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n), key=lambda v: (-deg[v], v))):
+        rank[v] = r
+    return rank, reference_adjacency_masks(n, np.array(rank, dtype=np.intp)[edges])
+
+
+def mask_graphs():
+    """Graphs for the mask kernel: random ones at the packbits byte boundaries
+    (edges in shuffled order, ends either way round), edgeless ones, ones with
+    isolated vertices at those boundaries, and the refute, find and full
+    case 2 graphs of the benchmark."""
+    rng = random.Random(808)
+    graphs = []
+    isolated = {0, 7, 8, 63, 64}
+    for n in (0, 1, 7, 8, 9, 63, 64, 65):
+        points = tuple(Point2(3.0 * i, 0.0) for i in range(n))
+        for density in (0.0, 0.1, 0.5, 1.0):
+            edges = [(i, j) if rng.random() < 0.5 else (j, i)
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            rng.shuffle(edges)
+            graphs.append(DistanceGraph(points, edges, b=1.0))
+            lonely = [(i, j) for i, j in edges if not {i, j} & isolated]
+            graphs.append(DistanceGraph(points, lonely, b=1.0))
+    return graphs + [case_graph(1, 1.35, None, 130), case_graph(2, 1.48, None, 95),
+                     case_graph(2, 1.48)]
+
+
+def test_adjacency_masks_match_reference():
+    for g in mask_graphs():
+        assert g.adjacency_masks() == reference_adjacency_masks(g.n, g.edges), (g.n, g.edges)
+        assert distgraph.neighbor_masks(g.n, g.edges[:, ::-1]) == g.adjacency_masks()
+
+
+def test_rank_masks_match_reference():
+    for g in mask_graphs():
+        assert solver._rank_masks(g.n, g.edges) == reference_rank_masks(g.n, g.edges), g.n
+
+
+def test_greedy_clique_on_kernel_masks_matches_reference():
+    for g in mask_graphs():
+        adj = reference_adjacency_masks(g.n, g.edges)
+        for seed in (0, 1):
+            want = reference_greedy_clique(adj, seed=seed)
+            assert greedy_clique(g.adjacency_masks(), seed=seed) == want, (g.n, seed)
 
 
 def search_graphs():

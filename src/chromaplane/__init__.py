@@ -4,7 +4,7 @@ The package studies colorings of the plane in which no two points at
 distance in [1, b] share a color. It provides:
 
 - geom: points, unit-circle chords, pair distances, seeded forbidden-pair draws;
-- distgraph: finite distance graphs on circle point configurations;
+- distgraph: distance graphs, read-only point and edge arrays, on circle configurations;
 - solver: exact k-colorability plus DIMACS/CNF/LP exports;
 - annulus: radial annulus colorings, lower-bound configurations,
   threshold bisection and the annulus bounds table;
@@ -21,7 +21,6 @@ from .distgraph import (
     DistanceGraph,
     PointConfig,
     build_graph,
-    circle_points,
     export_dimacs,
     graph_from_points,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "build_graph",
     "chord",
     "chromatic_number",
-    "circle_points",
     "export_cnf",
     "export_dimacs",
     "export_lp",

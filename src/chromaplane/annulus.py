@@ -60,16 +60,23 @@ NUMERIC_BRACKET = (1.001, 2.5)
 NUMERIC_TOL = 1e-7
 
 
-class BracketInvalid(Exception):
+class InstanceError(Exception):
+    """A statement about the instance, not a bug; the CLI prints its label."""
+
+
+class BracketInvalid(InstanceError):
     """Bisection bracket endpoints do not straddle the verdict change."""
+    label = "bracket_invalid"
 
 
-class NonMonotoneDetected(Exception):
+class NonMonotoneDetected(InstanceError):
     """Verdict at the returned threshold fails the two-sided re-check."""
+    label = "non_monotone"
 
 
-class EpsInstability(Exception):
+class EpsInstability(InstanceError):
     """Threshold moved by more than 1e-6 across the mandated eps scales."""
+    label = "eps_instability"
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# Statements about the instance, not bugs: they exit EXIT_USAGE with this label.
-INSTANCE_ERRORS = {
-    annulus.BracketInvalid: "bracket_invalid",
-    annulus.EpsInstability: "eps_instability",
-    annulus.NonMonotoneDetected: "non_monotone",
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -319,8 +311,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"chromaplane: error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except tuple(INSTANCE_ERRORS) as exc:
-        print(f"chromaplane: error: {INSTANCE_ERRORS[type(exc)]}: {exc}", file=sys.stderr)
+    except annulus.InstanceError as exc:  # a statement about the instance, not a bug
+        print(f"chromaplane: error: {exc.label}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001
         print(f"chromaplane: error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -10,9 +10,10 @@ circle pair (one row when the counts are equal), and never forms the
 all-pairs distance matrix; graph_from_points, for arbitrary points, keeps
 the dense all-pairs pass.
 
-A graph's edges are one read-only (m, 2) index array, so no Python object
-is made per edge; neighbor_masks turns such an array into per-vertex
-bitmask ints with numpy's packbits, again with no per-edge Python step.
+A graph is two read-only arrays, (n, 2) float points and (m, 2) index
+edges, that only its constructor makes from caller input; neighbor_masks
+turns the edges into per-vertex bitmask ints with numpy's packbits, and
+no step of either makes a Python object per point or edge.
 
 The exports (DIMACS here, CNF and LP in solver) are generators of text
 chunks over export_runs, so the CLI streams them; each export_* function
@@ -24,12 +25,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Point2, pair_distances
+from .geom import pair_distances
 
 # Edge rule: distance in [1 - BOUNDARY_TOL, b + BOUNDARY_TOL]. The point
 # configurations keep all pairwise distances safely off the interval
@@ -88,31 +89,45 @@ class PointConfig:
         return sum(n for n, _ in self.circles)
 
 
+def _pairs(values, number: type, dtype) -> np.ndarray:
+    """values, an array or a sequence of pairs (() for none), as a read-only
+    (m, 2) array of dtype; ValueError unless each entry is a finite number
+    of the kind given (Integral or Real; a bool or a str is neither)."""
+    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    ok = (all(isinstance(v, number) and not isinstance(v, bool) for v in raw.flat)
+          if raw.dtype == object else raw.dtype.kind in ("iu" if number is Integral else "iuf"))
+    ok = ok and raw.shape[1:] == (2,) or raw.shape == (0,)
+    arr = raw.astype(dtype).reshape(-1, 2) if ok else raw
+    if not ok or number is Real and not np.isfinite(arr).all():
+        raise ValueError(f"need pairs of finite {number.__name__} numbers, got {values!r:.80}")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceGraph:
     """Immutable graph: points plus index-pair edges for distances in [1, b].
 
-    edges is a read-only (m, 2) np.intp array, one row (i, j) per edge with
-    0 <= i, j < n and i != j; the constructor takes an array or a sequence of
-    pairs, () for no edges, and refuses any other index with ValueError.
+    points is a read-only (n, 2) float64 array of finite coordinates, edges a
+    read-only (m, 2) np.intp array of rows (i, j) with 0 <= i, j < n, i != j.
+    The constructor takes each as an array or a sequence of pairs (a Point2
+    is one), () for none, and refuses any other input with ValueError.
     build_graph and graph_from_points store i < j, sorted (i asc, j asc);
     the exports write edges in stored order. Graphs compare by identity:
     an array field has no tuple-like == or hash.
     """
 
-    points: tuple[Point2, ...]
+    points: np.ndarray
     edges: np.ndarray
     b: float
     eps: float = 0.0
 
     def __post_init__(self):
-        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        n = len(self.points)
-        if edges.size and not (
-            0 <= edges.min() and edges.max() < n and (edges[:, 0] != edges[:, 1]).all()
-        ):
+        points, edges = _pairs(self.points, Real, np.float64), _pairs(self.edges, Integral, np.intp)
+        n, (i, j) = len(points), edges.T
+        if edges.size and not (0 <= edges.min() and edges.max() < n and (i != j).all()):
             raise ValueError(f"edges must join two distinct vertices in 0..{n - 1}")
-        edges.flags.writeable = False
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -139,31 +154,18 @@ def neighbor_masks(n: int, edges: np.ndarray) -> list[int]:
     return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
-def circle_points(n: int, r: float) -> list[Point2]:
-    """n points evenly spaced on the origin-centered radius-r circle, point 0 at the top."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 < r < math.inf:  # NaN fails too
-        raise ValueError(f"need 0 < r < inf, got {r}")
-    return [
-        Point2(r * math.sin(2.0 * math.pi * k / n), r * math.cos(2.0 * math.pi * k / n))
-        for k in range(n)
-    ]
-
-
 def _in_window(d: np.ndarray, b: float) -> np.ndarray:
     return (d >= 1.0 - BOUNDARY_TOL) & (d <= b + BOUNDARY_TOL)
 
 
-def _edges_for_points(points: list[Point2], b: float) -> np.ndarray:
-    """Dense O(n^2) edge pass for arbitrary points, edges sorted (i asc, j asc)."""
-    arr = np.asarray(points, dtype=float).reshape(-1, 2)  # [] is 1-D otherwise
-    ii, jj = np.nonzero(_in_window(pair_distances(arr, arr), b))
+def _edges_for_points(points: np.ndarray, b: float) -> np.ndarray:
+    """Dense O(n^2) edge pass for an (n, 2) point array, edges sorted (i asc, j asc)."""
+    ii, jj = np.nonzero(_in_window(pair_distances(points, points), b))
     keep = ii < jj
     return np.column_stack((ii[keep], jj[keep]))
 
 
-def _circulant_edges(config: PointConfig, points: list[Point2], b: float) -> np.ndarray:
+def _circulant_edges(config: PointConfig, points: np.ndarray, b: float) -> np.ndarray:
     """Edges of a circle configuration from one offset slice per circle pair.
 
     With g = gcd(n_a, n_b), rotating by 2 pi / g maps point i of circle A to
@@ -172,7 +174,6 @@ def _circulant_edges(config: PointConfig, points: list[Point2], b: float) -> np.
     uses the dense pass's pair_distances on the same coordinates, and
     the edges come out sorted (i asc, j asc) as there.
     """
-    arr = np.asarray(points, dtype=float)
     starts = np.cumsum([0] + [n for n, _ in config.circles]).tolist()
     total = starts[-1]
     keys = []
@@ -182,7 +183,8 @@ def _circulant_edges(config: PointConfig, points: list[Point2], b: float) -> np.
             g = math.gcd(na, nb)
             pa, pb = na // g, nb // g
             sa, sb = starts[a], starts[c]
-            ii, jj = np.nonzero(_in_window(pair_distances(arr[sa:sa + pa], arr[sb:sb + nb]), b))
+            d = pair_distances(points[sa:sa + pa], points[sb:sb + nb])
+            ii, jj = np.nonzero(_in_window(d, b))
             t = np.arange(g)[:, None]
             i = (sa + ii + pa * t).ravel()
             j = (sb + (jj + pb * t) % nb).ravel()
@@ -205,20 +207,22 @@ def build_graph(config: PointConfig, b: float, eps: float | None = None) -> Dist
         eps = default_eps(b)
     if not 0.0 <= eps < (b - 1.0) / 2.0:
         raise ValueError(f"need 0 <= eps < (b-1)/2, got eps={eps} for b={b}")
-    points: list[Point2] = []
-    for n, r in config.circles:
-        points.extend(circle_points(n, r))
-    return DistanceGraph(tuple(points), _circulant_edges(config, points, b), b, eps)
+    points = np.array([(r * math.sin(2.0 * math.pi * k / n), r * math.cos(2.0 * math.pi * k / n))
+                       for n, r in config.circles for k in range(n)])
+    return DistanceGraph(points, _circulant_edges(config, points, b), b, eps)
 
 
 def graph_from_points(points, b: float) -> DistanceGraph:
     """Distance graph on arbitrary points, same [1, b] edge rule.
 
     Escape hatch for fixed embeddings (unit-distance gadgets and test
-    graphs); the annulus pipelines always go through PointConfig.
+    graphs); the annulus pipelines always go through PointConfig. Points
+    are read as DistanceGraph reads them; b = 1 gives unit-distance graphs.
     """
-    pts = tuple(Point2(float(p[0]), float(p[1])) for p in points)
-    return DistanceGraph(pts, _edges_for_points(list(pts), b), b)
+    if not 1.0 <= b < math.inf:  # NaN fails too
+        raise ValueError(f"need 1 <= b < inf, got b={b}")
+    points = _pairs(points, Real, np.float64)
+    return DistanceGraph(points, _edges_for_points(points, b), b)
 
 
 def export_runs(items):

@@ -296,33 +296,30 @@ def export_cnf(graph: DistanceGraph, k: int) -> str:
 def lp_chunks(graph: DistanceGraph, k: int):
     """export_lp's text in pieces of at most EXPORT_CHUNK edges or vertices.
 
-    Each per-vertex section fills one %-template per vertex that holds all k
-    of its lines. A conflict line " conflict_a_b_c: x_a_c + x_b_c <= 1" is
-    split at its vertex labels into four pieces, each from a per-vertex
-    table.
+    Each per-vertex section is an n x 1 vertex_table whose template holds
+    all k of a vertex's lines (the cover line names all k). A conflict line
+    " conflict_a_b_c: x_a_c + x_b_c <= 1" is split at its vertex labels into
+    four pieces, each from a per-vertex table.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n = graph.n
-    v = [str(i) for i in range(1, n + 1)]
     colors = range(1, k + 1)
-    cover = " cover_%s: " + " + ".join(f"x_%s_{c}" for c in colors) + " >= 1\n"
-    link = "".join(f" link_%s_{c}: x_%s_{c} - y{c} <= 0\n" for c in colors)
-    binary = "".join(f" x_%s_{c}\n" for c in colors)
+
+    def rows(template):
+        return ("".join(run.flat) for run in export_runs(vertex_table(template, n)))
+
     yield "Minimize\n obj: " + " + ".join(f"{c} y{c}" for c in colors) + "\nSubject To\n"
-    for run in export_runs(v):
-        yield "".join([cover % ((i,) * (k + 1)) for i in run])
+    yield from rows(" cover_{v}: " + " + ".join(f"x_{{v}}_{c}" for c in colors) + " >= 1\n")
     name = vertex_table(" conflict_{v}_", n)
     first = vertex_table("{v}_{c}: x_", n, k)
     second = vertex_table("{v}_{c} + x_", n, k)
     end = vertex_table("{v}_{c} <= 1\n", n, k)
     for run in export_runs(graph.edges):
         yield edge_text(run, (name, 0), (first, 1), (second, 0), (end, 1))
-    for run in export_runs(v):
-        yield "".join([link % ((i,) * (2 * k)) for i in run])
+    yield from rows("".join(f" link_{{v}}_{c}: x_{{v}}_{c} - y{c} <= 0\n" for c in colors))
     yield "Binary\n"
-    for run in export_runs(v):
-        yield "".join([binary % ((i,) * k) for i in run])
+    yield from rows("".join(f" x_{{v}}_{c}\n" for c in colors))
     yield "".join(f" y{c}\n" for c in colors) + "End\n"
 
 

@@ -14,7 +14,6 @@ from chromaplane.distgraph import (
     DistanceGraph,
     PointConfig,
     build_graph,
-    circle_points,
     config_from_json,
     default_eps,
     dimacs_chunks,
@@ -26,26 +25,72 @@ from conftest import brute_force_k_colorable, export_graphs
 
 
 def test_circle_points_examples():
-    assert circle_points(1, 2) == [Point2(0, 2)]
-    pts = circle_points(4, 1)
+    def circle(n, r):
+        return build_graph(PointConfig((CircleSpec(n, r),)), b=1.5).points
+
+    assert circle(1, 2).tolist() == [[0.0, 2.0]]
     expected = [(0, 1), (1, 0), (0, -1), (-1, 0)]
-    for p, e in zip(pts, expected):
-        assert p.x == pytest.approx(e[0], abs=1e-12)
-        assert p.y == pytest.approx(e[1], abs=1e-12)
-    hexpts = circle_points(6, 1)
-    for i in range(6):
-        assert math.dist(hexpts[i], hexpts[(i + 1) % 6]) == pytest.approx(1, abs=1e-12)
+    assert np.allclose(circle(4, 1), expected, rtol=0, atol=1e-12)
+    hexpts = circle(6, 1)
+    sides = np.hypot(*(hexpts - np.roll(hexpts, -1, axis=0)).T)
+    assert np.allclose(sides, 1, rtol=0, atol=1e-12)
 
 
-def test_circle_points_rejects_bad_input():
-    with pytest.raises(ValueError):
-        circle_points(0, 1)
-    with pytest.raises(ValueError):
-        circle_points(3, 0)
-    with pytest.raises(ValueError):
-        circle_points(3, math.nan)
-    with pytest.raises(ValueError):
-        circle_points(2, math.inf)
+def test_build_graph_points_are_the_math_expression():
+    # math, not np.sin, so the bits do not depend on numpy's vector kernels
+    config = PointConfig((CircleSpec(1300, 1 + 1e-6), CircleSpec(7, 1.2), CircleSpec(190, 1.48)))
+    want = np.array([
+        (r * math.sin(2.0 * math.pi * k / n), r * math.cos(2.0 * math.pi * k / n))
+        for n, r in config.circles for k in range(n)
+    ])
+    got = build_graph(config, b=1.5).points
+    assert got.shape == want.shape == (1497, 2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit, -0.0 too
+
+
+def test_points_are_one_read_only_float_array():
+    graphs = {
+        "build_graph": build_graph(PointConfig((CircleSpec(6, 1.0), CircleSpec(9, 1.3))), b=1.4),
+        "graph_from_points": graph_from_points([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], b=1.1),
+        "Point2": DistanceGraph((Point2(0.0, 0.0), Point2(1.0, 0.0)), ((0, 1),), b=1.5),
+        "array": DistanceGraph(np.arange(6).reshape(3, 2), (), b=1.5),
+        "empty": DistanceGraph((), (), b=1.5),
+        "empty graph_from_points": graph_from_points([], b=1.5),
+    }
+    for name, g in graphs.items():
+        p = g.points
+        assert p.ndim == 2 and p.shape == (g.n, 2) and p.dtype == np.float64, name
+        assert not p.flags.writeable, name
+        with pytest.raises(ValueError):
+            p[:1] = 0.0
+    assert graphs["Point2"].points.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert graphs["array"].points.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    # the graph holds its own copy, and leaves the caller's array writeable
+    mine = np.zeros((2, 2))
+    g = DistanceGraph(mine, ((0, 1),), b=1.5)
+    mine[0, 0] = 9.0
+    assert g.points[0, 0] == 0.0 and mine.flags.writeable
+
+
+def test_graph_constructors_refuse_bad_points_and_b():
+    # a point is an (x, y) pair of finite reals: no z (it was dropped), no
+    # NaN or inf (they became isolated vertices), no bool or string
+    bad_points = [[(0, 0, 5), (1, 0, 7)], [(0, 0), (1,)], [(0, "1")], [(0, True)],
+                  np.zeros((2, 3)), np.array([[True, False]]), [0.0, 1.0]]
+    for x in (math.nan, math.inf, -math.inf):
+        bad_points += [[(0, 0), (x, 0)], np.array([[0.0, x]])]
+    for points in bad_points:
+        with pytest.raises(ValueError, match="finite Real numbers"):
+            graph_from_points(points, 1.5)
+        with pytest.raises(ValueError, match="finite Real numbers"):
+            DistanceGraph(points, (), 1.5)
+    # b below 1 or not finite left no edge to find; b = 1 is the unit-distance graph
+    pts = (Point2(0.0, 0.0), Point2(1.0, 0.0))
+    for b in (math.nan, 0.5, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match=r"^need 1 <= b < inf"):
+            graph_from_points(pts, b)
+    for b in (1, 1.0):
+        assert graph_from_points(pts, b).edges.tolist() == [[0, 1]]
 
 
 def test_config_validation():
@@ -107,6 +152,11 @@ def test_distance_graph_refuses_bad_edge_indices():
             DistanceGraph(pts, edges, 1.5)
     with pytest.raises(ValueError, match="distinct vertices"):
         DistanceGraph((), ((0, 1),), 1.5)
+    # an index is an integer: not a float (0.9 became 0), a bool or a string
+    for edges in (((0.9, 1.2),), ((0.0, 1.0),), ((True, 2),), (("1", "2"),),
+                  np.array([[0.0, 1.0]]), np.array([[False, True]]), ((0, 1, 1),), ((0,),)):
+        with pytest.raises(ValueError, match="finite Integral numbers"):
+            DistanceGraph(pts, edges, 1.5)
     for edges in ((), np.empty((0, 2), dtype=np.intp), ((0, 1),)):
         assert DistanceGraph(pts, edges, 1.5).edges.shape == (len(edges), 2)
 
@@ -222,8 +272,7 @@ def test_scaling_invariance():
     lam = 2.7
     cfg = PointConfig((CircleSpec(15, 1.01), CircleSpec(15, 1.35)))
     g = build_graph(cfg, b=1.4, eps=0.004)
-    scaled = [(lam * p.x, lam * p.y) for p in g.points]
-    arr = np.asarray(scaled)
+    arr = lam * g.points
     d = np.sqrt(((arr[:, None, :] - arr[None, :, :]) ** 2).sum(-1))
     lo, hi = lam * (1 - BOUNDARY_TOL), lam * (1.4 + BOUNDARY_TOL)
     ii, jj = np.nonzero((d >= lo) & (d <= hi))

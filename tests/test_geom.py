@@ -12,7 +12,6 @@ from chromaplane.geom import (
     forbidden_pair_draws,
     pair_distances,
 )
-from chromaplane.hexcolor import BASE_TILE, S1, S2, _tile_gap
 
 
 def test_chord_examples():
@@ -35,55 +34,6 @@ def test_chord_strictly_increasing_in_angle():
         a1, a2 = sorted((rng.uniform(1e-6, math.pi), rng.uniform(1e-6, math.pi)))
         if a2 - a1 > 1e-12:
             assert chord(a1) < chord(a2)
-
-
-def test_polygon_min_distance_hexagon_tiles():
-    # diameter-1 tiles of the hexagonal tiling, offset by the lattice step
-    # S1 + 2*S2; oracle: dense boundary sampling of the two tiles
-    off = (S1.x + 2 * S2.x, S1.y + 2 * S2.y)
-    d = _tile_gap(*off)
-    assert d == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
-
-    samples = []
-    for dx, dy in ((0.0, 0.0), off):
-        for i in range(6):
-            a = np.array(BASE_TILE[i]) + (dx, dy)
-            c = np.array(BASE_TILE[(i + 1) % 6]) + (dx, dy)
-            t = np.linspace(0, 1, 400, endpoint=False)[:, None]
-            samples.append(a + t * (c - a))
-    A = np.vstack(samples[:6])
-    B = np.vstack(samples[6:])
-    sampled = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)).min()
-    assert d == pytest.approx(sampled, abs=1e-5)
-
-
-def _rotate(x, y, degrees):
-    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
-    return c * x - s * y, s * x + c * y
-
-
-def test_polygon_min_distance_symmetry():
-    # the gap between two tiles is invariant under the twelve symmetries
-    # of the hexagon: rotations by 60 degrees and the reflections
-    rng = random.Random(3)
-    for _ in range(500):
-        ox, oy = rng.uniform(-4, 4), rng.uniform(-4, 4)
-        d = _tile_gap(ox, oy)
-        for k in range(6):
-            rx, ry = _rotate(ox, oy, 60 * k)
-            assert _tile_gap(rx, ry) == pytest.approx(d, abs=1e-12)
-            assert _tile_gap(rx, -ry) == pytest.approx(d, abs=1e-12)
-
-
-def test_polygon_min_distance_centroid_consistency():
-    # two tiles of circumradius 1/2 whose centers are r apart: the gap lies
-    # between r - 1 (vertex to vertex) and r - sqrt(3)/2 (face to face)
-    rng = random.Random(5)
-    for _ in range(500):
-        ox, oy = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        r = math.hypot(ox, oy)
-        d = _tile_gap(ox, oy)
-        assert max(r - 1.0, 0.0) - 1e-12 <= d <= max(r - math.sqrt(3) / 2, 0.0) + 1e-12
 
 
 def test_pair_distances_matches_hypot():

@@ -418,10 +418,8 @@ def test_determinism():
 
 def test_chromatic_number_examples(moser_spindle):
     # complete K5: five points pairwise at distance in [1, 1.7]
-    from chromaplane.distgraph import circle_points
-
     r = 1 / (2 * math.sin(math.pi / 5))
-    k5 = graph_from_points(circle_points(5, r), b=1.7)
+    k5 = build_graph(PointConfig((CircleSpec(5, r),)), b=1.7)
     assert len(k5.edges) == 10
     assert chromatic_number(k5) == 5
 

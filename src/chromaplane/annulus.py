@@ -249,15 +249,25 @@ def threshold_bisect(
     not guaranteed. The whole search runs once per EPS_STABILITY_SCALES
     scale, the results must agree to 1e-6, and the DEFAULT_EPS_SCALE run's
     b* is returned.
+
+    Each probe builds its graph, but a probe whose edge array equals, byte
+    for byte, that of an earlier probe in this call reuses its verdict: the
+    solve reads only the vertex count, fixed within a call, and the edges.
+    The table lives for one call; a budget cut raises and is not stored.
     """
     if not 1.0 < b_lo < b_hi < math.inf:
         raise BracketInvalid(f"need 1 < b_lo < b_hi < inf, got b_lo={b_lo}, b_hi={b_hi}")
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    verdicts: dict[bytes, bool] = {}  # edge bytes -> needs >= k colors
 
     def needs(b: float, scale: float) -> bool:
-        out = annulus_verdict(
-            case, b, k, n_override, eps=(b - 1.0) * scale, time_budget=time_budget, seed=seed
-        )
-        return out.status == NOT_COLORABLE
+        g = case_graph(case, b, (b - 1.0) * scale, n_override)
+        key = g.edges.tobytes()
+        if key not in verdicts:
+            out = k_colorable(KColorQuery(g, k - 1, time_budget), seed=seed)
+            verdicts[key] = out.status == NOT_COLORABLE
+        return verdicts[key]
 
     results: list[float] = []
     for scale in EPS_STABILITY_SCALES:

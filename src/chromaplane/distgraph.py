@@ -92,12 +92,16 @@ class PointConfig:
 def _pairs(values, number: type, dtype) -> np.ndarray:
     """values, an array or a sequence of pairs (() for none), as a read-only
     (m, 2) array of dtype; ValueError unless each entry is a finite number
-    of the kind given (Integral or Real; a bool or a str is neither)."""
+    of the kind given (Integral or Real; a bool or a str is neither) that
+    dtype holds."""
     raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     ok = (all(isinstance(v, number) and not isinstance(v, bool) for v in raw.flat)
           if raw.dtype == object else raw.dtype.kind in ("iu" if number is Integral else "iuf"))
     ok = ok and raw.shape[1:] == (2,) or raw.shape == (0,)
-    arr = raw.astype(dtype).reshape(-1, 2) if ok else raw
+    try:
+        arr = raw.astype(dtype).reshape(-1, 2) if ok else raw
+    except OverflowError:  # a Python int too large for dtype
+        ok, arr = False, raw
     if not ok or number is Real and not np.isfinite(arr).all():
         raise ValueError(f"need pairs of finite {number.__name__} numbers, got {values!r:.80}")
     arr.flags.writeable = False

@@ -27,7 +27,7 @@ from chromaplane.annulus import (
     threshold_bisect,
 )
 from chromaplane.distgraph import CircleSpec
-from chromaplane.solver import COLORABLE, NOT_COLORABLE
+from chromaplane.solver import COLORABLE, NOT_COLORABLE, BudgetExhausted
 
 
 def test_radial_scheme_validation():
@@ -316,13 +316,17 @@ def test_desk_scale_case1_refutation():
     assert lift_lower_bound(4) == 7
 
 
-def test_annulus_verdict_names_the_callers_k():
+def test_annulus_verdict_names_the_callers_k(monkeypatch):
     # k colors are certified by refuting k - 1, so k = 1 would ask for 0
     for k in (1, 0):
         with pytest.raises(ValueError, match=f"need k >= 2, got {k}$"):
             annulus_verdict(1, 1.35, k, n_override=5)
-    with pytest.raises(ValueError, match="need k >= 2, got 1$"):
-        threshold_bisect(1, 5, 1, 1.25, 1.4, 1e-3)
+    # threshold_bisect refuses it before its first probe builds a graph
+    builds, solves = _spy_solves(monkeypatch)
+    for k in (1, 0):
+        with pytest.raises(ValueError, match=f"need k >= 2, got {k}$"):
+            threshold_bisect(1, 5, k, 1.25, 1.4, 1e-3)
+    assert builds == solves == []
 
 
 def test_infinite_b_is_refused_as_b():
@@ -350,13 +354,21 @@ def test_threshold_bisect_bracket_validation(monkeypatch):
 
 
 def _fake_verdicts(monkeypatch, needs, eps_scales=(1e-6,)):
-    """Make annulus_verdict answer needs(b, eps_scale) without building a graph,
-    and threshold_bisect run at eps_scales."""
+    """Make each threshold_bisect probe answer needs(b, eps_scale) without
+    building or solving a graph, and threshold_bisect run at eps_scales.
 
-    def fake(case, b, k, n_override=None, eps=None, time_budget=None, seed=0):
-        return SimpleNamespace(status=NOT_COLORABLE if needs(b, eps / (b - 1.0)) else COLORABLE)
+    The stub graph of a probe carries needs' answer, and its edge bytes are
+    its (b, eps), so probes at one (b, eps) share a verdict as real graphs do.
+    """
 
-    monkeypatch.setattr(annulus, "annulus_verdict", fake)
+    def graph(case, b, eps=None, n_override=None):
+        return SimpleNamespace(edges=np.array([b, eps]), needs=needs(b, eps / (b - 1.0)))
+
+    def solve(query, seed=0):
+        return SimpleNamespace(status=NOT_COLORABLE if query.graph.needs else COLORABLE)
+
+    monkeypatch.setattr(annulus, "case_graph", graph)
+    monkeypatch.setattr(annulus, "k_colorable", solve)
     monkeypatch.setattr(annulus, "EPS_STABILITY_SCALES", eps_scales)
 
 
@@ -441,6 +453,142 @@ def test_threshold_bisect_detects_eps_instability(monkeypatch):
     _fake_verdicts(monkeypatch, needs, (1e-6, 1e-3))
     with pytest.raises(EpsInstability):
         threshold_bisect(1, 65, 4, **BRACKET)
+
+
+def reference_threshold_bisect(case, n_override, k, b_lo, b_hi, tol, time_budget=None, seed=0):
+    """threshold_bisect's per-probe loop, one annulus_verdict per probe: the oracle."""
+    if not 1.0 < b_lo < b_hi < math.inf:
+        raise BracketInvalid(f"need 1 < b_lo < b_hi < inf, got b_lo={b_lo}, b_hi={b_hi}")
+
+    def needs(b, scale):
+        out = annulus_verdict(
+            case, b, k, n_override, eps=(b - 1.0) * scale, time_budget=time_budget, seed=seed
+        )
+        return out.status == NOT_COLORABLE
+
+    results = []
+    for scale in annulus.EPS_STABILITY_SCALES:
+        lo, hi = annulus._bisect(lambda b: needs(b, scale), b_lo, b_hi, tol, "needs k")
+        b_star = 0.5 * (lo + hi)
+        up = max(b_star + tol, math.nextafter(b_star, math.inf))
+        down = min(b_star - tol, math.nextafter(b_star, -math.inf))
+        if not needs(up, scale) or needs(down, scale):
+            raise NonMonotoneDetected(b_star)
+        results.append(b_star)
+    if max(results) - min(results) > 1e-6:
+        raise EpsInstability(results)
+    return results[annulus.EPS_STABILITY_SCALES.index(annulus.DEFAULT_EPS_SCALE)]
+
+
+def _spy_solves(monkeypatch):
+    """Record each threshold_bisect probe's edge bytes and each solve's query."""
+    builds, solves = [], []
+    build, solve = annulus.case_graph, annulus.k_colorable
+
+    def graph(*args):
+        g = build(*args)
+        builds.append(g.edges.tobytes())
+        return g
+
+    def spy(query, seed=0):
+        solves.append(query)
+        return solve(query, seed=seed)
+
+    monkeypatch.setattr(annulus, "case_graph", graph)
+    monkeypatch.setattr(annulus, "k_colorable", spy)
+    return builds, solves
+
+
+def test_threshold_bisect_solves_each_distinct_graph_once(monkeypatch):
+    builds, solves = _spy_solves(monkeypatch)
+    assert threshold_bisect(1, 65, 4, 1.25, 1.4, 1e-3, time_budget=30.0) == 1.32646484375
+    assert len(builds) == 36
+    assert len(set(builds)) == 5
+    assert len(solves) == 5
+    assert len({q.graph.edges.tobytes() for q in solves}) == 5
+    assert all(q.k == 3 and q.time_budget == 30.0 for q in solves)
+
+
+def test_threshold_bisect_table_lives_for_one_call(monkeypatch):
+    # back-to-back calls each solve every distinct graph: nothing carries over
+    builds, solves = _spy_solves(monkeypatch)
+    counts = []
+    for _ in range(2):
+        builds.clear()
+        solves.clear()
+        assert threshold_bisect(1, 65, 4, 1.25, 1.4, 1e-3) == 1.32646484375
+        counts.append((len(builds), len(solves)))
+    assert counts == [(36, 5), (36, 5)]
+
+
+# (case, n, k, b_lo, b_hi, tol) and the per-probe loop's repr(b*) or exception
+THRESHOLD_INSTANCES = [
+    ((1, 65, 4, 1.25, 1.4, 1e-3), "1.32646484375"),
+    ((2, 38, 5, 1.3, 1.6, 1e-3), "1.57802734375"),
+    ((3, 18, 6, 1.5, 1.9, 1e-3), "1.879296875"),
+    ((1, 26, 4, 1.25, 1.45, 1e-3), "1.409765625"),
+    ((2, 19, 5, 1.3, 1.6, 1e-3), BracketInvalid),
+    ((1, 65, 4, 1.3, 1.4, 1e-9), EpsInstability),
+]
+
+
+def _outcome(bisect, args):
+    try:
+        return repr(bisect(*args))
+    except annulus.InstanceError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("args, want", THRESHOLD_INSTANCES,
+                         ids=["-".join(map(str, args)) for args, _ in THRESHOLD_INSTANCES])
+def test_threshold_bisect_matches_the_per_probe_loop(args, want):
+    assert _outcome(reference_threshold_bisect, args) == want
+    assert _outcome(threshold_bisect, args) == want
+
+
+def test_threshold_bisect_keys_verdicts_by_edges_not_b(monkeypatch):
+    # every b in [1.375, 1.4375) gets one edge array, so the verdict solved at
+    # 1.375 (false) answers 1.40625, 1.421875 and 1.4140625 too, though needs
+    # says true at the first two; b* moves from the step at 1.4 (1.3984375
+    # with a graph per b) to the bucket's end
+    probes = []
+
+    def graph(case, b, eps=None, n_override=None):
+        probes.append(b)
+        bucket = 0 if b < 1.375 else 1 if b < 1.4375 else 2
+        return SimpleNamespace(edges=np.array([bucket]), needs=b >= 1.4)
+
+    solves = []
+
+    def solve(query, seed=0):
+        solves.append(query.graph.needs)
+        return SimpleNamespace(status=NOT_COLORABLE if query.graph.needs else COLORABLE)
+
+    monkeypatch.setattr(annulus, "case_graph", graph)
+    monkeypatch.setattr(annulus, "k_colorable", solve)
+    monkeypatch.setattr(annulus, "EPS_STABILITY_SCALES", (1e-6,))
+    assert threshold_bisect(1, 65, 4, **BRACKET) == 1.4296875
+    assert probes == [1.25, 1.5, 1.375, 1.4375, 1.40625, 1.421875, 1.4453125, 1.4140625]
+    assert solves == [False, True, False]
+
+
+def test_threshold_bisect_stores_no_budget_cut(monkeypatch):
+    # a cut raises out of the call; the next call solves that graph again
+    builds, solves = _spy_solves(monkeypatch)
+    solve = annulus.k_colorable
+
+    def cut_once(query, seed=0):
+        if len(solves) == 2:
+            solves.append(query)
+            raise BudgetExhausted(0, 0.0)
+        return solve(query, seed=seed)
+
+    monkeypatch.setattr(annulus, "k_colorable", cut_once)
+    with pytest.raises(BudgetExhausted):
+        threshold_bisect(1, 65, 4, 1.25, 1.4, 1e-3)
+    assert len(solves) == 3
+    assert threshold_bisect(1, 65, 4, 1.25, 1.4, 1e-3) == 1.32646484375
+    assert len(solves) == 3 + 5
 
 
 def test_annulus_bounds_rows_structure():

@@ -526,14 +526,20 @@ def test_internal_value_error_exits_4(capsys, monkeypatch):
 def test_threshold_instance_verdicts_exit_2(capsys, monkeypatch, label):
     # a threshold that moves with eps, or a verdict that is not monotone around
     # b*, is a statement about the instance, like a bracket that does not straddle
-    def verdict(case, b, k, n_override=None, eps=None, time_budget=None, seed=0):
+    # each probe's stub graph carries its verdict; its edge bytes are its (b, eps)
+    def graph(case, b, eps=None, n_override=None):
         if label == "eps_instability":
             needs = b >= (1.4 if eps / (b - 1.0) < 1e-6 else 1.3)
         else:
             needs = b >= 1.4 and not 1.41 < b < 1.42
-        return SimpleNamespace(status=solver.NOT_COLORABLE if needs else solver.COLORABLE)
+        return SimpleNamespace(edges=np.array([b, eps]), needs=needs)
 
-    monkeypatch.setattr(annulus, "annulus_verdict", verdict)
+    def solve(query, seed=0):
+        return SimpleNamespace(
+            status=solver.NOT_COLORABLE if query.graph.needs else solver.COLORABLE)
+
+    monkeypatch.setattr(annulus, "case_graph", graph)
+    monkeypatch.setattr(annulus, "k_colorable", solve)
     rc, out, err = run_main(capsys, "threshold", "--case", "1", "--k", "4", "--n", "65",
                             "--b-lo", "1.25", "--b-hi", "1.5", "--tol", "0.015625")
     assert (rc, out) == (2, "")

@@ -76,7 +76,7 @@ def test_graph_constructors_refuse_bad_points_and_b():
     # a point is an (x, y) pair of finite reals: no z (it was dropped), no
     # NaN or inf (they became isolated vertices), no bool or string
     bad_points = [[(0, 0, 5), (1, 0, 7)], [(0, 0), (1,)], [(0, "1")], [(0, True)],
-                  np.zeros((2, 3)), np.array([[True, False]]), [0.0, 1.0]]
+                  np.zeros((2, 3)), np.array([[True, False]]), [0.0, 1.0], [(0, 10**400)]]
     for x in (math.nan, math.inf, -math.inf):
         bad_points += [[(0, 0), (x, 0)], np.array([[0.0, x]])]
     for points in bad_points:
@@ -154,7 +154,8 @@ def test_distance_graph_refuses_bad_edge_indices():
         DistanceGraph((), ((0, 1),), 1.5)
     # an index is an integer: not a float (0.9 became 0), a bool or a string
     for edges in (((0.9, 1.2),), ((0.0, 1.0),), ((True, 2),), (("1", "2"),),
-                  np.array([[0.0, 1.0]]), np.array([[False, True]]), ((0, 1, 1),), ((0,),)):
+                  np.array([[0.0, 1.0]]), np.array([[False, True]]), ((0, 1, 1),), ((0,),),
+                  ((0, 2**70),)):
         with pytest.raises(ValueError, match="finite Integral numbers"):
             DistanceGraph(pts, edges, 1.5)
     for edges in ((), np.empty((0, 2), dtype=np.intp), ((0, 1),)):

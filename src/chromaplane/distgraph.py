@@ -7,8 +7,9 @@ so every circle has one point on the upward vertical half-line.
 
 build_graph uses a circulant build, one offset slice of distances per
 circle pair (one row when the counts are equal), and never forms the
-all-pairs distance matrix; graph_from_points, for arbitrary points, keeps
-the dense all-pairs pass.
+all-pairs distance matrix; it sorts the edges as packed int64 keys and
+splits them with a shift and a mask. graph_from_points, for arbitrary
+points, keeps the dense all-pairs pass.
 
 A graph is two read-only arrays, (n, 2) float points and (m, 2) index
 edges, that only its constructor makes from caller input; neighbor_masks
@@ -17,13 +18,17 @@ no step of either makes a Python object per point or edge.
 
 The exports (DIMACS here, CNF and LP in solver) are generators of text
 chunks over export_runs, so the CLI streams them; each export_* function
-is the join of its generator. A run of edges is written by edge_text from
-per-vertex string tables (vertex_table) indexed by its two columns.
+is the join of its generator. The edge lines come from edge_texts, which
+lays per-vertex string tables (vertex_table, each cell one join of a
+template's literal text and labels made once per table) end to end and
+writes each run of edges with one index array, one gather and one join.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import string
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import NamedTuple
@@ -115,7 +120,8 @@ class DistanceGraph:
     points is a read-only (n, 2) float64 array of finite coordinates, edges a
     read-only (m, 2) np.intp array of rows (i, j) with 0 <= i, j < n, i != j.
     The constructor takes each as an array or a sequence of pairs (a Point2
-    is one), () for none, and refuses any other input with ValueError.
+    is one), () for none, and refuses any other input with ValueError, as it
+    does a b outside [1, inf) and an eps that is neither 0 nor in (0, (b-1)/2).
     build_graph and graph_from_points store i < j, sorted (i asc, j asc);
     the exports write edges in stored order. Graphs compare by identity:
     an array field has no tuple-like == or hash.
@@ -127,6 +133,10 @@ class DistanceGraph:
     eps: float = 0.0
 
     def __post_init__(self):
+        if not 1.0 <= self.b < math.inf:  # NaN fails too
+            raise ValueError(f"need 1 <= b < inf, got b={self.b}")
+        if not (self.eps == 0.0 or 0.0 < self.eps < (self.b - 1.0) / 2.0):
+            raise ValueError(f"need eps = 0 or 0 < eps < (b-1)/2, got eps={self.eps} for b={self.b}")
         points, edges = _pairs(self.points, Real, np.float64), _pairs(self.edges, Integral, np.intp)
         n, (i, j) = len(points), edges.T
         if edges.size and not (0 <= edges.min() and edges.max() < n and (i != j).all()):
@@ -177,9 +187,14 @@ def _circulant_edges(config: PointConfig, points: np.ndarray, b: float) -> np.nd
     first n_a/g points of A to all of B fix the whole A-B block. The slice
     uses the dense pass's pair_distances on the same coordinates, and
     the edges come out sorted (i asc, j asc) as there.
+
+    Each edge is the int64 key (i << 32) | j, split back by a shift and a
+    mask; ValueError past 2**31 points, which the key cannot hold. Each
+    block's keys are ascending runs, which the stable sort (timsort) merges.
     """
     starts = np.cumsum([0] + [n for n, _ in config.circles]).tolist()
-    total = starts[-1]
+    if starts[-1] > 2**31:
+        raise ValueError(f"need at most 2**31 points, got {starts[-1]}")
     keys = []
     for a, (na, _) in enumerate(config.circles):
         for c in range(a, len(config.circles)):
@@ -189,28 +204,31 @@ def _circulant_edges(config: PointConfig, points: np.ndarray, b: float) -> np.nd
             sa, sb = starts[a], starts[c]
             d = pair_distances(points[sa:sa + pa], points[sb:sb + nb])
             ii, jj = np.nonzero(_in_window(d, b))
-            t = np.arange(g)[:, None]
-            i = (sa + ii + pa * t).ravel()
-            j = (sb + (jj + pb * t) % nb).ravel()
-            keep = i < j
-            keys.append(i[keep] * total + j[keep])
-    key = np.sort(np.concatenate(keys))
-    return np.column_stack((key // total, key % total))
+            t = np.arange(g, dtype=np.int64)[:, None]
+            i, j = sa + ii + pa * t, jj + pb * t
+            j += sb - nb * (j >= nb)  # both terms of j are below nb: one subtraction wraps it
+            key = i << 32 | j
+            # between two circles i < j always holds
+            keys.append(key[i < j] if a == c else key.ravel())
+    keys = np.concatenate(keys)
+    keys.sort(kind="stable")
+    edges = np.empty((len(keys), 2), dtype=np.intp)
+    np.right_shift(keys, 32, out=edges[:, 0])
+    np.bitwise_and(keys, 0xFFFFFFFF, out=edges[:, 1])
+    return edges
 
 
 def build_graph(config: PointConfig, b: float, eps: float | None = None) -> DistanceGraph:
     """Distance graph on the configuration's points for the interval [1, b].
 
     The configuration's radii are taken as given (any eps shifts are the
-    caller's responsibility); eps is validated against the annulus being
-    nonempty and recorded on the graph.
+    caller's responsibility); eps is recorded on the graph, whose
+    constructor checks it against the annulus being nonempty.
     """
     if not 1.0 < b < math.inf:  # NaN fails too
         raise ValueError(f"need 1 < b < inf, got b={b}")
     if eps is None:
         eps = default_eps(b)
-    if not 0.0 <= eps < (b - 1.0) / 2.0:
-        raise ValueError(f"need 0 <= eps < (b-1)/2, got eps={eps} for b={b}")
     points = np.array([(r * math.sin(2.0 * math.pi * k / n), r * math.cos(2.0 * math.pi * k / n))
                        for n, r in config.circles for k in range(n)])
     return DistanceGraph(points, _circulant_edges(config, points, b), b, eps)
@@ -221,10 +239,9 @@ def graph_from_points(points, b: float) -> DistanceGraph:
 
     Escape hatch for fixed embeddings (unit-distance gadgets and test
     graphs); the annulus pipelines always go through PointConfig. Points
-    are read as DistanceGraph reads them; b = 1 gives unit-distance graphs.
+    are read, and b checked, as DistanceGraph does; b = 1 gives
+    unit-distance graphs.
     """
-    if not 1.0 <= b < math.inf:  # NaN fails too
-        raise ValueError(f"need 1 <= b < inf, got b={b}")
     points = _pairs(points, Real, np.float64)
     return DistanceGraph(points, _edges_for_points(points, b), b)
 
@@ -237,34 +254,49 @@ def export_runs(items):
 
 def vertex_table(template: str, n: int, k: int = 1) -> np.ndarray:
     """n x k object array: row i, column c - 1 is template.format(v=i + 1, c=c,
-    x=i * k + c), with v the vertex's 1-based label and x its color c literal."""
-    return np.array(
-        [[template.format(v=i + 1, c=c, x=i * k + c) for c in range(1, k + 1)] for i in range(n)],
-        dtype=object,
-    ).reshape(n, k)
+    x=i * k + c), with v the vertex's 1-based label and x its color c literal.
+
+    The template is parsed once, each field's labels are made once per
+    table, and each cell is one join of the literal text and its labels.
+    """
+    values = {"v": np.repeat(np.arange(1, n + 1), k), "c": np.tile(np.arange(1, k + 1), n),
+              "x": np.arange(1, n * k + 1)}
+    columns = [itertools.repeat("")]  # so that an empty template gives empty cells
+    for literal, field, spec, conversion in string.Formatter().parse(template):
+        if literal:
+            columns.append(itertools.repeat(literal))
+        if field is not None:  # !s, !r and !a all write an int as str does
+            columns.append([format(str(x) if conversion else x, spec) for x in values[field].tolist()])
+    cells = ["".join(t) for t in itertools.islice(zip(*columns), n * k)]
+    return np.array(cells, dtype=object).reshape(n, k)
 
 
-def edge_text(run: np.ndarray, *parts: tuple[np.ndarray, int]) -> str:
-    """Text of a run of edges (rows (i, j) of an edge array).
+def edge_texts(edges: np.ndarray, *parts: tuple[np.ndarray, int]):
+    """Text of the rows (i, j) of edges, one chunk per export_runs run.
 
     Each part is (table, end): the n x 1 or n x k vertex_table read at the
     edge's i (end 0) or j (end 1). For each edge and each of the k columns
-    the parts' pieces are written in order. They are gathered by reference
-    and joined once, so no piece is concatenated on its own.
+    the parts' pieces are written in order. The tables are laid end to end
+    once; each run is one intp index array, one gather and one join.
     """
     k = max(table.shape[1] for table, _ in parts)
-    pieces = np.empty((len(run), k, len(parts)), dtype=object)
-    for t, (table, end) in enumerate(parts):
-        pieces[:, :, t] = table[run[:, end]]
-    return "".join(pieces.ravel().tolist())
+    cells = np.concatenate([table.ravel() for table, _ in parts])
+    ends = [end for _, end in parts]
+    widths = np.array([table.shape[1] for table, _ in parts])
+    # base[c, t]: the cell of part t at vertex 0 and color c + 1; an n x 1
+    # table has one cell per vertex, read for every color
+    base = np.cumsum([0] + [table.size for table, _ in parts])[:-1] + np.arange(k)[:, None] * (widths > 1)
+    for run in export_runs(edges):
+        index = np.empty((len(run), k, len(parts)), dtype=np.intp)
+        np.add((run[:, ends] * widths)[:, None, :], base, out=index)
+        yield "".join(cells[index].ravel().tolist())
 
 
 def dimacs_chunks(g: DistanceGraph):
     """export_dimacs's text in pieces of at most EXPORT_CHUNK edges."""
     yield f"p edge {g.n} {len(g.edges)}\n"
     head, tail = vertex_table("e {v} ", g.n), vertex_table("{v}\n", g.n)
-    for run in export_runs(g.edges):
-        yield edge_text(run, (head, 0), (tail, 1))
+    yield from edge_texts(g.edges, (head, 0), (tail, 1))
 
 
 def export_dimacs(g: DistanceGraph) -> str:

@@ -24,19 +24,20 @@ two restores. The branch vertex comes from narrowing the uncolored mask
 plane by plane, highest first. No step loops over neighbors.
 
 The CNF and LP exports are generators of text chunks (cnf_chunks,
-lp_chunks) over distgraph.export_runs; a run of edges is written by
-distgraph.edge_text from per-vertex string tables. export_cnf and
-export_lp are their joins.
+lp_chunks) over distgraph.export_runs; their edge lines come from
+distgraph.edge_texts, one gather from per-vertex string tables per run of
+edges. export_cnf and export_lp are their joins.
 """
 from __future__ import annotations
 
 import random
 import time
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .distgraph import DistanceGraph, edge_text, export_runs, neighbor_masks, vertex_table
+from .distgraph import DistanceGraph, edge_texts, export_runs, neighbor_masks, vertex_table
 
 COLORABLE = "colorable"
 NOT_COLORABLE = "not_colorable"
@@ -189,7 +190,7 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
         if status == NOT_COLORABLE:
             return ColoringOutcome(status, None, nodes, elapsed)
         assignment = tuple(color[r] for r in rank)
-        if not verify_coloring(g, assignment):
+        if not (verify_coloring(g, assignment) and max(assignment) < k):
             raise RuntimeError("search produced an improper coloring")
         return ColoringOutcome(status, assignment, nodes, elapsed)
 
@@ -245,8 +246,12 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
 
 
 def verify_coloring(graph: DistanceGraph, assignment) -> bool:
-    """True iff the assignment colors every vertex and no edge is monochromatic."""
-    if len(assignment) != graph.n:
+    """True iff the assignment colors every vertex and no edge is monochromatic.
+
+    A color is an integer >= 0, a Python or numpy one; a bool is not one.
+    """
+    if len(assignment) != graph.n or not all(
+            isinstance(c, Integral) and not isinstance(c, bool) and c >= 0 for c in assignment):
         return False
     a, e = np.asarray(assignment), graph.edges
     return bool(np.all(a[e[:, 0]] != a[e[:, 1]]))
@@ -278,8 +283,7 @@ def cnf_chunks(graph: DistanceGraph, k: int):
     for run in export_runs(vertex_table("{x} ", n, k).tolist()):
         yield "".join(["".join(row) + "0\n" for row in run])
     heads, tails = vertex_table("-{x} -", n, k), vertex_table("{x} 0\n", n, k)
-    for run in export_runs(graph.edges):
-        yield edge_text(run, (heads, 0), (tails, 1))
+    yield from edge_texts(graph.edges, (heads, 0), (tails, 1))
 
 
 def export_cnf(graph: DistanceGraph, k: int) -> str:
@@ -315,8 +319,7 @@ def lp_chunks(graph: DistanceGraph, k: int):
     first = vertex_table("{v}_{c}: x_", n, k)
     second = vertex_table("{v}_{c} + x_", n, k)
     end = vertex_table("{v}_{c} <= 1\n", n, k)
-    for run in export_runs(graph.edges):
-        yield edge_text(run, (name, 0), (first, 1), (second, 0), (end, 1))
+    yield from edge_texts(graph.edges, (name, 0), (first, 1), (second, 0), (end, 1))
     yield from rows("".join(f" link_{{v}}_{c}: x_{{v}}_{c} - y{c} <= 0\n" for c in colors))
     yield "Binary\n"
     yield from rows("".join(f" x_{{v}}_{c}\n" for c in colors))

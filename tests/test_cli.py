@@ -153,6 +153,38 @@ def test_case2_exports_pinned_bytes(key):
     assert hashlib.sha256(data).hexdigest() == EXPECTED[key]["sha256"]
 
 
+# (bytes, sha256) of the three-circle exports, whose six circle-pair blocks
+# the edge build merges; recorded before the build packed its edge keys
+THREE_CIRCLE_EXPORTS = {
+    "export --what dimacs --case 3 --b 1.72 --n 30 --k 5":
+        (7700, "b8ccb365ffc555b1cf84536a8d052985984508290094da036682fdbc543c438d"),
+    "export --what cnf --case 3 --b 1.72 --n 30 --k 5":
+        (58479, "c534d21836b895d6208686bf047572baecd76cda8817c2b25ec0508061e27223"),
+    "export --what lp --case 3 --b 1.72 --n 30 --k 5":
+        (217521, "984f8405a985b5bb5567649e205b577711122bd78434a8fea55a8eb1d0a4d60b"),
+    "export --what dimacs --case 4 --b 1.84 --n 30 --k 5":
+        (9069, "7227d9f007a234f038ebbe8fe0ae911969ad59909eab70fc4f826fb921d8c301"),
+    "export --what cnf --case 4 --b 1.84 --n 30 --k 5":
+        (68415, "81d456e29a1c05a54d7a62fc633eb354657bd021d3649056fec2159ccdf8fed0"),
+    "export --what lp --case 4 --b 1.84 --n 30 --k 5":
+        (252801, "60d79921afe114081f224516394148ff0a577c9051d8b7c5deffcd27c2ac70bd"),
+    "export --what dimacs --case 5 --b 2.02 --n 30 --k 5":
+        (10539, "2e0e96b126f84c5c4d111caa05afb3f5c8f195ec590aebec2f7a81c6cf83e0b3"),
+    "export --what cnf --case 5 --b 2.02 --n 30 --k 5":
+        (79035, "d302f3af7dc8b09a39ebce0c568a2d7677f1686be56dc33c03546e4f4fbd49eb"),
+    "export --what lp --case 5 --b 2.02 --n 30 --k 5":
+        (290901, "e1f44c1dba6c90db833ab0ad392f4b5e064a50fc9a7d4cbeabed0ce662557070"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(THREE_CIRCLE_EXPORTS))
+def test_three_circle_exports_pinned_bytes(key, capsys):
+    rc, out, err = run_main(capsys, *key.split())
+    assert rc == 0 and err == ""
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == THREE_CIRCLE_EXPORTS[key]
+
+
 class _WriteCounter(io.TextIOBase):
     """Stands in for stdout: hashes the text and records each write's length."""
 

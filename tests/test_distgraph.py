@@ -89,8 +89,18 @@ def test_graph_constructors_refuse_bad_points_and_b():
     for b in (math.nan, 0.5, 0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match=r"^need 1 <= b < inf"):
             graph_from_points(pts, b)
+        with pytest.raises(ValueError, match=r"^need 1 <= b < inf"):
+            DistanceGraph(pts, ((0, 1),), b)
     for b in (1, 1.0):
         assert graph_from_points(pts, b).edges.tolist() == [[0, 1]]
+        assert DistanceGraph(pts, ((0, 1),), b).b == b
+    # eps is 0, or inside the annulus's half-width: no builder makes another
+    for b, eps in ((1.5, -1.0), (1.5, math.nan), (1.5, math.inf), (1.5, 0.25), (1.5, 0.3),
+                   (1.0, 1e-9), (1.0, -1e-300)):
+        with pytest.raises(ValueError, match=r"^need eps = 0 or 0 < eps < \(b-1\)/2"):
+            DistanceGraph(pts, ((0, 1),), b, eps)
+    for b, eps in ((1.5, 0.0), (1.5, -0.0), (1.5, 0.2499), (1.0, 0.0), (1.5, 1e-300)):
+        assert DistanceGraph(pts, ((0, 1),), b, eps).eps == eps
 
 
 def test_config_validation():
@@ -239,8 +249,10 @@ def test_circulant_build_matches_dense_full_scale(case, b, edges):
     assert len(g.edges) == edges
     assert np.array_equal(g.edges, dense_edges(g))
     # the dense pass needs an n x n x 2 float temporary: 258 MB for case 1;
-    # a tuple of 388,700 Python pairs alone took some 45 MB of it
-    assert peak_mb < 32, peak_mb
+    # a tuple of 388,700 Python pairs alone took some 45 MB of it. Case 1's
+    # build peaks at 12.5 MB, 6.2 MB of edges and the constructor's copy of
+    # them; splitting the sorted keys by // and % peaked at 20.4 MB
+    assert peak_mb < 16, peak_mb
 
 
 def test_circulant_build_matches_dense_random_configs():
@@ -319,6 +331,44 @@ def test_export_dimacs_matches_reference(monkeypatch):
         assert export_dimacs(g) == reference_export_dimacs(g)
         for text in dimacs_chunks(g):
             assert sum(ln.startswith("e ") for ln in text.splitlines()) <= chunk
+
+
+def reference_vertex_table(template, n, k=1):
+    """The str.format vertex_table, kept as the oracle of the label-joined one."""
+    return np.array(
+        [[template.format(v=i + 1, c=c, x=i * k + c) for c in range(1, k + 1)] for i in range(n)],
+        dtype=object,
+    ).reshape(n, k)
+
+
+def export_templates(k):
+    """Every template the DIMACS, CNF and LP exporters fill at k colors."""
+    colors = range(1, k + 1)
+    return ["e {v} ", "{v}\n", "{x} ", "-{x} -", "{x} 0\n", " conflict_{v}_", "{v}_{c}: x_",
+            "{v}_{c} + x_", "{v}_{c} <= 1\n",
+            " cover_{v}: " + " + ".join(f"x_{{v}}_{c}" for c in colors) + " >= 1\n",
+            "".join(f" link_{{v}}_{c}: x_{{v}}_{c} - y{c} <= 0\n" for c in colors),
+            "".join(f" x_{{v}}_{c}\n" for c in colors)]
+
+
+def test_vertex_table_matches_reference():
+    # n and k where a label gains a digit; a field's spec and conversion,
+    # escaped braces and the empty template are filled as format fills them
+    extra = ["{v}", "{c}", "{x}", "", "{{v}}", "{v:>4}|{c!r}|{x:03d}|{x!s:<5}", "{x}{x}{c}{v}"]
+    for k in (1, 3, 4, 10):
+        for template in export_templates(k) + extra:
+            for n in (0, 1, 9, 10, 99, 100, 1001):
+                want = reference_vertex_table(template, n, k)
+                got = distgraph.vertex_table(template, n, k)
+                assert got.shape == want.shape == (n, k) and got.dtype == object, (template, n, k)
+                assert got.tolist() == want.tolist(), (template, n, k)
+
+
+def test_circulant_keys_refuse_what_they_cannot_hold():
+    # the refusal comes before any point is read, so no point is made
+    config = PointConfig((CircleSpec(2**31 - 5, 1.0), CircleSpec(6, 1.3)))
+    with pytest.raises(ValueError, match=r"^need at most 2\*\*31 points, got 2147483649$"):
+        distgraph._circulant_edges(config, None, 1.5)
 
 
 def test_config_json_roundtrip():

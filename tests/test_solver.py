@@ -405,6 +405,15 @@ def test_verify_coloring_examples():
     tri = graph_from_points([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], b=1.1)
     assert verify_coloring(tri, (0, 1, 2))
     assert not verify_coloring(tri, (0, 0, 1))
+    # every entry must be a color, an integer >= 0, even where no edge reads it
+    one_edge = graph_from_points([(0, 0), (1, 0), (5, 5)], 1.2)
+    assert one_edge.edges.tolist() == [[0, 1]]
+    for bad in ((-1, -2, -3), (0, None, 0), (0.5, 1.5, 2), (0, 1, -1), (True, False, 0),
+                (0, 1, 2.0), (0, 1, "2"), np.array([0.0, 1.0, 2.0]), np.array([True, False, True])):
+        assert not verify_coloring(one_edge, bad), bad
+    for good in ((0, 1, 0), (7, 2**70, 7), np.array([0, 1, 0]), np.array([3, 0, 9], dtype=np.uint8),
+                 (np.int32(0), np.int64(1), 0)):
+        assert verify_coloring(one_edge, good), good
 
 
 def test_determinism():

@@ -88,6 +88,8 @@ class PointConfig:
         if len(set(radii)) != len(radii):
             raise ValueError("circles must have pairwise distinct radii")
         object.__setattr__(self, "circles", circles)
+        if self.point_count > 2**31:  # build_graph packs each edge into an int64 as (i << 32) | j
+            raise ValueError(f"need at most 2**31 points, got {self.point_count}")
 
     @property
     def point_count(self) -> int:
@@ -189,12 +191,10 @@ def _circulant_edges(config: PointConfig, points: np.ndarray, b: float) -> np.nd
     the edges come out sorted (i asc, j asc) as there.
 
     Each edge is the int64 key (i << 32) | j, split back by a shift and a
-    mask; ValueError past 2**31 points, which the key cannot hold. Each
+    mask; PointConfig's 2**31-point limit keeps i and j within 32 bits. Each
     block's keys are ascending runs, which the stable sort (timsort) merges.
     """
     starts = np.cumsum([0] + [n for n, _ in config.circles]).tolist()
-    if starts[-1] > 2**31:
-        raise ValueError(f"need at most 2**31 points, got {starts[-1]}")
     keys = []
     for a, (na, _) in enumerate(config.circles):
         for c in range(a, len(config.circles)):

@@ -1,6 +1,6 @@
 """Planar geometry primitives: points, unit-circle chords, and the numpy
-pair distances, forbidden-window test and seeded pair draws the sampled
-checks share.
+pair distances, forbidden-window test, seeded pair draws and draw-count
+rule the sampled checks share.
 
 Everything here works in plain double precision. Threshold comparisons
 elsewhere in the package use absolute tolerances; no exact arithmetic.
@@ -8,15 +8,16 @@ elsewhere in the package use absolute tolerances; no exact arithmetic.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-# Columns per forbidden_pair_draws chunk, 1.6 MB per row. It fixes how the
-# rng stream splits between a chunk's rows, so every sampled verdict depends
-# on it. Each check draws its pairs as it checks them, one chunk at a time in
-# one reused buffer, so its memory does not grow with the pair count.
-DRAW_CHUNK = 200_000
+# Columns per forbidden_pair_draws chunk, 128 KB per row. It fixes how the
+# rng stream splits between a chunk's rows, so every sampled draw depends on
+# it. Each check draws its pairs one chunk at a time in one reused buffer, so
+# its memory does not grow with the pair count and its temporaries stay in cache.
+DRAW_CHUNK = 16_384
 
 # The sampled checks' forbidden window is (1, b) inset by this at each end, so
 # a distance within float noise of 1 or b is not counted as a violation.
@@ -48,19 +49,22 @@ def forbidden_distances(d: np.ndarray, b: float) -> np.ndarray:
     return (d > low) & (d < high)
 
 
+def check_draw_count(n, name: str) -> None:
+    """ValueError naming the count unless n is an integer >= 0 (a numpy
+    integer passes, a bool or a float does not)."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 0:
+        raise ValueError(f"need {name} an integer >= 0, got {n!r}")
+
+
 def forbidden_pair_draws(seed: int, n: int, u_range, v_range, b: float):
-    """n seeded draws (u, v, d, phi), as blocks of at most 16,384 columns.
+    """n seeded draws (u, v, d, phi), as chunks of at most DRAW_CHUNK columns.
 
     u, v: uniform on u_range, v_range (the first point); d: a distance in
     forbidden_distances' window; phi: the direction to the second point,
     in (0, 2 pi). The values are rng.uniform's from default_rng(seed), bit
-    for bit: each chunk of at most DRAW_CHUNK columns fills its four rows
-    in order, each as low + (high - low) * random(), which is how
-    rng.uniform computes them. Every chunk reuses one buffer (chunk-sized
-    temporaries cost page faults), so the next chunk overwrites the last.
-    A float64 row of a block is 128 KB, so a check that makes dozens of
-    temporaries per block keeps them in cache; splitting an elementwise
-    check this way changes none of its values.
+    for bit: each chunk fills its four rows in order, each as
+    low + (high - low) * random(), which is how rng.uniform computes them.
+    Every chunk reuses one buffer, so the next chunk overwrites the last.
     """
     ranges = (u_range, v_range, forbidden_window(b), (0.0, 2.0 * math.pi))
     rng = np.random.default_rng(seed)
@@ -71,8 +75,7 @@ def forbidden_pair_draws(seed: int, n: int, u_range, v_range, b: float):
             rng.random(out=row)
             row *= high - low
             row += low
-        for col in range(0, chunk.shape[1], 16_384):
-            yield chunk[:, col : col + 16_384]
+        yield chunk
 
 
 def chord(angle: float) -> float:

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import B_TOL, Point2, forbidden_distances, forbidden_pair_draws, pair_distances
+from .geom import (B_TOL, Point2, check_draw_count, forbidden_distances, forbidden_pair_draws,
+                   pair_distances)
 from .text import table_text
 
 SQRT3 = math.sqrt(3.0)
@@ -375,9 +376,9 @@ def verify_scheme_sampled(
     a forbidden distance appears. Deterministic for a fixed seed.
 
     The strata decide the verdict. The random samples are an independent
-    cross-check that has not decided a verdict near the reach: with the
-    strata left out, 1M samples first see a violation at reach + 0.03 to
-    reach + 0.1. samples = 0 checks the strata alone.
+    cross-check that has not decided a verdict near the reach: with the strata
+    left out, 1M samples (seeds 0, 1) first see (1, 2), (2, 3) and (3, 4) fail
+    0.02-0.06 past the reach. samples = 0 checks the strata alone.
 
     A pair is same-colored when the offset between its two tiles gets color
     0: a color names a coset of the scheme's sublattice, and the sublattice
@@ -386,8 +387,7 @@ def verify_scheme_sampled(
     """
     if not 1.0 < b < math.inf:  # NaN fails too
         raise ValueError(f"need 1 < b < inf, got {b}")
-    if samples < 0:
-        raise ValueError(f"need samples >= 0, got {samples}")
+    check_draw_count(samples, "samples")
     if _strata_violation(scheme, b):
         return False
     v, vb = scheme.v, scheme.vbar

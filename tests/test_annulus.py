@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -170,7 +171,7 @@ def test_radial_max_b_numeric_is_the_bisection_of_radial_violation_exists(
     # with the strata on, bisecting the whole check (strata, then 100k pairs)
     # ends where bisecting the strata alone does: the pairs decide no probe.
     # With them off, the b is the random pairs' own, and moves with the seed
-    # and every block; radial_max_b_numeric then has no violation to bisect
+    # and every chunk; radial_max_b_numeric then has no violation to bisect
     k, s = ks
     n_pairs = 100_000
     if pairs_only:
@@ -178,32 +179,49 @@ def test_radial_max_b_numeric_is_the_bisection_of_radial_violation_exists(
         n_pairs = 20_000
         with pytest.raises(BracketInvalid):
             radial_max_b_numeric(k, s, n_pairs, seed)
-        # the random pairs' own b moves if any pair's decision moves; on rims
-        # a billion times wider, hypot decides hundreds of pairs near r = 1 or b
-        assert repr(_streamed_max_b(k, s, n_pairs, seed)) == PAIRS_ONLY_MAX_B[ks][seed]
-        monkeypatch.setattr(annulus, "RIM_BAND", 1e-3)
-        assert repr(_streamed_max_b(k, s, n_pairs, seed)) == PAIRS_ONLY_MAX_B[ks][seed]
+        # the random pairs' own b moves if any pair's decision moves: the
+        # squared radius and the wrapped arctan2 decide every probe as hypot
+        # and arctan2 % 2 pi do, on the same draws
+        got = _streamed_max_b(k, s, n_pairs, seed)
+        assert got == _streamed_max_b(k, s, n_pairs, seed, _reference_violation_exists)
+        assert repr(got) == PAIRS_ONLY_MAX_B[ks][seed]
     else:
         b = radial_max_b_numeric(k, s, n_pairs, seed)
         assert b == _streamed_max_b(k, s, n_pairs, seed)
 
 
+def _reference_violation_exists(k, s, b, n_pairs, seed):
+    # radial_violation_exists' random pairs, deciding each second point by
+    # hypot and arctan2 % 2 pi
+    draws = annulus.forbidden_pair_draws(seed, n_pairs, (1.0, b * b), (0.0, annulus.TWO_PI), b)
+    for r1_sq, a1, d, phi in draws:
+        r1 = np.sqrt(r1_sq)
+        x2 = r1 * np.cos(a1) + d * np.cos(phi)
+        y2 = r1 * np.sin(a1) + d * np.sin(phi)
+        r2 = np.hypot(x2, y2)
+        inside = (r2 >= 1.0) & (r2 <= b)
+        a2 = np.arctan2(y2, x2) % annulus.TWO_PI
+        same = annulus._sector_colors(k, s, a1) == annulus._sector_colors(k, s, a2)
+        if np.any(inside & same):
+            return True
+    return False
+
+
 # the bisection of radial_violation_exists(k, s, b, 20_000, seed) with the
-# strata off, seeds 0 and 1: recorded from the kernel that took hypot and
-# arctan2 % 2 pi of the inside pairs
+# strata off, seeds 0 and 1, on DRAW_CHUNK = 16,384
 PAIRS_ONLY_MAX_B = {
-    (3, 9): ("1.3640112307965757", "1.4352099103033544"),
-    (4, 12): ("1.5039119564592838", "1.560733394473791"),
-    (5, 10): ("1.6682520448863505", "1.7593272960484025"),
-    (6, 12): ("1.9101787025034431", "1.8481371448338026"),
-    (7, 14): ("1.932003672093153", "1.9369357358515265"),
-    (8, 16): ("1.9212343664467335", "1.944576900988817"),
+    (3, 9): ("1.4191777769625187", "1.3621850600540637"),
+    (4, 12): ("1.525902218669653", "1.525920713573694"),
+    (5, 10): ("1.7651675757467746", "1.687520786434412"),
+    (6, 12): ("1.7790538534820084", "1.8727554703652856"),
+    (7, 14): ("1.9562483469545842", "1.8727554703652856"),
+    (8, 16): ("1.9153285951316361", "1.9275220083892348"),
 }
 
 
-def _streamed_max_b(k, s, n_pairs, seed):
+def _streamed_max_b(k, s, n_pairs, seed, check=radial_violation_exists):
     lo, hi = annulus._bisect(
-        lambda b: radial_violation_exists(k, s, b, n_pairs, seed),
+        lambda b: check(k, s, b, n_pairs, seed),
         *annulus.NUMERIC_BRACKET, annulus.NUMERIC_TOL, "invalid",
     )
     return 0.5 * (lo + hi)
@@ -237,17 +255,36 @@ def test_radial_max_b_numeric_reports_a_pair_the_strata_miss(monkeypatch):
 
 
 def test_sampled_radial_checks_refuse_a_negative_pair_count(monkeypatch):
-    # refused before any draw, not taken as nothing to draw
+    # refused before any draw, not taken as nothing to draw; a count that is
+    # not an integer (a bool is not one) gets the same named ValueError
     monkeypatch.setattr(annulus, "forbidden_pair_draws", None)
     for call in (lambda n: radial_violation_exists(4, 12, 1.3, n_pairs=n),
                  lambda n: radial_max_b_numeric(4, 12, n_pairs=n)):
-        with pytest.raises(ValueError, match="n_pairs"):
-            call(-3)
+        for n in (-3, 2.5, True, 1e5, np.int64(-1)):
+            with pytest.raises(ValueError, match=r"^need n_pairs an integer >= 0, got "):
+                call(n)
     monkeypatch.undo()
+    # a numpy integer is a count
+    assert not radial_violation_exists(4, 12, 1.3, n_pairs=np.int64(1_000))
+    b = radial_max_b_numeric(4, 12, n_pairs=np.int32(1_000))
+    assert b == pytest.approx(math.sqrt(2), abs=1e-6)
     # 0 pairs leaves the strata, which decide alone
     assert not radial_violation_exists(4, 12, 1.3, n_pairs=0)
     assert radial_violation_exists(4, 12, 1.5, n_pairs=0)
     assert radial_max_b_numeric(4, 12, n_pairs=0) == pytest.approx(math.sqrt(2), abs=1e-6)
+
+
+def test_radial_max_b_numeric_memory_does_not_grow_with_pairs():
+    # 100k pairs drawn one 16,384-column chunk at a time in one reused
+    # buffer: a 1.5 MB tracemalloc peak, where 200,000-column chunks took 4.1 MB
+    radial_max_b_numeric(8, 16, 10)  # first-call allocations are not the check's
+    tracemalloc.start()
+    try:
+        radial_max_b_numeric(8, 16)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 2.5
 
 
 def test_radial_max_b_numeric_draws_once(monkeypatch):

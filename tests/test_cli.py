@@ -528,6 +528,29 @@ def test_usage_errors(tmp_path, capsys):
     assert (rc, out) == (0, "p edge 4 0\n"), err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux process")
+def test_export_refuses_a_config_of_more_points_than_edge_keys_hold(tmp_path, capsys):
+    # 2**31 + 2 points are refused as the file is read, before any point is
+    # made. First in a process capped at 3 GB of address space, so a refusal
+    # that came after the points would fail fast with a MemoryError (exit 4)
+    # instead of taking the host's memory; then in-process, once that passed
+    path = tmp_path / "big.json"
+    circles = [{"n": 2**31 + 1, "r": 1.0001}, {"n": 1, "r": 1.2}]
+    path.write_text(json.dumps({"circles": circles, "b": 1.25, "eps": 0.0001}))
+    want = f"bad --config {path}: need at most 2**31 points, got 2147483650"
+    args = ("export", "--what", "dimacs", "--config", str(path))
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+              "from chromaplane.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, *args], capture_output=True, text=True,
+        cwd=PKG_ROOT, timeout=300, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert want in proc.stderr
+    rc, out, err = run_main(capsys, *args)
+    assert (rc, out) == (2, "") and want in err, err
+
+
 def test_min_colors_grid_out_of_memory_is_usage(capsys, monkeypatch):
     # a grid too large to allocate is refused like one too large to index;
     # np.arange is faked, as a real request might be granted and then filled

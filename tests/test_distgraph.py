@@ -365,10 +365,17 @@ def test_vertex_table_matches_reference():
 
 
 def test_circulant_keys_refuse_what_they_cannot_hold():
-    # the refusal comes before any point is read, so no point is made
-    config = PointConfig((CircleSpec(2**31 - 5, 1.0), CircleSpec(6, 1.3)))
+    # an edge key holds each point index in 32 bits, so a configuration of
+    # more than 2**31 points is refused where it is made, before any point
+    # is; each refusal is asserted before a call that would make the points
     with pytest.raises(ValueError, match=r"^need at most 2\*\*31 points, got 2147483649$"):
-        distgraph._circulant_edges(config, None, 1.5)
+        PointConfig((CircleSpec(2**31 - 5, 1.0), CircleSpec(6, 1.3)))
+    assert PointConfig((CircleSpec(2**31 - 6, 1.0), CircleSpec(6, 1.3))).point_count == 2**31
+    with pytest.raises(ValueError, match=r"^need at most 2\*\*31 points, got 4294967296$"):
+        lower_bound_config(1, 1.35, n_override=2**31)
+    # so build_graph never gets a configuration it would have to refuse
+    with pytest.raises(ValueError, match=r"^need at most 2\*\*31 points, got 2147483650$"):
+        build_graph(PointConfig((CircleSpec(2**31 + 1, 1.0), CircleSpec(1, 1.3))), 1.5)
 
 
 def test_config_json_roundtrip():

@@ -47,26 +47,23 @@ def test_pair_distances_matches_hypot():
 
 @pytest.mark.parametrize("first", ["radial", "hex"])
 def test_forbidden_pair_draws_are_rng_uniform(first):
-    # one full chunk and one partial chunk, each value rng.uniform's bit for
-    # bit; the blocks are views of one reused buffer, so each is copied
+    # full chunks and one partial chunk, each value rng.uniform's bit for
+    # bit; the chunks are views of one reused buffer, so each is copied
     seed, b, band = 5, 1.3, FORBIDDEN_BAND
     if first == "radial":
         u_range, v_range = (1.0, b * b), (0.0, 2.0 * math.pi)
     else:
         span = 4.7
         u_range = v_range = (-span, span)
-    n = DRAW_CHUNK + 1234
-    blocks = [blk.copy() for blk in forbidden_pair_draws(seed, n, u_range, v_range, b)]
-    # 16,384 columns a block, a chunk's last block the rest of it
-    full, rest = divmod(DRAW_CHUNK, 16_384)
-    assert [blk.shape for blk in blocks] == [(4, 16_384)] * full + [(4, rest), (4, 1234)]
-    got = np.concatenate(blocks, axis=1)
+    n = 3 * DRAW_CHUNK + 1234
+    chunks = [blk.copy() for blk in forbidden_pair_draws(seed, n, u_range, v_range, b)]
+    q, r = divmod(n, 16_384)
+    assert [blk.shape for blk in chunks] == [(4, 16_384)] * q + [(4, r)]
     rng = np.random.default_rng(seed)
     ranges = (u_range, v_range, (1.0 + band, b - band), (0.0, 2.0 * math.pi))
-    want = np.concatenate(
-        [[rng.uniform(low, high, m) for low, high in ranges] for m in (DRAW_CHUNK, 1234)], axis=1
-    )
-    assert np.array_equal(got, want)
+    for got in chunks:
+        want = [rng.uniform(low, high, got.shape[1]) for low, high in ranges]
+        assert np.array_equal(got, want)
 
 
 def test_forbidden_pair_draws_small_and_empty():

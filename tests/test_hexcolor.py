@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chromaplane import hexcolor
+from chromaplane.geom import DRAW_CHUNK
 from chromaplane.hexcolor import (
     B_TOL,
     BASE_TILE,
@@ -517,9 +519,12 @@ def test_verify_scheme_sampled():
     for b in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="1 < b < inf"):
             verify_scheme_sampled(s, b, samples=10)
-    # a negative count is refused, not taken as nothing to draw; 0 is the strata alone
-    with pytest.raises(ValueError, match="samples"):
-        verify_scheme_sampled(s, 1.3, samples=-5)
+    # a negative count, or one that is not an integer (a bool is not one), is
+    # refused, not taken as nothing to draw; 0 is the strata alone
+    for n in (-5, 2.5, True, 1e5):
+        with pytest.raises(ValueError, match=r"^need samples an integer >= 0, got "):
+            verify_scheme_sampled(s, 1.3, samples=n)
+    assert verify_scheme_sampled(s, 1.3, samples=np.int64(1_000))
     assert verify_scheme_sampled(s, 1.3, samples=0)
     assert not verify_scheme_sampled(s, 1.34, samples=0)
 
@@ -555,7 +560,7 @@ def test_offset_color_is_the_same_color_test():
 
 
 def test_verify_scheme_sampled_points_pinned(monkeypatch):
-    # the sample points rng.uniform drew, over a full chunk and a partial one
+    # the sample points rng.uniform drew, over full chunks and a partial one
     seen = []
     tile_indices = hexcolor._tile_indices_vectorized
 
@@ -564,24 +569,38 @@ def test_verify_scheme_sampled_points_pinned(monkeypatch):
         return tile_indices(xs, ys)
 
     monkeypatch.setattr(hexcolor, "_tile_indices_vectorized", spy)
-    s, b, samples = HexScheme(1, 2), 1.3, 250_000
+    s, b, samples = HexScheme(1, 2), 1.3, 3 * DRAW_CHUNK + 5_000
     assert verify_scheme_sampled(s, b, samples=samples, seed=11)
     rng = np.random.default_rng(11)
     span = abs(s.v.x) + abs(s.vbar.x) + abs(s.v.y) + abs(s.vbar.y) + b + 2.0
     want = []
-    for m in (200_000, 50_000):
+    for m in (DRAW_CHUNK,) * 3 + (5_000,):
         x1 = rng.uniform(-span, span, m)
         y1 = rng.uniform(-span, span, m)
         d = rng.uniform(1.0 + 1e-9, b - 1e-9, m)
         phi = rng.uniform(0.0, 2.0 * math.pi, m)
         want += [(x1, y1), (x1 + d * np.cos(phi), y1 + d * np.sin(phi))]
-    # the check walks each chunk in blocks, first points then second points;
+    # the check looks up each chunk's first points, then its second points;
     # joined, they are every drawn point of both sets in draw order
     for got, wanted in ((seen[0::2], want[0::2]), (seen[1::2], want[1::2])):
         xs, ys = (np.concatenate([pt[c] for pt in got]) for c in (0, 1))
         wx, wy = (np.concatenate([pt[c] for pt in wanted]) for c in (0, 1))
         assert xs.size == ys.size == samples
         assert np.array_equal(xs, wx) and np.array_equal(ys, wy)
+
+
+def test_verify_scheme_sampled_memory_does_not_grow_with_samples():
+    # a million samples drawn one 16,384-column chunk at a time in one reused
+    # buffer: a 3.0 MB tracemalloc peak, where 200,000-column chunks took 8.6 MB
+    s, b = HexScheme(2, 3), hex_b_max(2, 3) - 1e-6
+    assert verify_scheme_sampled(s, b, 10)  # first-call allocations are not the check's
+    tracemalloc.start()
+    try:
+        assert verify_scheme_sampled(s, b, 1_000_000)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 6.0
 
 
 def test_hex_tile_geometry():

@@ -28,7 +28,7 @@ print("circles:", [(c.n, round(c.r, 9)) for c in cfg.circles])
 g = case_graph(1, b=1.35, n_override=65)
 print(f"graph: {g.n} vertices, {len(g.edges)} edges")
 
-out = annulus_verdict(1, b=1.35, k=4, n_override=65)
+out = annulus_verdict(g, k=4)
 print(f"3-colorable? {out.status} ({out.search_nodes} search nodes)")
 if out.status == NOT_COLORABLE:
     print(f"annulus needs >= 4 colors at b=1.35, so the plane needs >= {lift_lower_bound(4)}")

@@ -184,20 +184,12 @@ def case_graph(
 
 
 def annulus_verdict(
-    case: int,
-    b: float,
-    k: int,
-    n_override: int | None = None,
-    eps: float | None = None,
-    time_budget: float | None = None,
-    seed: int = 0,
-    progress=None,
+    g: DistanceGraph, k: int, time_budget: float | None = None, seed: int = 0, progress=None
 ) -> ColoringOutcome:
-    """Solve (k-1)-colorability of the case config; not_colorable certifies
-    that the annulus at this b needs at least k colors."""
+    """Solve (k-1)-colorability of a lower-bound graph, such as case_graph's; not_colorable
+    certifies that the annulus at g.b needs at least k colors, so the plane k + 3."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    g = case_graph(case, b, eps, n_override)
     return k_colorable(KColorQuery(g, k - 1, time_budget), seed=seed, progress=progress)
 
 
@@ -259,8 +251,7 @@ def threshold_bisect(
         g = case_graph(case, b, (b - 1.0) * scale, n_override)
         key = g.edges.tobytes()
         if key not in verdicts:
-            out = k_colorable(KColorQuery(g, k - 1, time_budget), seed=seed)
-            verdicts[key] = out.status == NOT_COLORABLE
+            verdicts[key] = annulus_verdict(g, k, time_budget, seed).status == NOT_COLORABLE
         return verdicts[key]
 
     results: list[float] = []

@@ -4,7 +4,9 @@ Every command is deterministic for fixed flags and seed: primary output
 (stdout or --out) is byte-identical across runs, progress and errors go
 to stderr. Exit codes: 0 ok, 2 usage, 3 budget exhausted, 4 internal.
 Tables and records are printed by the text module. Each flag's range is
-its argparse type; rules that join two flags raise UsageError.
+its argparse type; rules that join two flags raise UsageError, and so does
+a value the library refuses while the flags become an instance (an --eps
+too wide for --b, an --n too large for the case's circles).
 """
 from __future__ import annotations
 
@@ -82,13 +84,18 @@ def _float_above(low: float):
     return float_
 
 
-def _eps(args) -> float:
-    """--eps, refused unless below (--b - 1) / 2, or the default inset for --b."""
-    if args.eps is None:
-        return distgraph.default_eps(args.b)
-    if not args.eps < (args.b - 1.0) / 2.0:
-        raise UsageError(f"--eps must lie in (0, (b - 1) / 2), got {args.eps} for --b {args.b}")
-    return args.eps
+def _case_config(args, b: float):
+    """The lower-bound configuration that --case and --n give at width b, and
+    its eps: --eps where the command has it, else the default inset for b.
+    A value the library refuses is a usage error that names those flags."""
+    eps = getattr(args, "eps", None)
+    if eps is None:
+        eps = distgraph.default_eps(b)
+    try:
+        return annulus.lower_bound_config(args.case, b, eps, args.n), eps
+    except ValueError as exc:
+        flags = "--case, --b, --n, --eps" if "eps" in args else "--case, --n"
+        raise UsageError(f"{flags}: {exc}") from exc
 
 
 def _heartbeat(nodes: int, elapsed: float):
@@ -110,24 +117,15 @@ def cmd_annulus_upper(args) -> str:
 
 
 def cmd_annulus_lower(args) -> str:
-    eps = _eps(args)
-    outcome = annulus.annulus_verdict(
-        args.case,
-        args.b,
-        args.k,
-        n_override=args.n,
-        eps=eps,
-        time_budget=args.budget,
-        seed=args.seed,
-        progress=_heartbeat,
-    )
+    config, eps = _case_config(args, args.b)
+    g = distgraph.build_graph(config, args.b, eps)
+    outcome = annulus.annulus_verdict(g, args.k, args.budget, args.seed, _heartbeat)
     refuted = outcome.status == solver.NOT_COLORABLE
     plane = annulus.lift_lower_bound(args.k) if refuted else None
-    n_points = annulus.lower_bound_config(args.case, args.b, eps, args.n).point_count
     record = {
         "case": args.case,
         "b": args.b,
-        "points": n_points,
+        "points": g.n,
         "k": args.k,
         "eps": eps,
         "verdict": outcome.status,
@@ -139,6 +137,8 @@ def cmd_annulus_lower(args) -> str:
 
 
 def cmd_threshold(args) -> str:
+    # the point count does not depend on b, so an --n it refuses exits before any probe
+    _case_config(args, args.b_hi)
     b_star = annulus.threshold_bisect(
         args.case,
         args.n,
@@ -206,8 +206,8 @@ def cmd_export(args):
     else:
         if args.case is None or args.b is None:
             raise UsageError("export needs either --config or --case with --b")
-        b, eps = args.b, _eps(args)
-        config = annulus.lower_bound_config(args.case, b, eps, args.n)
+        config, eps = _case_config(args, args.b)
+        b = args.b
     graph = distgraph.build_graph(config, b, eps)
     if args.what == "dimacs":
         return distgraph.dimacs_chunks(graph)

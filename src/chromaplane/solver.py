@@ -89,8 +89,8 @@ def _rank_masks(n: int, edges: np.ndarray) -> tuple[list[int], list[int]]:
     return rank.tolist(), neighbor_masks(n, rank[edges])
 
 
-def _rank_clique(radj: list[int], rank: list[int], restarts: int, seed: int) -> list[int]:
-    """greedy_clique on rank-space masks; returns ranks.
+def _rank_clique(radj: list[int], rank: list[int], seed: int) -> list[int]:
+    """greedy_clique on rank-space masks, _CLIQUE_RESTARTS starts; returns ranks.
 
     The lowest set bit of a rank mask is its highest-degree, lowest-index
     vertex, so each extension step is one bit pick.
@@ -99,7 +99,7 @@ def _rank_clique(radj: list[int], rank: list[int], restarts: int, seed: int) -> 
     rng = random.Random(seed)
     best: list[int] = []
     tried = set()
-    for it in range(restarts):
+    for it in range(_CLIQUE_RESTARTS):
         # a start tried before gives the same clique, which cannot beat best;
         # randrange is still drawn so later starts do not change
         start = 0 if it == 0 else rank[rng.randrange(n)]
@@ -133,7 +133,7 @@ def greedy_clique(adj: list[int], seed: int = 0) -> list[int]:
     edges = np.transpose(np.nonzero(np.triu(bits, 1)))  # (i, j) for each bit j > i of adj[i]
     rank, radj = _rank_masks(n, edges)
     by_rank = np.argsort(rank).tolist()
-    return [by_rank[r] for r in _rank_clique(radj, rank, _CLIQUE_RESTARTS, seed)]
+    return [by_rank[r] for r in _rank_clique(radj, rank, seed)]
 
 
 def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOutcome:
@@ -153,7 +153,7 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
 
     # the search runs on ranks: rank r is the r-th vertex by (-degree, index)
     rank, radj = _rank_masks(n, g.edges)
-    clique = _rank_clique(radj, rank, _CLIQUE_RESTARTS, seed)
+    clique = _rank_clique(radj, rank, seed)
     if len(clique) > k:
         return ColoringOutcome(NOT_COLORABLE, None, 0, time.monotonic() - start)
 

@@ -156,9 +156,8 @@ def test_criterion_7_desk_scale_case2_stability():
     verdicts = {}
     for scale in (1e-5, 1e-6, 1e-7):
         for seed in (0, 1):
-            out = annulus.annulus_verdict(
-                2, b, 5, n_override=95, eps=(b - 1) * scale, seed=seed
-            )
+            g = annulus.case_graph(2, b, (b - 1) * scale, n_override=95)
+            out = annulus.annulus_verdict(g, 5, seed=seed)
             verdicts[(scale, seed)] = out.status
     statuses = set(verdicts.values())
     assert len(statuses) == 1, f"verdict differs across eps/seed: {verdicts}"
@@ -177,7 +176,7 @@ def test_criterion_7_desk_scale_case2_stability():
 )
 def test_criterion_7_stretch_full_scale_case2():
     try:
-        out = annulus.annulus_verdict(2, 1.48, 5, time_budget=600)
+        out = annulus.annulus_verdict(annulus.case_graph(2, 1.48), 5, time_budget=600)
     except BudgetExhausted as exc:
         report(7, f"stretch: budget exhausted after {exc.search_nodes} nodes (reported, not failed)")
         return

@@ -348,7 +348,7 @@ def test_lift_lower_bound():
 def test_desk_scale_case1_refutation():
     # 65 divides 1300; at b = 1.35 the shrunken case-1 config already
     # refutes 3 colors, certifying 4 on the annulus and 7 on the plane
-    out = annulus_verdict(1, 1.35, 4, n_override=65)
+    out = annulus_verdict(case_graph(1, 1.35, n_override=65), 4)
     assert out.status == NOT_COLORABLE
     assert lift_lower_bound(4) == 7
 
@@ -357,7 +357,7 @@ def test_annulus_verdict_names_the_callers_k(monkeypatch):
     # k colors are certified by refuting k - 1, so k = 1 would ask for 0
     for k in (1, 0):
         with pytest.raises(ValueError, match=f"need k >= 2, got {k}$"):
-            annulus_verdict(1, 1.35, k, n_override=5)
+            annulus_verdict(case_graph(1, 1.35, n_override=5), k)
     # threshold_bisect refuses it before its first probe builds a graph
     builds, solves = _spy_solves(monkeypatch)
     for k in (1, 0):
@@ -401,7 +401,7 @@ def _fake_verdicts(monkeypatch, needs, eps_scales=(1e-6,)):
     def graph(case, b, eps=None, n_override=None):
         return SimpleNamespace(edges=np.array([b, eps]), needs=needs(b, eps / (b - 1.0)))
 
-    def solve(query, seed=0):
+    def solve(query, seed=0, progress=None):
         return SimpleNamespace(status=NOT_COLORABLE if query.graph.needs else COLORABLE)
 
     monkeypatch.setattr(annulus, "case_graph", graph)
@@ -498,9 +498,8 @@ def reference_threshold_bisect(case, n_override, k, b_lo, b_hi, tol, time_budget
         raise BracketInvalid(f"need 1 < b_lo < b_hi < inf, got b_lo={b_lo}, b_hi={b_hi}")
 
     def needs(b, scale):
-        out = annulus_verdict(
-            case, b, k, n_override, eps=(b - 1.0) * scale, time_budget=time_budget, seed=seed
-        )
+        g = case_graph(case, b, (b - 1.0) * scale, n_override)
+        out = annulus_verdict(g, k, time_budget=time_budget, seed=seed)
         return out.status == NOT_COLORABLE
 
     results = []
@@ -527,9 +526,9 @@ def _spy_solves(monkeypatch):
         builds.append(g.edges.tobytes())
         return g
 
-    def spy(query, seed=0):
+    def spy(query, seed=0, progress=None):
         solves.append(query)
-        return solve(query, seed=seed)
+        return solve(query, seed=seed, progress=progress)
 
     monkeypatch.setattr(annulus, "case_graph", graph)
     monkeypatch.setattr(annulus, "k_colorable", spy)
@@ -597,7 +596,7 @@ def test_threshold_bisect_keys_verdicts_by_edges_not_b(monkeypatch):
 
     solves = []
 
-    def solve(query, seed=0):
+    def solve(query, seed=0, progress=None):
         solves.append(query.graph.needs)
         return SimpleNamespace(status=NOT_COLORABLE if query.graph.needs else COLORABLE)
 
@@ -614,11 +613,11 @@ def test_threshold_bisect_stores_no_budget_cut(monkeypatch):
     builds, solves = _spy_solves(monkeypatch)
     solve = annulus.k_colorable
 
-    def cut_once(query, seed=0):
+    def cut_once(query, seed=0, progress=None):
         if len(solves) == 2:
             solves.append(query)
             raise BudgetExhausted(0, 0.0)
-        return solve(query, seed=seed)
+        return solve(query, seed=seed, progress=progress)
 
     monkeypatch.setattr(annulus, "k_colorable", cut_once)
     with pytest.raises(BudgetExhausted):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chromaplane import annulus, hexcolor, solver
+from chromaplane import annulus, distgraph, hexcolor, solver
 from chromaplane.cli import build_parser, main
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -481,9 +481,11 @@ def test_usage_errors(tmp_path, capsys):
         (("eight-opt", "--tol", "nan"), "--tol"),
         (("eight-opt", "--tol", "inf"), "--tol"),
         (("eight-opt", "--tol", "-1"), "--tol"),
-        # --eps must lie below (--b - 1) / 2
-        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--eps", "0.5"), "--eps"),
-        (("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--eps", "0.2"), "--eps"),
+        # --eps must lie below (--b - 1) / 2, the configuration's own rule
+        (("annulus-lower", "--case", "1", "--b", "1.3", "--k", "4", "--eps", "0.5"),
+         "--eps: need 0 < eps < (b-1)/2, got eps=0.5 for b=1.3"),
+        (("export", "--what", "dimacs", "--case", "1", "--b", "1.3", "--eps", "0.2"),
+         "--eps: need 0 < eps < (b-1)/2, got eps=0.2 for b=1.3"),
         # the radial scheme needs at least 2k sectors
         (("annulus-upper", "--k", "3", "--s-max", "4"), "--s-max"),
         # a grid of more points than an array can index
@@ -551,6 +553,74 @@ def test_export_refuses_a_config_of_more_points_than_edge_keys_hold(tmp_path, ca
     assert (rc, out) == (2, "") and want in err, err
 
 
+# --n values whose configuration passes 2**31 points: two circles of 2**31,
+# and three of 715,827,883 (715,827,882 is the most three circles hold)
+OVERSIZED_N = [
+    ("export", "--what", "dimacs", "--case", "1", "--b", "1.35", "--n", "2147483648"),
+    ("annulus-lower", "--case", "1", "--b", "1.35", "--k", "4", "--n", "2147483648"),
+    ("threshold", "--case", "1", "--k", "4", "--n", "2147483648", "--b-lo", "1.25",
+     "--b-hi", "1.4"),
+    ("annulus-lower", "--case", "3", "--b", "1.8", "--k", "4", "--n", "715827883"),
+]
+
+
+@pytest.mark.parametrize("args", OVERSIZED_N,
+                         ids=["export", "annulus-lower", "threshold", "annulus-lower-case3"])
+def test_oversized_n_is_a_usage_error(args, tmp_path, capsys, monkeypatch):
+    # the configuration refuses the point count before any point is made, and
+    # threshold asks it once before its first probe; a graph build here would
+    # be the bug, so the spies record it and build nothing
+    builds = []
+
+    def no_build(*a, **kw):
+        builds.append(a)
+        raise AssertionError("graph built for a refused --n")
+
+    monkeypatch.setattr(annulus, "case_graph", no_build)
+    monkeypatch.setattr(distgraph, "build_graph", no_build)
+    out_file = tmp_path / "out.txt"
+    rc, out, err = run_main(capsys, *args, "--out", str(out_file))
+    assert (rc, out) == (2, ""), err
+    assert "chromaplane: error: usage: " in err and "--n" in err, err
+    assert "need at most 2**31 points" in err, err
+    assert builds == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux process")
+def test_oversized_n_exits_2_in_a_real_process():
+    # capped at 3 GB of address space, so a refusal that came after the points
+    # would fail fast with a MemoryError (exit 4) instead of taking the host's memory
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+              "from chromaplane.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, *OVERSIZED_N[2]], capture_output=True, text=True,
+        cwd=PKG_ROOT, timeout=300, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "usage: --case, --n: need at most 2**31 points, got 4294967296" in proc.stderr
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+def test_annulus_lower_points_is_the_graph_vertex_count(case, capsys, monkeypatch):
+    # points is the vertex count of the one graph the command builds and solves,
+    # two circles of --n for cases 1-2 and three for cases 3-5
+    graphs = []
+    build = distgraph.build_graph
+
+    def spy(*args):
+        graphs.append(build(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(distgraph, "build_graph", spy)
+    b = annulus.CASE_THRESHOLDS[case] + 0.01
+    rc, out, err = run_main(capsys, "annulus-lower", "--case", str(case), "--b", repr(b),
+                            "--k", "4", "--n", "7", "--format", "json")
+    assert rc == 0, err
+    assert len(graphs) == 1
+    assert json.loads(out)["points"] == graphs[0].n == 7 * annulus.CASE_CIRCLE_COUNTS[case][1]
+
+
 def test_min_colors_grid_out_of_memory_is_usage(capsys, monkeypatch):
     # a grid too large to allocate is refused like one too large to index;
     # np.arange is faked, as a real request might be granted and then filled
@@ -589,7 +659,7 @@ def test_threshold_instance_verdicts_exit_2(capsys, monkeypatch, label):
             needs = b >= 1.4 and not 1.41 < b < 1.42
         return SimpleNamespace(edges=np.array([b, eps]), needs=needs)
 
-    def solve(query, seed=0):
+    def solve(query, seed=0, progress=None):
         return SimpleNamespace(
             status=solver.NOT_COLORABLE if query.graph.needs else solver.COLORABLE)
 

@@ -229,8 +229,8 @@ def test_k_colorable_seeds_with_greedy_clique(monkeypatch):
     seen = []
     rank_clique = solver_module._rank_clique
 
-    def spy(radj, rank, restarts, seed):
-        ranks = rank_clique(radj, rank, restarts, seed)
+    def spy(radj, rank, seed):
+        ranks = rank_clique(radj, rank, seed)
         by_rank = sorted(range(len(rank)), key=rank.__getitem__)
         seen.append([by_rank[r] for r in ranks])
         return ranks

@@ -6,7 +6,8 @@ to stderr. Exit codes: 0 ok, 2 usage, 3 budget exhausted, 4 internal.
 Tables and records are printed by the text module. Each flag's range is
 its argparse type; rules that join two flags raise UsageError, and so does
 a value the library refuses while the flags become an instance (an --eps
-too wide for --b, an --n too large for the case's circles).
+too wide for --b, an --n too large for the case's circles), and a graph
+whose edges pass distgraph.MAX_GRAPH_ROWS, which names --n or --config.
 """
 from __future__ import annotations
 
@@ -310,6 +311,10 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except UsageError as exc:
         print(f"chromaplane: error: usage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except distgraph.GraphTooLarge as exc:  # edges past the cap, which only the build counts
+        flags = f"--config {args.config}" if getattr(args, "config", None) else "--case, --n"
+        print(f"chromaplane: error: usage: {flags}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except annulus.InstanceError as exc:  # a statement about the instance, not a bug
         print(f"chromaplane: error: {exc.label}: {exc}", file=sys.stderr)

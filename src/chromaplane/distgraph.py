@@ -48,6 +48,14 @@ DEFAULT_EPS_SCALE = 1e-6
 # eps scales (relative to b - 1) before being reported.
 EPS_STABILITY_SCALES = (1e-5, 1e-6, 1e-7)
 
+# The most rows a graph build makes of each kind: points, one circle pair's
+# slice of pair distances, and edge index pairs tiled (a pair within one
+# circle counts twice). More is refused with GraphTooLarge before it is made.
+# At the cap the points take about 1.4 GB as they are built (160 bytes each),
+# the edge build about 0.2 GB (23 bytes a pair); full case 1 tiles 483,600
+# pairs. Below 2**31, so an edge key holds each point index in 32 bits.
+MAX_GRAPH_ROWS = 2**23
+
 # Exports are built and written this many edges (or, in the per-vertex
 # sections, vertices) at a time: about 0.7 MB of LP text at k = 4, so an
 # export's memory is set by the graph, not by the length of its text.
@@ -57,6 +65,15 @@ EXPORT_CHUNK = 4096
 def default_eps(b: float) -> float:
     """Radial inset used when the caller does not pick one."""
     return (b - 1.0) * DEFAULT_EPS_SCALE
+
+
+class GraphTooLarge(ValueError):
+    """A graph whose points, pair distances or edge pairs pass MAX_GRAPH_ROWS."""
+
+
+def _check_rows(rows: int, what: str) -> None:
+    if rows > MAX_GRAPH_ROWS:
+        raise GraphTooLarge(f"need at most {MAX_GRAPH_ROWS} {what}, got {rows}")
 
 
 class CircleSpec(NamedTuple):
@@ -88,8 +105,7 @@ class PointConfig:
         if len(set(radii)) != len(radii):
             raise ValueError("circles must have pairwise distinct radii")
         object.__setattr__(self, "circles", circles)
-        if self.point_count > 2**31:  # build_graph packs each edge into an int64 as (i << 32) | j
-            raise ValueError(f"need at most 2**31 points, got {self.point_count}")
+        _check_rows(self.point_count, "points")
 
     @property
     def point_count(self) -> int:
@@ -190,26 +206,34 @@ def _circulant_edges(config: PointConfig, points: np.ndarray, b: float) -> np.nd
     uses the dense pass's pair_distances on the same coordinates, and
     the edges come out sorted (i asc, j asc) as there.
 
+    Every slice's hits are counted before any block is tiled: a slice of more
+    than MAX_GRAPH_ROWS pair distances, or blocks of more than MAX_GRAPH_ROWS
+    index pairs in all (hits x g each), raise GraphTooLarge first.
+
     Each edge is the int64 key (i << 32) | j, split back by a shift and a
-    mask; PointConfig's 2**31-point limit keeps i and j within 32 bits. Each
-    block's keys are ascending runs, which the stable sort (timsort) merges.
+    mask; MAX_GRAPH_ROWS keeps i and j within 32 bits. Each block's keys are
+    ascending runs, which the stable sort (timsort) merges.
     """
     starts = np.cumsum([0] + [n for n, _ in config.circles]).tolist()
-    keys = []
+    blocks = []
     for a, (na, _) in enumerate(config.circles):
         for c in range(a, len(config.circles)):
             nb = config.circles[c].n
             g = math.gcd(na, nb)
             pa, pb = na // g, nb // g
             sa, sb = starts[a], starts[c]
+            _check_rows(pa * nb, "pair distances in a slice")
             d = pair_distances(points[sa:sa + pa], points[sb:sb + nb])
-            ii, jj = np.nonzero(_in_window(d, b))
-            t = np.arange(g, dtype=np.int64)[:, None]
-            i, j = sa + ii + pa * t, jj + pb * t
-            j += sb - nb * (j >= nb)  # both terms of j are below nb: one subtraction wraps it
-            key = i << 32 | j
-            # between two circles i < j always holds
-            keys.append(key[i < j] if a == c else key.ravel())
+            blocks.append((a == c, g, pa, pb, sa, sb, nb, *np.nonzero(_in_window(d, b))))
+    _check_rows(sum(g * len(ii) for _, g, *_, ii, _ in blocks), f"edge index pairs at b={b}")
+    keys = []
+    for same, g, pa, pb, sa, sb, nb, ii, jj in blocks:
+        t = np.arange(g, dtype=np.int64)[:, None]
+        i, j = sa + ii + pa * t, jj + pb * t
+        j += sb - nb * (j >= nb)  # both terms of j are below nb: one subtraction wraps it
+        key = i << 32 | j
+        # between two circles i < j always holds
+        keys.append(key[i < j] if same else key.ravel())
     keys = np.concatenate(keys)
     keys.sort(kind="stable")
     edges = np.empty((len(keys), 2), dtype=np.intp)

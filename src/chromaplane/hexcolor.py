@@ -12,6 +12,13 @@ same-colored tiles.
 Both are closed forms: the reach is attained at the six nearest
 same-colored tiles (min_same_color_distance), and a tile's color is a
 gcd normal form of its coset (_color).
+
+verify_scheme_sampled cross-checks a reach by sampling. A point lies
+within 1/2 of its tile's center and distinct same-colored centers are at
+least |v| = (sqrt(3)/2) sqrt(N) apart, so only pairs in the band
+[|v| - 1, b) can share a color; the check looks up those pairs alone.
+As reach <= |v| - sqrt(3)/2, the band reaches at most 1 - sqrt(3)/2 ~ 0.134
+below the reach: too few draws land there to decide a verdict near it.
 """
 from __future__ import annotations
 
@@ -380,6 +387,14 @@ def verify_scheme_sampled(
     left out, 1M samples (seeds 0, 1) first see (1, 2), (2, 3) and (3, 4) fail
     0.02-0.06 past the reach. samples = 0 checks the strata alone.
 
+    Only the pairs drawn in the candidate band d >= |v| - 1 - B_TOL are
+    looked up; no other pair can share a color (module docstring). The cut
+    is that triangle inequality, not the reach, so pairs below the reach are
+    still tested. But reach <= |v| - sqrt(3)/2 (min_same_color_distance), so
+    the band reaches at most 1 - sqrt(3)/2 ~ 0.134 below the reach, which is
+    why the samples cannot decide a verdict near it. Where |v| - 1 <= 1
+    every pair is a candidate.
+
     A pair is same-colored when the offset between its two tiles gets color
     0: a color names a coset of the scheme's sublattice, and the sublattice
     is the coset colored 0, so this is the test of the two tiles' colors
@@ -393,7 +408,9 @@ def verify_scheme_sampled(
     v, vb = scheme.v, scheme.vbar
     span = abs(v.x) + abs(vb.x) + abs(v.y) + abs(vb.y) + b + 2.0
     window = (-span, span)
-    for x1, y1, d, phi in forbidden_pair_draws(seed, samples, window, window, b):
+    cut = math.hypot(v.x, v.y) - 1.0 - B_TOL
+    for chunk in forbidden_pair_draws(seed, samples, window, window, b):
+        x1, y1, d, phi = chunk[:, chunk[2] >= cut]
         x2 = x1 + d * np.cos(phi)
         y2 = y1 + d * np.sin(phi)
         i1, j1 = _tile_indices_vectorized(x1, y1)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from types import SimpleNamespace
@@ -530,31 +531,40 @@ def test_usage_errors(tmp_path, capsys):
     assert (rc, out) == (0, "p edge 4 0\n"), err
 
 
+CAPPED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+               "from chromaplane.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def run_capped(*args):
+    # main in a fresh process capped at 3 GB of address space, where a build
+    # past what the host holds fails fast with a MemoryError (exit 4)
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, *args], capture_output=True, text=True,
+        cwd=PKG_ROOT, timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux process")
 def test_export_refuses_a_config_of_more_points_than_edge_keys_hold(tmp_path, capsys):
-    # 2**31 + 2 points are refused as the file is read, before any point is
+    # 2**31 + 2 points, more than the edge keys hold and more than
+    # MAX_GRAPH_ROWS, are refused as the file is read, before any point is
     # made. First in a process capped at 3 GB of address space, so a refusal
     # that came after the points would fail fast with a MemoryError (exit 4)
     # instead of taking the host's memory; then in-process, once that passed
     path = tmp_path / "big.json"
     circles = [{"n": 2**31 + 1, "r": 1.0001}, {"n": 1, "r": 1.2}]
     path.write_text(json.dumps({"circles": circles, "b": 1.25, "eps": 0.0001}))
-    want = f"bad --config {path}: need at most 2**31 points, got 2147483650"
+    want = f"bad --config {path}: need at most {distgraph.MAX_GRAPH_ROWS} points, got 2147483650"
     args = ("export", "--what", "dimacs", "--config", str(path))
-    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
-              "from chromaplane.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run(
-        [sys.executable, "-c", capped, *args], capture_output=True, text=True,
-        cwd=PKG_ROOT, timeout=300, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-    )
+    proc = run_capped(*args)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert want in proc.stderr
     rc, out, err = run_main(capsys, *args)
     assert (rc, out) == (2, "") and want in err, err
 
 
-# --n values whose configuration passes 2**31 points: two circles of 2**31,
-# and three of 715,827,883 (715,827,882 is the most three circles hold)
+# --n values whose configuration passes 2**31 points, and so MAX_GRAPH_ROWS:
+# two circles of 2**31, and three of 715,827,883
 OVERSIZED_N = [
     ("export", "--what", "dimacs", "--case", "1", "--b", "1.35", "--n", "2147483648"),
     ("annulus-lower", "--case", "1", "--b", "1.35", "--k", "4", "--n", "2147483648"),
@@ -582,7 +592,7 @@ def test_oversized_n_is_a_usage_error(args, tmp_path, capsys, monkeypatch):
     rc, out, err = run_main(capsys, *args, "--out", str(out_file))
     assert (rc, out) == (2, ""), err
     assert "chromaplane: error: usage: " in err and "--n" in err, err
-    assert "need at most 2**31 points" in err, err
+    assert f"need at most {distgraph.MAX_GRAPH_ROWS} points" in err, err
     assert builds == []
     assert list(tmp_path.iterdir()) == []
 
@@ -591,14 +601,53 @@ def test_oversized_n_is_a_usage_error(args, tmp_path, capsys, monkeypatch):
 def test_oversized_n_exits_2_in_a_real_process():
     # capped at 3 GB of address space, so a refusal that came after the points
     # would fail fast with a MemoryError (exit 4) instead of taking the host's memory
-    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
-              "from chromaplane.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run(
-        [sys.executable, "-c", capped, *OVERSIZED_N[2]], capture_output=True, text=True,
-        cwd=PKG_ROOT, timeout=300, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-    )
+    proc = run_capped(*OVERSIZED_N[2])
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
-    assert "usage: --case, --n: need at most 2**31 points, got 4294967296" in proc.stderr
+    assert (f"usage: --case, --n: need at most {distgraph.MAX_GRAPH_ROWS} points, got 4294967296"
+            in proc.stderr)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux process")
+def test_n_past_the_row_cap_exits_2_in_a_real_process():
+    # 2,147,483,646 points fit the edge keys but not memory; they are refused
+    # before any point is made, within seconds
+    start = time.perf_counter()
+    proc = run_capped("annulus-lower", "--case", "3", "--b", "1.8", "--k", "4", "--n", "715827882")
+    assert time.perf_counter() - start < 10.0
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    want = f"--n, --eps: need at most {distgraph.MAX_GRAPH_ROWS} points, got 2147483646"
+    assert want in proc.stderr, proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux process")
+@pytest.mark.parametrize("args", [
+    ("annulus-lower", "--case", "1", "--b", "1.9", "--k", "4", "--n", "100000"),
+    ("threshold", "--case", "1", "--k", "4", "--n", "100000", "--b-lo", "1.25", "--b-hi", "1.9"),
+    ("export", "--what", "dimacs", "--case", "1", "--b", "1.9", "--n", "100000"),
+], ids=["annulus-lower", "threshold", "export"])
+def test_edges_past_the_row_cap_are_a_usage_error(args, tmp_path):
+    # 200,000 points pass the cap, but their edges would not: the build counts
+    # every block's pairs (slice hits x g) before it tiles one, and refuses
+    proc = run_capped(*args, "--out", str(tmp_path / "out.txt"))
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    b = "1.25" if args[0] == "threshold" else "1.9"  # threshold's first probe is b_lo
+    assert proc.stderr.startswith(f"chromaplane: error: usage: --case, --n: need at most "
+                                  f"{distgraph.MAX_GRAPH_ROWS} edge index pairs at b={b}, got "), proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux process")
+def test_config_edges_past_the_row_cap_exit_2_in_a_real_process(tmp_path):
+    # a --config is named instead of --n; two circles of 200,000 points at
+    # b = 1.9 would tile about 7.5e10 index pairs
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"circles": [{"n": 200_000, "r": 1.0}, {"n": 200_000, "r": 1.1}],
+                                "b": 1.9, "eps": 0.0}))
+    proc = run_capped("export", "--what", "dimacs", "--config", str(path))
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    want = (f"usage: --config {path}: need at most {distgraph.MAX_GRAPH_ROWS} edge index pairs "
+            "at b=1.9, got ")
+    assert want in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])

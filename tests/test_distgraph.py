@@ -365,17 +365,53 @@ def test_vertex_table_matches_reference():
 
 
 def test_circulant_keys_refuse_what_they_cannot_hold():
-    # an edge key holds each point index in 32 bits, so a configuration of
-    # more than 2**31 points is refused where it is made, before any point
-    # is; each refusal is asserted before a call that would make the points
-    with pytest.raises(ValueError, match=r"^need at most 2\*\*31 points, got 2147483649$"):
-        PointConfig((CircleSpec(2**31 - 5, 1.0), CircleSpec(6, 1.3)))
-    assert PointConfig((CircleSpec(2**31 - 6, 1.0), CircleSpec(6, 1.3))).point_count == 2**31
-    with pytest.raises(ValueError, match=r"^need at most 2\*\*31 points, got 4294967296$"):
+    # an edge key holds each point index in 32 bits, and MAX_GRAPH_ROWS is
+    # below 2**31, so a configuration of more points than the cap is refused
+    # where it is made, before any point is; each refusal is asserted before a
+    # call that would make the points
+    cap = distgraph.MAX_GRAPH_ROWS
+    assert cap < 2**31
+    with pytest.raises(distgraph.GraphTooLarge, match=rf"^need at most {cap} points, got {cap + 1}$"):
+        PointConfig((CircleSpec(cap - 5, 1.0), CircleSpec(6, 1.3)))
+    assert PointConfig((CircleSpec(cap - 6, 1.0), CircleSpec(6, 1.3))).point_count == cap
+    with pytest.raises(ValueError, match=rf"^need at most {cap} points, got 4294967296$"):
         lower_bound_config(1, 1.35, n_override=2**31)
     # so build_graph never gets a configuration it would have to refuse
-    with pytest.raises(ValueError, match=r"^need at most 2\*\*31 points, got 2147483650$"):
+    with pytest.raises(ValueError, match=rf"^need at most {cap} points, got 2147483650$"):
         build_graph(PointConfig((CircleSpec(2**31 + 1, 1.0), CircleSpec(1, 1.3))), 1.5)
+
+
+def test_build_refuses_slices_and_edges_past_the_row_cap(monkeypatch):
+    # coprime counts make one slice of n_a x n_b pair distances, refused
+    # before it is made
+    cap = distgraph.MAX_GRAPH_ROWS
+    config = PointConfig((CircleSpec(4_001, 1.0), CircleSpec(3_000, 1.2)))
+    with pytest.raises(distgraph.GraphTooLarge,
+                       match=rf"^need at most {cap} pair distances in a slice, got 12003000$"):
+        build_graph(config, 1.5)
+    # the edge pairs are counted before any block is tiled: full case 1 at
+    # b = 1.35 builds with the cap at its pair count, and is refused one below
+    config = lower_bound_config(1, 1.35)
+    counts = []
+    check = distgraph._check_rows
+    monkeypatch.setattr(distgraph, "_check_rows", lambda rows, what: counts.append(rows) or check(rows, what))
+    want = build_graph(config, 1.35).edges
+    pairs = counts[-1]
+    assert len(want) < pairs < 2 * len(want)  # a pair within one circle counts twice
+    monkeypatch.setattr(distgraph, "MAX_GRAPH_ROWS", pairs)
+    assert np.array_equal(build_graph(config, 1.35).edges, want)
+    monkeypatch.setattr(distgraph, "MAX_GRAPH_ROWS", pairs - 1)
+    with pytest.raises(distgraph.GraphTooLarge,
+                       match=rf"^need at most {pairs - 1} edge index pairs at b=1.35, got {pairs}$"):
+        build_graph(config, 1.35)
+
+
+def test_case_layouts_up_to_n_2605_build_under_the_row_cap():
+    # full cases 1 and 2, and the case 1 layout at n = 2605, the next member
+    # of its n = 4 (mod 9) family
+    for case, b, n in ((1, 1.35, None), (2, 1.48, None), (1, 1.2857826, 2605)):
+        g = build_graph(lower_bound_config(case, b, n_override=n), b)
+        assert len(g.edges) > 0 and g.n == 2 * (n or CASE_CIRCLE_COUNTS[case][0])
 
 
 def test_config_json_roundtrip():

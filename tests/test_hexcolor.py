@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chromaplane import hexcolor
-from chromaplane.geom import DRAW_CHUNK
+from chromaplane.geom import DRAW_CHUNK, forbidden_pair_draws
 from chromaplane.hexcolor import (
     B_TOL,
     BASE_TILE,
@@ -527,6 +527,72 @@ def test_verify_scheme_sampled():
     assert verify_scheme_sampled(s, 1.3, samples=np.int64(1_000))
     assert verify_scheme_sampled(s, 1.3, samples=0)
     assert not verify_scheme_sampled(s, 1.34, samples=0)
+    # gcd > 1 schemes, whose colors carry the i, j mod g part
+    for p, q in ((2, 4), (3, 6)):
+        reach = hex_b_max(p, q)
+        assert verify_scheme_sampled(HexScheme(p, q), reach - 1e-6), (p, q)
+        assert not verify_scheme_sampled(HexScheme(p, q), reach + 1e-2), (p, q)
+
+
+def test_verify_scheme_sampled_band_alone_catches_a_violation(monkeypatch):
+    # with the strata left out, the pairs of the band [|v| - 1, b) still see
+    # a real violation past the reach, and none below it
+    monkeypatch.setattr(hexcolor, "_strata_violation", lambda scheme, b: False)
+    s, reach = HexScheme(3, 4), hex_b_max(3, 4)
+    assert verify_scheme_sampled(s, reach - 1e-6)
+    assert not verify_scheme_sampled(s, reach + 0.1)
+
+
+def reference_verify_scheme_sampled(scheme, b, samples, seed):
+    # the sampled half of verify_scheme_sampled with no candidate cut: every
+    # drawn pair's two points are looked up
+    v, vb = scheme.v, scheme.vbar
+    span = abs(v.x) + abs(vb.x) + abs(v.y) + abs(vb.y) + b + 2.0
+    for x1, y1, d, phi in forbidden_pair_draws(seed, samples, (-span, span), (-span, span), b):
+        i1, j1 = hexcolor._tile_indices_vectorized(x1, y1)
+        i2, j2 = hexcolor._tile_indices_vectorized(x1 + d * np.cos(phi), y1 + d * np.sin(phi))
+        if np.any(hexcolor._color(scheme.p, scheme.q, i2 - i1, j2 - j1) == 0):
+            return False
+    return True
+
+
+def test_verify_scheme_sampled_is_the_unpruned_check(monkeypatch):
+    # the candidate cut drops only pairs that cannot share a color, so with
+    # the strata left out the samples give the unpruned check's verdict on
+    # both sides of every reach
+    monkeypatch.setattr(hexcolor, "_strata_violation", lambda scheme, b: False)
+    verdicts = []
+    for p, q in sweep_pairs(6, 6):
+        reach = hex_b_max(p, q)
+        if reach is None:
+            continue
+        for offset in (-1e-3, -1e-6, 1e-4, 1e-2, 0.03, 0.1):
+            for seed in (0, 1):
+                args = (HexScheme(p, q), reach + offset, 100_000, seed)
+                want = reference_verify_scheme_sampled(*args)
+                assert verify_scheme_sampled(*args) == want, (p, q, offset, seed)
+                verdicts.append(want)
+    # both verdicts occur, so the comparison is not vacuous
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_same_colored_pairs_are_at_least_v_minus_1_apart():
+    # the candidate cut's premise: a point lies within 1/2 of its tile's
+    # center and distinct same-colored centers are at least |v| apart, so a
+    # same-colored pair is at least |v| - 1 apart. Far past the reach the
+    # draws hold many such pairs, and none is closer
+    for p, q in sweep_pairs(10, 10):
+        s = HexScheme(p, q)
+        v_len = math.hypot(s.v.x, s.v.y)
+        b = v_len + 0.5
+        span = abs(s.v.x) + abs(s.vbar.x) + abs(s.v.y) + abs(s.vbar.y) + b + 2.0
+        x1, y1, d, phi = next(forbidden_pair_draws(p + 100 * q, DRAW_CHUNK, (-span, span),
+                                                   (-span, span), b))
+        i1, j1 = hexcolor._tile_indices_vectorized(x1, y1)
+        i2, j2 = hexcolor._tile_indices_vectorized(x1 + d * np.cos(phi), y1 + d * np.sin(phi))
+        same = hexcolor._color(p, q, i2 - i1, j2 - j1) == 0
+        assert same.any(), (p, q)
+        assert d[same].min() >= v_len - 1.0, (p, q)
 
 
 def test_color_of_tile_is_the_vectorized_lookup():
@@ -560,7 +626,9 @@ def test_offset_color_is_the_same_color_test():
 
 
 def test_verify_scheme_sampled_points_pinned(monkeypatch):
-    # the sample points rng.uniform drew, over full chunks and a partial one
+    # the check looks up only the candidate pairs, d >= |v| - 1 - B_TOL: those
+    # of rng.uniform's draws, in draw order and bit for bit, over full chunks
+    # and a partial one, with each second point as the full chunk computes it
     seen = []
     tile_indices = hexcolor._tile_indices_vectorized
 
@@ -573,19 +641,22 @@ def test_verify_scheme_sampled_points_pinned(monkeypatch):
     assert verify_scheme_sampled(s, b, samples=samples, seed=11)
     rng = np.random.default_rng(11)
     span = abs(s.v.x) + abs(s.vbar.x) + abs(s.v.y) + abs(s.vbar.y) + b + 2.0
+    cut = math.hypot(s.v.x, s.v.y) - 1.0 - B_TOL
     want = []
     for m in (DRAW_CHUNK,) * 3 + (5_000,):
         x1 = rng.uniform(-span, span, m)
         y1 = rng.uniform(-span, span, m)
         d = rng.uniform(1.0 + 1e-9, b - 1e-9, m)
         phi = rng.uniform(0.0, 2.0 * math.pi, m)
-        want += [(x1, y1), (x1 + d * np.cos(phi), y1 + d * np.sin(phi))]
+        x2, y2 = x1 + d * np.cos(phi), y1 + d * np.sin(phi)
+        near = d >= cut
+        want += [(x1[near], y1[near]), (x2[near], y2[near])]
     # the check looks up each chunk's first points, then its second points;
-    # joined, they are every drawn point of both sets in draw order
+    # joined, they are the candidate points of both sets in draw order
     for got, wanted in ((seen[0::2], want[0::2]), (seen[1::2], want[1::2])):
         xs, ys = (np.concatenate([pt[c] for pt in got]) for c in (0, 1))
         wx, wy = (np.concatenate([pt[c] for pt in wanted]) for c in (0, 1))
-        assert xs.size == ys.size == samples
+        assert 0 < xs.size == ys.size == wx.size < samples
         assert np.array_equal(xs, wx) and np.array_equal(ys, wy)
 
 

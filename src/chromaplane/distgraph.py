@@ -51,9 +51,10 @@ EPS_STABILITY_SCALES = (1e-5, 1e-6, 1e-7)
 # The most rows a graph build makes of each kind: points, one circle pair's
 # slice of pair distances, and edge index pairs tiled (a pair within one
 # circle counts twice). More is refused with GraphTooLarge before it is made.
-# At the cap the points take about 1.4 GB as they are built (160 bytes each),
-# the edge build about 0.2 GB (23 bytes a pair); full case 1 tiles 483,600
-# pairs. Below 2**31, so an edge key holds each point index in 32 bits.
+# At the cap the points are one 134 MB array (16 bytes each; a process that
+# makes them and is then refused peaks at 366 MB RSS), the edge build about
+# 0.2 GB (23 bytes a pair); full case 1 tiles 483,600 pairs. Below 2**31, so
+# an edge key holds each point index in 32 bits.
 MAX_GRAPH_ROWS = 2**23
 
 # Exports are built and written this many edges (or, in the per-vertex
@@ -253,8 +254,9 @@ def build_graph(config: PointConfig, b: float, eps: float | None = None) -> Dist
         raise ValueError(f"need 1 < b < inf, got b={b}")
     if eps is None:
         eps = default_eps(b)
-    points = np.array([(r * math.sin(2.0 * math.pi * k / n), r * math.cos(2.0 * math.pi * k / n))
-                       for n, r in config.circles for k in range(n)])
+    coords = (c for n, r in config.circles for k in range(n)
+              for c in (r * math.sin(2.0 * math.pi * k / n), r * math.cos(2.0 * math.pi * k / n)))
+    points = np.fromiter(coords, np.float64, count=2 * config.point_count).reshape(-1, 2)
     return DistanceGraph(points, _circulant_edges(config, points, b), b, eps)
 
 

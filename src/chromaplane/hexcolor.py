@@ -38,6 +38,10 @@ SQRT3 = math.sqrt(3.0)
 S1 = Point2(SQRT3 / 2.0, 0.0)
 S2 = Point2(SQRT3 / 4.0, -0.75)
 
+# the four corners (i, j) + (di, dj) of a lattice cell in (i, j) order, one per row
+_CORNER_DI = np.array([[0], [0], [1], [1]], dtype=np.int64)
+_CORNER_DJ = np.array([[0], [1], [0], [1]], dtype=np.int64)
+
 TILE_DIAMETER = 1.0
 
 # circumradius 1/2, vertices at 30 + 60k degrees, counterclockwise: two sides vertical
@@ -60,14 +64,11 @@ class HexScheme:
 
     @property
     def v(self) -> Point2:
-        return Point2(self.p * S1.x + self.q * S2.x, self.p * S1.y + self.q * S2.y)
+        return tile_center(self.p, self.q)
 
     @property
     def vbar(self) -> Point2:
-        return Point2(
-            (self.p + self.q) * S1.x - self.p * S2.x,
-            (self.p + self.q) * S1.y - self.p * S2.y,
-        )
+        return tile_center(self.p + self.q, -self.p)
 
 
 def tile_center(i, j) -> Point2:
@@ -114,8 +115,6 @@ def _color(p: int, q: int, i, j):
     g = math.gcd(p, q)
     p, q = p // g, q // g
     n = _color_count(p, q)
-    if g == 1:
-        return (p * i + (p + q) * j) % n
     return (p * (i // g) + (p + q) * (j // g)) % n + n * (g * (i % g) + j % g)
 
 
@@ -303,41 +302,17 @@ def _tile_indices_vectorized(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray
 
     S1 and S2 are equally long and 60 degrees apart, so each lattice cell
     splits into two equilateral triangles and the nearest center is one of
-    the four corners of the cell holding the point. The corner is the first
-    strict minimum of their squared distances in (i, j) order, found as a
-    tournament: the first minimum of each di pair, then di = 1 only if its
-    minimum is strictly smaller.
-
-    Each squared distance is tile_center's: the floats fi + di round the
-    same integer that an int64 i + di does, and S1.y = 0 adds only a zero.
+    the four corners of the cell holding the point. The corners are int64
+    (i, j) + (di, dj), their centers come from tile_center, and the owner is
+    the first minimum of the squared distances in (i, j) order.
     """
     j0 = ys / -0.75  # -ys / 0.75, bit for bit
-    fi = xs - j0 * S2.x
-    fi /= S1.x
-    np.floor(fi, out=fi)
-    fj = np.floor(j0, out=j0)
-    dy2 = [_sq_gap(ys, fj * S2.y), _sq_gap(ys, (fj + 1.0) * S2.y)]
-    bx = [fj * S2.x, (fj + 1.0) * S2.x]
-    d2 = []
-    for ax in (fi * S1.x, (fi + 1.0) * S1.x):
-        for b, dy in zip(bx, dy2):
-            d = _sq_gap(xs, ax + b)
-            d += dy
-            d2.append(d)
-    d00, d01, d10, d11 = d2
-    dj0, dj1 = d01 < d00, d11 < d10
-    di = np.minimum(d10, d11, out=d10) < np.minimum(d00, d01, out=d00)
-    i, j = fi.astype(np.int64), fj.astype(np.int64)
-    i += di
-    j += (di & dj1) | (~di & dj0)
-    return i, j
-
-
-def _sq_gap(u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(u - c) ** 2, written over c: fresh temporaries of a column block's
-    size cost the tile lookup more page faults than arithmetic."""
-    np.subtract(u, c, out=c)
-    return np.square(c, out=c)
+    ci = np.floor((xs - j0 * S2.x) / S1.x).astype(np.int64) + _CORNER_DI
+    cj = np.floor(j0).astype(np.int64) + _CORNER_DJ
+    cx, cy = tile_center(ci, cj)
+    corner = ((xs - cx) ** 2 + (ys - cy) ** 2).argmin(axis=0)
+    cols = np.arange(corner.size)
+    return ci[corner, cols], cj[corner, cols]
 
 
 def _boundary_strata() -> np.ndarray:

@@ -531,15 +531,16 @@ def test_usage_errors(tmp_path, capsys):
     assert (rc, out) == (0, "p edge 4 0\n"), err
 
 
-CAPPED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+CAPPED_MAIN = ("import resource, sys; cap = int(sys.argv.pop(1)) << 30; "
+               "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
                "from chromaplane.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-def run_capped(*args):
-    # main in a fresh process capped at 3 GB of address space, where a build
-    # past what the host holds fails fast with a MemoryError (exit 4)
+def run_capped(*args, cap_gb=3):
+    # main in a fresh process capped at cap_gb GB of address space, where a
+    # build past what the host holds fails fast with a MemoryError (exit 4)
     return subprocess.run(
-        [sys.executable, "-c", CAPPED_MAIN, *args], capture_output=True, text=True,
+        [sys.executable, "-c", CAPPED_MAIN, str(cap_gb), *args], capture_output=True, text=True,
         cwd=PKG_ROOT, timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
 
@@ -647,6 +648,17 @@ def test_config_edges_past_the_row_cap_exit_2_in_a_real_process(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     want = (f"usage: --config {path}: need at most {distgraph.MAX_GRAPH_ROWS} edge index pairs "
             "at b=1.9, got ")
+    assert want in proc.stderr, proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux process")
+def test_points_at_the_row_cap_are_built_within_1_gb():
+    # 8,388,608 points, exactly the cap, are made as one 134 MB array before
+    # the edge count refuses them; a tuple per point took 1.4 GB (exit 4 here)
+    proc = run_capped("export", "--what", "dimacs", "--case", "1", "--b", "1.35",
+                      "--n", "4194304", cap_gb=1)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    want = f"usage: --case, --n: need at most {distgraph.MAX_GRAPH_ROWS} edge index pairs at b=1.35"
     assert want in proc.stderr, proc.stderr
 
 

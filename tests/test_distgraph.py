@@ -36,16 +36,43 @@ def test_circle_points_examples():
     assert np.allclose(sides, 1, rtol=0, atol=1e-12)
 
 
-def test_build_graph_points_are_the_math_expression():
-    # math, not np.sin, so the bits do not depend on numpy's vector kernels
-    config = PointConfig((CircleSpec(1300, 1 + 1e-6), CircleSpec(7, 1.2), CircleSpec(190, 1.48)))
-    want = np.array([
+def tuple_points(config):
+    """The points as one Python tuple per point, the build's reference."""
+    return np.array([
         (r * math.sin(2.0 * math.pi * k / n), r * math.cos(2.0 * math.pi * k / n))
         for n, r in config.circles for k in range(n)
     ])
+
+
+def test_build_graph_points_are_the_math_expression():
+    # math, not np.sin, so the bits do not depend on numpy's vector kernels
+    config = PointConfig((CircleSpec(1300, 1 + 1e-6), CircleSpec(7, 1.2), CircleSpec(190, 1.48)))
+    want = tuple_points(config)
     got = build_graph(config, b=1.5).points
     assert got.shape == want.shape == (1497, 2)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit, -0.0 too
+    # the one array build gives the per-point tuples' bytes on every case layout
+    for case in CASE_CIRCLE_COUNTS:
+        for n in (None, 7, 130, 1309):
+            for b in (1.2, 1.48):
+                config = lower_bound_config(case, b, default_eps(b), n)
+                got = build_graph(config, b).points
+                assert got.tobytes() == tuple_points(config).tobytes(), (case, n, b)
+
+
+def test_refused_build_holds_one_point_array():
+    # 262,144 points whose edges pass the cap: the build holds one 4 MB
+    # point array while it counts the edges, not a tuple per point
+    # (a 40.1 MB peak when they were built that way)
+    config = lower_bound_config(1, 1.35, n_override=2**17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(distgraph.GraphTooLarge, match="edge index pairs"):
+            build_graph(config, 1.35)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 20, peak_mb  # 10.5 MB
 
 
 def test_points_are_one_read_only_float_array():

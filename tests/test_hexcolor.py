@@ -228,9 +228,10 @@ def _assert_copyto_rule(xs, ys):
     assert np.array_equal(ii, ri) and np.array_equal(jj, rj)
 
 
-@pytest.mark.parametrize("scale", [1.0, 6.0, 40.0, 1e6])
+@pytest.mark.parametrize("scale", [1.0, 6.0, 40.0, 1e6, 1e15, 4e18])
 def test_tile_lookup_is_the_copyto_rule(scale):
-    # the tournament picks the corner the copyto rule picks, for every point
+    # the lookup picks the corner the copyto rule picks, for every point;
+    # from 1e15 on the float corners round
     pts = np.random.default_rng(3).uniform(-scale, scale, size=(2, 500_000))
     _assert_copyto_rule(*pts)
 
@@ -574,6 +575,20 @@ def test_verify_scheme_sampled_is_the_unpruned_check(monkeypatch):
                 verdicts.append(want)
     # both verdicts occur, so the comparison is not vacuous
     assert 0 < verdicts.count(False) < len(verdicts)
+    # (1, 1) has no reach and |v| - 1 = 1/2, so every draw is a candidate
+    # and the lookups take whole chunks
+    widths = []
+    tile_indices = hexcolor._tile_indices_vectorized
+
+    def spy(xs, ys):
+        widths.append(xs.size)
+        return tile_indices(xs, ys)
+
+    runs = [(HexScheme(1, 1), 1.2, 100_000, seed) for seed in (0, 1)]
+    want = [reference_verify_scheme_sampled(*args) for args in runs]
+    monkeypatch.setattr(hexcolor, "_tile_indices_vectorized", spy)
+    assert [verify_scheme_sampled(*args) for args in runs] == want
+    assert widths and set(widths) == {DRAW_CHUNK}
 
 
 def test_same_colored_pairs_are_at_least_v_minus_1_apart():

@@ -4,10 +4,9 @@ Every command is deterministic for fixed flags and seed: primary output
 (stdout or --out) is byte-identical across runs, progress and errors go
 to stderr. Exit codes: 0 ok, 2 usage, 3 budget exhausted, 4 internal.
 Tables and records are printed by the text module. Each flag's range is
-its argparse type; rules that join two flags raise UsageError, and so does
-a value the library refuses while the flags become an instance (an --eps
-too wide for --b, an --n too large for the case's circles), and a graph
-whose edges pass distgraph.MAX_GRAPH_ROWS, which names --n or --config.
+its argparse type. Rules that join two flags raise UsageError, as does a
+value the library refuses in the instance the flags give (an --eps too wide
+for --b, points or edges past distgraph.MAX_GRAPH_ROWS), naming its flags.
 """
 from __future__ import annotations
 
@@ -85,18 +84,23 @@ def _float_above(low: float):
     return float_
 
 
+def _instance_flags(args) -> str:
+    """The flags that give the command's graph, as every refusal of it names them."""
+    if getattr(args, "config", None):
+        return f"--config {args.config}"
+    return "--case, --b, --n, --eps" if "eps" in args else "--case, --n"
+
+
 def _case_config(args, b: float):
     """The lower-bound configuration that --case and --n give at width b, and
-    its eps: --eps where the command has it, else the default inset for b.
-    A value the library refuses is a usage error that names those flags."""
+    its eps: --eps where the command has it, else the default inset for b."""
     eps = getattr(args, "eps", None)
     if eps is None:
         eps = distgraph.default_eps(b)
     try:
         return annulus.lower_bound_config(args.case, b, eps, args.n), eps
     except ValueError as exc:
-        flags = "--case, --b, --n, --eps" if "eps" in args else "--case, --n"
-        raise UsageError(f"{flags}: {exc}") from exc
+        raise UsageError(f"{_instance_flags(args)}: {exc}") from exc
 
 
 def _heartbeat(nodes: int, elapsed: float):
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_annulus_upper)
 
     p = sub.add_parser("annulus-lower", help="solve a lower-bound configuration")
-    p.add_argument("--case", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    p.add_argument("--case", type=int, required=True, choices=tuple(annulus.CASE_CIRCLE_COUNTS))
     p.add_argument("--b", type=_float_above(1.0), required=True)
     p.add_argument("--k", type=_int_at_least(2), required=True, help="annulus colors to certify")
     p.add_argument("--n", type=_int_at_least(1), default=None, help="override points per circle")
@@ -254,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_annulus_lower)
 
     p = sub.add_parser("threshold", help="bisect the b where a config starts needing k colors")
-    p.add_argument("--case", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    p.add_argument("--case", type=int, required=True, choices=tuple(annulus.CASE_CIRCLE_COUNTS))
     p.add_argument("--k", type=_int_at_least(2), required=True)
     p.add_argument("--n", type=_int_at_least(1), default=None)
     p.add_argument("--b-lo", type=_float_above(1.0), required=True)
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write a configuration graph as dimacs/cnf/lp")
     p.add_argument("--what", choices=("dimacs", "cnf", "lp"), required=True)
-    p.add_argument("--case", type=int, default=None, choices=(1, 2, 3, 4, 5))
+    p.add_argument("--case", type=int, default=None, choices=tuple(annulus.CASE_CIRCLE_COUNTS))
     p.add_argument("--b", type=_float_above(1.0), default=None)
     p.add_argument("--n", type=_int_at_least(1), default=None)
     p.add_argument("--eps", type=_float_above(0.0), default=None)
@@ -313,8 +317,7 @@ def main(argv=None) -> int:
         print(f"chromaplane: error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except distgraph.GraphTooLarge as exc:  # edges past the cap, which only the build counts
-        flags = f"--config {args.config}" if getattr(args, "config", None) else "--case, --n"
-        print(f"chromaplane: error: usage: {flags}: {exc}", file=sys.stderr)
+        print(f"chromaplane: error: usage: {_instance_flags(args)}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except annulus.InstanceError as exc:  # a statement about the instance, not a bug
         print(f"chromaplane: error: {exc.label}: {exc}", file=sys.stderr)

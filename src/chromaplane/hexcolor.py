@@ -360,7 +360,7 @@ def verify_scheme_sampled(
     The strata decide the verdict. The random samples are an independent
     cross-check that has not decided a verdict near the reach: with the strata
     left out, 1M samples (seeds 0, 1) first see (1, 2), (2, 3) and (3, 4) fail
-    0.02-0.06 past the reach. samples = 0 checks the strata alone.
+    0.02-0.08 past the reach. samples = 0 checks the strata alone.
 
     Only the pairs drawn in the candidate band d >= |v| - 1 - B_TOL are
     looked up; no other pair can share a color (module docstring). The cut

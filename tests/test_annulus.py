@@ -138,6 +138,9 @@ def test_radial_best():
     assert b == pytest.approx(2 * math.cos(math.pi / 7), abs=1e-9)
 
     assert radial_best(2, 8) is None
+    # the radial scheme needs at least 2k sectors
+    with pytest.raises(ValueError, match="need s_max >= 2k, got 5"):
+        radial_best(3, 5)
 
 
 def test_radial_binding_constraints():

@@ -8,11 +8,12 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stdout
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
 
+import chromaplane
 from chromaplane import annulus, distgraph, hexcolor, solver
 from chromaplane.cli import build_parser, main
 
@@ -35,6 +36,13 @@ def run_main(capsys, *args):
     rc = main(list(args))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_package_holds_only_its_modules():
+    # every name is imported from its module, so the package re-exports none
+    public = {name: value for name, value in vars(chromaplane).items() if not name.startswith("_")}
+    assert {"annulus", "distgraph", "eightcol", "geom", "hexcolor", "solver"} <= public.keys()
+    assert [name for name, value in public.items() if not isinstance(value, ModuleType)] == []
 
 
 def test_annulus_upper_csv():
@@ -468,6 +476,10 @@ def test_usage_errors(tmp_path, capsys):
         (("no-such-command",), None),
         (("min-colors", "--b-lo", "1.2", "--b-hi", "1.1"), None),
         (("export", "--what", "dimacs", "--config", missing + ".json"), "--config"),
+        # without --config the graph needs both --case and --b
+        (("export", "--what", "dimacs"), "export needs either --config or --case with --b"),
+        (("export", "--what", "dimacs", "--case", "1"), "export needs either --config"),
+        (("export", "--what", "dimacs", "--b", "1.3"), "export needs either --config"),
         # --config gives the whole graph, so the flags that also give it are refused
         (("export", "--what", "dimacs", "--config", str(cfg), "--case", "1", "--b", "1.9",
           "--n", "50", "--eps", "0.01"), "--case, --b, --n, --eps"),
@@ -631,8 +643,12 @@ def test_edges_past_the_row_cap_are_a_usage_error(args, tmp_path):
     # every block's pairs (slice hits x g) before it tiles one, and refuses
     proc = run_capped(*args, "--out", str(tmp_path / "out.txt"))
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
-    b = "1.25" if args[0] == "threshold" else "1.9"  # threshold's first probe is b_lo
-    assert proc.stderr.startswith(f"chromaplane: error: usage: --case, --n: need at most "
+    # threshold's first probe is b_lo; the commands that read --b and --eps name them too
+    if args[0] == "threshold":
+        b, flags = "1.25", "--case, --n"
+    else:
+        b, flags = "1.9", "--case, --b, --n, --eps"
+    assert proc.stderr.startswith(f"chromaplane: error: usage: {flags}: need at most "
                                   f"{distgraph.MAX_GRAPH_ROWS} edge index pairs at b={b}, got "), proc.stderr
     assert list(tmp_path.iterdir()) == []
 
@@ -658,7 +674,8 @@ def test_points_at_the_row_cap_are_built_within_1_gb():
     proc = run_capped("export", "--what", "dimacs", "--case", "1", "--b", "1.35",
                       "--n", "4194304", cap_gb=1)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
-    want = f"usage: --case, --n: need at most {distgraph.MAX_GRAPH_ROWS} edge index pairs at b=1.35"
+    want = (f"usage: --case, --b, --n, --eps: need at most {distgraph.MAX_GRAPH_ROWS} "
+            "edge index pairs at b=1.35")
     assert want in proc.stderr, proc.stderr
 
 

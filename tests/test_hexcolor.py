@@ -248,6 +248,9 @@ def test_scheme_validation():
     with pytest.raises(ValueError):
         HexScheme(-1, 2)
     assert color_count(HexScheme(1, 0)) == 1
+    for p_max, q_max in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError, match="bounds must be >= 0"):
+            sweep_pairs(p_max, q_max)
 
 
 def test_generator_vectors():

@@ -436,8 +436,10 @@ def test_chromatic_number_examples(moser_spindle):
 
     empty = graph_from_points([(3 * i, 0) for i in range(10)], b=1.5)
     assert chromatic_number(empty) == 1
-    # no vertices: the empty coloring uses 0 colors
+    # no vertices: the empty coloring uses 0 colors, and is found without search
     assert chromatic_number(DistanceGraph((), (), 1.5)) == 0
+    out = k_colorable(KColorQuery(DistanceGraph((), (), 1.5), 1))
+    assert (out.status, out.assignment, out.search_nodes) == (COLORABLE, (), 0)
     assert chromatic_number(six_cycle()) == 2
 
     # an odd cycle: its largest clique is an edge, yet it needs 3 colors
@@ -591,3 +593,6 @@ def test_exports_reject_k_below_one():
     for export in (export_cnf, export_lp):
         with pytest.raises(ValueError, match="k >= 1"):
             export(g, 0)
+    # and so does the query the solver takes
+    with pytest.raises(ValueError, match="need k >= 1, got 0"):
+        KColorQuery(g, 0)

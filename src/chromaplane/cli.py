@@ -6,7 +6,8 @@ to stderr. Exit codes: 0 ok, 2 usage, 3 budget exhausted, 4 internal.
 Tables and records are printed by the text module. Each flag's range is
 its argparse type. Rules that join two flags raise UsageError, as does a
 value the library refuses in the instance the flags give (an --eps too wide
-for --b, points or edges past distgraph.MAX_GRAPH_ROWS), naming its flags.
+for --b, a radius of 2**500 or more, points or edges past
+distgraph.MAX_GRAPH_ROWS), naming its flags.
 """
 from __future__ import annotations
 

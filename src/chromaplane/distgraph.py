@@ -9,7 +9,8 @@ build_graph uses a circulant build, one offset slice of distances per
 circle pair (one row when the counts are equal), and never forms the
 all-pairs distance matrix; it sorts the edges as packed int64 keys and
 splits them with a shift and a mask. graph_from_points, for arbitrary
-points, keeps the dense all-pairs pass.
+points, keeps the dense all-pairs pass under the same row cap. Both refuse
+coordinates past geom.COORD_LIMIT, where squared distances overflow.
 
 A graph is two read-only arrays, (n, 2) float points and (m, 2) index
 edges, that only its constructor makes from caller input; neighbor_masks
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import pair_distances
+from .geom import COORD_LIMIT, pair_distances
 
 # Edge rule: distance in [1 - BOUNDARY_TOL, b + BOUNDARY_TOL]. The point
 # configurations keep all pairwise distances safely off the interval
@@ -49,12 +50,12 @@ DEFAULT_EPS_SCALE = 1e-6
 EPS_STABILITY_SCALES = (1e-5, 1e-6, 1e-7)
 
 # The most rows a graph build makes of each kind: points, one circle pair's
-# slice of pair distances, and edge index pairs tiled (a pair within one
-# circle counts twice). More is refused with GraphTooLarge before it is made.
-# At the cap the points are one 134 MB array (16 bytes each; a process that
-# makes them and is then refused peaks at 366 MB RSS), the edge build about
-# 0.2 GB (23 bytes a pair); full case 1 tiles 483,600 pairs. Below 2**31, so
-# an edge key holds each point index in 32 bits.
+# slice of pair distances (all n * n of them in graph_from_points), and edge
+# index pairs tiled (a pair within one circle counts twice). More is refused
+# with GraphTooLarge before it is made. At the cap the points are one 134 MB
+# array (16 bytes each; a process that makes them and is then refused peaks at
+# 366 MB RSS), the edge build about 0.2 GB (23 bytes a pair); full case 1 tiles
+# 483,600 pairs. Below 2**31, so an edge key holds each point index in 32 bits.
 MAX_GRAPH_ROWS = 2**23
 
 # Exports are built and written this many edges (or, in the per-vertex
@@ -99,8 +100,8 @@ class PointConfig:
                 raise ValueError(f"circle point count must be an integer, got {n!r}")
             if n < 1:
                 raise ValueError(f"circle point count must be >= 1, got {n}")
-            if not 0 < r < math.inf:  # NaN fails too
-                raise ValueError(f"circle radius must be a finite number > 0, got {r}")
+            if not 0 < r < COORD_LIMIT:  # NaN fails too
+                raise ValueError(f"circle radius must be a number in (0, 2**500), got {r}")
         circles = tuple(CircleSpec(int(n), float(r)) for n, r in self.circles)
         radii = [r for _, r in circles]
         if len(set(radii)) != len(radii):
@@ -266,9 +267,13 @@ def graph_from_points(points, b: float) -> DistanceGraph:
     Escape hatch for fixed embeddings (unit-distance gadgets and test
     graphs); the annulus pipelines always go through PointConfig. Points
     are read, and b checked, as DistanceGraph does; b = 1 gives
-    unit-distance graphs.
+    unit-distance graphs. A coordinate of magnitude COORD_LIMIT or more, and
+    more than MAX_GRAPH_ROWS pair distances, are refused before the pass.
     """
     points = _pairs(points, Real, np.float64)
+    if np.abs(points).max(initial=0.0) >= COORD_LIMIT:
+        raise ValueError(f"need coordinates of magnitude < 2**500, got {np.abs(points).max()}")
+    _check_rows(len(points) ** 2, "pair distances")
     return DistanceGraph(points, _edges_for_points(points, b), b)
 
 

@@ -26,6 +26,10 @@ FORBIDDEN_BAND = 1e-9
 # Equality slack when comparing a computed reach or cap against b or 1.
 B_TOL = 1e-9
 
+# Coordinates of smaller magnitude keep every squared difference and sum that
+# pair_distances forms finite: 2 * (2 * 2**500)**2 = 2**1003 < 2**1024.
+COORD_LIMIT = 2.0**500
+
 
 class Point2(NamedTuple):
     x: float

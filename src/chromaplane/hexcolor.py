@@ -22,6 +22,8 @@ below the reach: too few draws land there to decide a verdict near it.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -219,14 +221,28 @@ def sweep_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
 
 def _scheme_rows(
     p_max: int, q_max: int, b_values: dict[tuple[int, int], float | None] | None = None
-) -> list[SchemeRow]:
-    """One row per swept (p, q) that has a reach, in sweep order."""
+) -> tuple[list[SchemeRow], list[float]]:
+    """One row per swept (p, q) that has a reach, sorted by (n_colors, p, q),
+    and the running maximum of their reaches in that order."""
     rows = []
     for p, q in sweep_pairs(p_max, q_max):
         b = b_values[(p, q)] if b_values is not None else hex_b_max(p, q)
         if b is not None:
             rows.append(SchemeRow(b, _color_count(p, q), p, q))
-    return rows
+    rows.sort(key=lambda r: (r.n_colors, r.p, r.q))
+    return rows, list(itertools.accumulate((r.b for r in rows), max))
+
+
+def _fewest_colors(sweep: tuple[list[SchemeRow], list[float]], b: float) -> SchemeRow | None:
+    """Row of the smallest (n_colors, p, q) whose reach is >= b - B_TOL, or None.
+
+    The first row at which sweep's running maximum reach covers b covers it
+    itself, and no row before it does. Every swept row counts, not only the
+    Pareto rows: the B_TOL slack is not transitive.
+    """
+    rows, reach_max = sweep
+    i = bisect.bisect_left(reach_max, float(b) - B_TOL)  # as a float: a numpy scalar compares slowly
+    return rows[i] if i < len(rows) else None
 
 
 def pareto_table(
@@ -236,43 +252,25 @@ def pareto_table(
 ) -> list[SchemeRow]:
     """Pareto-optimal (b_max, colors) schemes over p <= q (reflection symmetry).
 
-    A row survives unless some other scheme reaches at least as far
-    (b' >= b, up to float slack) with strictly fewer colors. Sorted by b.
-    b_values, when given, holds the precomputed hex_b_max reach of every
-    swept pair; otherwise the reaches are computed here.
+    A row survives when it is the fewest-colors answer at its own reach: when no
+    other scheme reaches as far (b' >= b, up to float slack) with fewer colors.
+    Sorted by b. b_values (one caller: perfbench's traced replay) holds the
+    hex_b_max reach of every swept pair; by default they are computed here.
     """
-    rows = _scheme_rows(p_max, q_max, b_values)
-    keep = []
-    for r in rows:
-        reach, n = r.b - B_TOL, r.n_colors  # read once: NamedTuple field reads are not cheap
-        if not any(o.b >= reach and o.n_colors < n for o in rows):
-            keep.append(r)
-    keep.sort()  # by (b, n_colors, p, q), the field order
-    return keep
-
-
-def _fewest_colors(rows: list[SchemeRow], b: float) -> tuple[int, int, int] | None:
-    """Smallest (n_colors, p, q) among rows whose reach covers b, or None.
-
-    Selects from every swept row, not only the Pareto rows: the Pareto
-    filter's B_TOL slack is not transitive.
-    """
-    if not b > 1.0:  # NaN fails too
-        raise ValueError(f"need b > 1, got {b}")
-    reach = float(b) - B_TOL  # once, and as a float: a numpy scalar compares slowly
-    return min(((r.n_colors, r.p, r.q) for r in rows if r.b >= reach), default=None)
+    sweep = _scheme_rows(p_max, q_max, b_values)
+    return sorted(r for r in sweep[0] if _fewest_colors(sweep, r.b).n_colors == r.n_colors)
 
 
 def best_scheme_for_b(b: float) -> tuple[int, int, int] | None:
     """Scheme of the p, q <= 10 sweep with the fewest colors whose reach
-    covers b, or None.
+    covers b, as (p, q, n_colors), or None.
 
     Ties break to the lexicographically smallest (p, q).
     """
+    if not b > 1.0:  # NaN fails too
+        raise ValueError(f"need b > 1, got {b}")
     best = _fewest_colors(_scheme_rows(10, 10), b)
-    if best is None:
-        return None
-    return best[1], best[2], best[0]
+    return None if best is None else (best.p, best.q, best.n_colors)
 
 
 # The classic one-parameter scheme families: family -> r -> ((p, q), known reach)
@@ -401,11 +399,13 @@ def pareto_table_csv(rows: list[SchemeRow]) -> str:
 
 def min_colors_curve(b_values, search_max: int = 10) -> list[tuple[float, int | None]]:
     """Fewest colors reachable at each b of the grid (None when out of range)."""
-    rows = _scheme_rows(search_max, search_max)
+    sweep = _scheme_rows(search_max, search_max)
     out = []
     for b in b_values:
-        best = _fewest_colors(rows, b)
-        out.append((b, best[0] if best is not None else None))
+        if not b > 1.0:  # NaN fails too
+            raise ValueError(f"need b > 1, got {b}")
+        best = _fewest_colors(sweep, b)
+        out.append((b, best.n_colors if best is not None else None))
     return out
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -503,13 +504,21 @@ def test_usage_errors(tmp_path, capsys):
         (("annulus-upper", "--k", "3", "--s-max", "4"), "--s-max"),
         # a grid of more points than an array can index
         (("min-colors", "--b-lo", "1.5", "--b-hi", "1e300", "--step", "1e-300"), "--step"),
+        # radii near 1e300 square to inf, which would drop every edge: refused
+        # before any point is made
+        (("annulus-lower", "--case", "1", "--b", "1e300", "--k", "3", "--n", "5"),
+         "--case, --b, --n, --eps: circle radius must be a number in (0, 2**500)"),
+        (("export", "--what", "dimacs", "--case", "1", "--b", "1e300", "--n", "5"), "2**500"),
+        (("threshold", "--case", "1", "--k", "4", "--n", "65", "--b-lo", "1.25",
+          "--b-hi", "1e300", "--tol", "1e-3"), "--case, --n: circle radius"),
     ]
     # a --config graph needs a finite b > 1, eps in [0, (b - 1) / 2) and
-    # finite radii > 0 (json writes and reads NaN and Infinity literals)
+    # radii in (0, 2**500) (json writes and reads NaN and Infinity literals)
     for name, b, eps, r in [("b_low", 0.9, 0.0001, 1.0001), ("b_inf", math.inf, 0.0001, 1.0001),
                             ("b_nan", math.nan, 0.0001, 1.0001), ("eps_neg", 1.25, -0.1, 1.0001),
                             ("eps_wide", 1.25, 0.125, 1.0001), ("eps_nan", 1.25, math.nan, 1.0001),
-                            ("r_nan", 1.5, 0.0, math.nan), ("r_inf", 1.5, 0.0, math.inf)]:
+                            ("r_nan", 1.5, 0.0, math.nan), ("r_inf", 1.5, 0.0, math.inf),
+                            ("r_huge", 1.5, 0.0, 1e300)]:
         path = tmp_path / f"cfg_{name}.json"
         circles = [{"n": 6, "r": r}, {"n": 6, "r": 1.2}]
         path.write_text(json.dumps({"circles": circles, "b": b, "eps": eps}))
@@ -536,6 +545,10 @@ def test_usage_errors(tmp_path, capsys):
     assert rc == 0, err
     rc, _, err = run_main(capsys, "eight-opt", "--tol", "0.375")
     assert rc == 0, err
+    # radii below 2**500 keep every edge (--b 1e300 is refused)
+    rc, out, err = run_main(capsys, "export", "--what", "dimacs", "--case", "1", "--b", "1e150",
+                            "--n", "5")
+    assert (rc, out.splitlines()[0]) == (0, "p edge 10 35"), err
     # an integral float is still a point count
     path = tmp_path / "cfg_n_float.json"
     path.write_text(json.dumps({**good, "circles": [{"n": 4.0, "r": 1.0001}]}))
@@ -748,6 +761,20 @@ def test_threshold_instance_verdicts_exit_2(capsys, monkeypatch, label):
     assert (rc, out) == (2, "")
     assert f"chromaplane: error: {label}: " in err, err
     assert "internal" not in err
+
+
+def test_heartbeat_writes_to_stderr_only(capsys, monkeypatch):
+    # the refute instance: 7,706 search nodes, a budget tick every 2,048
+    args = ("annulus-lower", "--case", "1", "--b", "1.35", "--k", "4", "--n", "130")
+    rc, quiet, err = run_main(capsys, *args)
+    assert rc == 0 and "progress:" not in err, err
+    monkeypatch.setattr(solver, "_PROGRESS_INTERVAL", 0.0)
+    rc, out, err = run_main(capsys, *args)
+    assert rc == 0, err
+    beats = [line for line in err.splitlines() if line.startswith("progress:")]
+    assert [line.split()[1] for line in beats] == ["nodes=2048", "nodes=4096", "nodes=6144"]
+    assert all(re.fullmatch(r"progress: nodes=\d+ elapsed=\d+s", line) for line in beats), beats
+    assert out == quiet
 
 
 def test_main_callable_in_process(capsys):

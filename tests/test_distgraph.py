@@ -20,7 +20,7 @@ from chromaplane.distgraph import (
     export_dimacs,
     graph_from_points,
 )
-from chromaplane.geom import Point2
+from chromaplane.geom import Point2, pair_distances
 from conftest import brute_force_k_colorable, export_graphs
 
 
@@ -137,9 +137,13 @@ def test_config_validation():
         PointConfig((CircleSpec(5, 1.0), CircleSpec(7, 1.0)))  # duplicate radius
     with pytest.raises(ValueError):
         PointConfig((CircleSpec(0, 1.0),))
-    for r in (0.0, math.nan, math.inf):
+    for r in (0.0, math.nan, math.inf, 2.0**500, 1e300):
         with pytest.raises(ValueError, match="radius"):
             PointConfig((CircleSpec(6, r), CircleSpec(6, 1.2)))
+    # below 2**500 every squared difference of two points is finite
+    big = math.nextafter(2.0**500, 0.0)
+    g = build_graph(PointConfig((CircleSpec(2, big), CircleSpec(2, big / 2))), b=1.5)
+    assert np.isfinite(pair_distances(g.points, g.points)).all()
     with pytest.raises(ValueError, match="integer"):
         PointConfig((CircleSpec(4.5, 1.0),))  # would silently become 4 points
     # a bool or a string is not a number, even where int() or float() takes it
@@ -147,6 +151,32 @@ def test_config_validation():
         with pytest.raises(ValueError, match="numbers"):
             PointConfig((CircleSpec(n, r), CircleSpec(6, 1.2)))
     assert PointConfig((CircleSpec(4.0, 1.0),)).circles == (CircleSpec(4, 1.0),)
+
+
+def test_graph_from_points_refuses_coordinates_whose_squares_overflow():
+    # at 1e300 the squared differences overflow to inf and the pair at
+    # distance 1 lost its edge; no coordinate of 2**500 or more is read
+    for x in (2.0**500, -2.0**500, 1e300):
+        with pytest.raises(ValueError, match=r"2\*\*500"):
+            graph_from_points([(x, 0.0), (x, 1.0)], 1.5)
+    big = math.nextafter(2.0**500, 0.0)
+    g = graph_from_points([(big, 0.0), (-big, 0.0), (0.0, 0.0), (0.0, 1.0)], 1.5)
+    assert g.edges.tolist() == [[2, 3]]
+
+
+def test_graph_from_points_refuses_pairs_past_the_row_cap():
+    # 2,897 points are 8,392,609 > 2**23 pair distances: refused before the
+    # dense pass's n x n x 2 temporary (134 MB here) is made
+    points = np.column_stack((np.arange(2_897.0), np.zeros(2_897)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(distgraph.GraphTooLarge,
+                           match=r"^need at most 8388608 pair distances, got 8392609$"):
+            graph_from_points(points, 1.5)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 1, peak_mb
 
 
 def test_build_graph_triangle_no_edges():

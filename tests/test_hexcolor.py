@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -471,6 +472,47 @@ def test_min_colors_selection_matches_reference(monkeypatch):
                                         for b, w in zip(points, want)]
     for b, w in zip(points, want):
         assert best_scheme_for_b(b) == (None if w is None else (w[1], w[2], w[0]))
+
+
+def _swept_rows(search_max, q_max=None):
+    """The swept rows with a reach, in sweep order, built here from hex_b_max."""
+    rows = [hexcolor.SchemeRow(hexcolor.hex_b_max(p, q), p * p + p * q + q * q, p, q)
+            for p, q in sweep_pairs(search_max, search_max if q_max is None else q_max)]
+    return [r for r in rows if r.b is not None]
+
+
+def _all_pairs_pareto(rows):
+    """The dominance rule as an all-pairs filter: drop a row when another row
+    reaches at least its b - B_TOL with strictly fewer colors."""
+    return sorted(r for r in rows
+                  if not any(o.b >= r.b - B_TOL and o.n_colors < r.n_colors for o in rows))
+
+
+def _full_scan_fewest(rows, b):
+    """The dominance rule as a full scan: smallest (n_colors, p, q) reaching b - B_TOL."""
+    reach = b - B_TOL
+    return min(((r.n_colors, r.p, r.q) for r in rows if r.b >= reach), default=None)
+
+
+def test_sorted_sweep_matches_all_pairs_rule(monkeypatch):
+    # each (p, q) reach is computed once, for the code under test and the reference alike
+    monkeypatch.setattr(hexcolor, "hex_b_max", functools.cache(hex_b_max))
+    for m in list(range(31)) + [60]:
+        for p_max, q_max in ((m, m), (m, m // 2 + 1), (m // 3, m)):
+            assert pareto_table(p_max, q_max) == _all_pairs_pareto(_swept_rows(p_max, q_max))
+
+    offsets = (0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-6, -1e-6)
+    for search_max in range(31):
+        rows = _swept_rows(search_max)
+        points = [r.b + d for r in rows for d in offsets]
+        want = [_full_scan_fewest(rows, b) for b in points]
+        assert min_colors_curve(points, search_max) == [(b, w and w[0]) for b, w in zip(points, want)]
+        if search_max == 10:
+            # the B_TOL edge decides some answers: b + 5e-10 is covered where b + 2e-9 is not
+            answers = dict(zip(points, want))
+            assert any(answers[r.b + 5e-10] != answers[r.b + 2e-9] for r in rows)
+            for b, w in zip(points, want):
+                assert best_scheme_for_b(b) == (w and (w[1], w[2], w[0]))
 
 
 def test_named_families():

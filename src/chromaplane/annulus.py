@@ -25,8 +25,8 @@ from .distgraph import (
     build_graph,
     default_eps,
 )
-from .geom import (B_TOL, check_draw_count, chord, forbidden_distances, forbidden_pair_draws,
-                   pair_distances)
+from .geom import (B_TOL, check_draw_count, chord, difference_norms, forbidden_distances,
+                   forbidden_pair_draws)
 from .solver import ColoringOutcome, KColorQuery, NOT_COLORABLE, k_colorable
 from .text import table_text
 
@@ -299,17 +299,30 @@ def annulus_bounds_csv() -> str:
     return table_text(AnnulusBoundsRow._fields, annulus_bounds_rows())
 
 
-def _strata_violation(scheme: RadialScheme) -> bool:
-    """radial_violation_exists' strata, its deterministic half, and
-    radial_max_b_numeric's bisection probe."""
+def _radial_strata(k: int, s: int):
+    """radial_violation_exists' strata, its deterministic half, as a probe
+    b -> bool; also radial_max_b_numeric's bisection probe.
+
+    The strata sit 1e-9 and 1e-7 either side of each sector boundary, on
+    radii 1 and b. Their angles, cos, sin, colors and same-color pairs i < j
+    do not depend on b and are built here once; a probe measures those pairs
+    with pair_distances' float operations (difference_norms). That decides
+    as the whole matrix did: other pairs have other colors, distance 0, or
+    the bits of d[i, j].
+    """
     offs = np.array([1e-9, 1e-7, -1e-9, -1e-7])
-    boundary = np.add.outer(np.arange(scheme.s) * scheme.alpha, offs).ravel() % TWO_PI
+    boundary = np.add.outer(np.arange(s) * (TWO_PI / s), offs).ravel() % TWO_PI
     ang = np.repeat(boundary, 2)
-    rad = np.tile([1.0, scheme.b], boundary.size)
-    pts = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
-    d = pair_distances(pts, pts)
-    cols = _sector_colors(scheme.k, scheme.s, ang)
-    return bool(np.any((cols[:, None] == cols[None, :]) & forbidden_distances(d, scheme.b)))
+    cos, sin = np.cos(ang), np.sin(ang)
+    cols = _sector_colors(k, s, ang)
+    i, j = np.nonzero(np.triu(cols[:, None] == cols, 1))
+
+    def violation(b: float) -> bool:
+        rad = np.tile([1.0, b], boundary.size)
+        x, y = rad * cos, rad * sin
+        return bool(np.any(forbidden_distances(difference_norms(x[i] - x[j], y[i] - y[j]), b)))
+
+    return violation
 
 
 def radial_violation_exists(
@@ -325,9 +338,9 @@ def radial_violation_exists(
     checked, so memory does not grow with n_pairs; n_pairs = 0 checks the
     strata alone.
     """
-    scheme = RadialScheme(k, s, b)
+    RadialScheme(k, s, b)  # validate (k, s, b)
     check_draw_count(n_pairs, "n_pairs")
-    if _strata_violation(scheme):
+    if _radial_strata(k, s)(b):
         return True
     b_sq = b * b
     # r^2 of the first point is uniform on (1, b^2): uniform by area
@@ -346,7 +359,9 @@ def radial_violation_exists(
 
 def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) -> float:
     """Largest b the strata accept, found by bisection of NUMERIC_BRACKET
-    to NUMERIC_TOL, then cross-checked once by the random pairs.
+    to NUMERIC_TOL, then cross-checked once by the random pairs. The
+    strata's b-free pairs (_radial_strata) are built once for the whole
+    bisection, not once per probe.
 
     Independent numerical route to the same quantity as radial_max_b;
     the two must agree to 1e-6. The strata decide: above the cap they
@@ -362,8 +377,7 @@ def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) 
     RadialScheme(k, s, 1.5)  # validate (k, s) before bisecting
     check_draw_count(n_pairs, "n_pairs")
     lo, hi = _bisect(
-        lambda b: _strata_violation(RadialScheme(k, s, b)), *NUMERIC_BRACKET, NUMERIC_TOL,
-        f"the ({k}, {s}) scheme is invalid",
+        _radial_strata(k, s), *NUMERIC_BRACKET, NUMERIC_TOL, f"the ({k}, {s}) scheme is invalid"
     )
     if radial_violation_exists(k, s, lo, n_pairs, seed):
         raise RuntimeError(

@@ -54,8 +54,10 @@ EPS_STABILITY_SCALES = (1e-5, 1e-6, 1e-7)
 # index pairs tiled (a pair within one circle counts twice). More is refused
 # with GraphTooLarge before it is made. At the cap the points are one 134 MB
 # array (16 bytes each; a process that makes them and is then refused peaks at
-# 366 MB RSS), the edge build about 0.2 GB (23 bytes a pair); full case 1 tiles
-# 483,600 pairs. Below 2**31, so an edge key holds each point index in 32 bits.
+# 366 MB RSS), the edge build about 0.2 GB (23 bytes a pair), and the dense
+# pass of graph_from_points on 2,896 points peaks at 128 MB (tracemalloc), its
+# two n x n float planes; full case 1 tiles 483,600 pairs. Below 2**31, so an
+# edge key holds each point index in 32 bits.
 MAX_GRAPH_ROWS = 2**23
 
 # Exports are built and written this many edges (or, in the per-vertex

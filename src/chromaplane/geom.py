@@ -2,6 +2,11 @@
 pair distances, forbidden-window test, seeded pair draws and draw-count
 rule the sampled checks share.
 
+pair_distances, the one distance kernel of the graph builds and the
+sampled checks, works on two (n, m) coordinate planes and is bit-identical
+to the broadcast (n, m, 2) form (tests/test_geom.py pins it); the radial
+strata finish their own pairs' differences with its difference_norms.
+
 Everything here works in plain double precision. Threshold comparisons
 elsewhere in the package use absolute tolerances; no exact arithmetic.
 """
@@ -37,9 +42,24 @@ class Point2(NamedTuple):
 
 
 def pair_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distance from each row point of p to each row point of q (the edge rule's values)."""
-    diff = p[:, None, :] - q[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """Distance from each row point of p to each row point of q, (n, 2) and
+    (m, 2) float arrays (the edge rule's values).
+
+    dx and dy as two (n, m) planes, finished by difference_norms: the
+    broadcast form's float operations in its order, with two planes alive
+    at the peak where it had four.
+    """
+    dx = np.subtract.outer(p[:, 0], q[:, 0])
+    return difference_norms(dx, np.subtract.outer(p[:, 1], q[:, 1]))
+
+
+def difference_norms(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy), in that order, computed in place in the float
+    arrays dx and dy (both are overwritten); the result is dx."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def forbidden_window(b: float) -> tuple[float, float]:

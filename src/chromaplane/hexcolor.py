@@ -383,7 +383,7 @@ def verify_scheme_sampled(
     window = (-span, span)
     cut = math.hypot(v.x, v.y) - 1.0 - B_TOL
     for chunk in forbidden_pair_draws(seed, samples, window, window, b):
-        x1, y1, d, phi = chunk[:, chunk[2] >= cut]
+        x1, y1, d, phi = chunk.take(np.flatnonzero(chunk[2] >= cut), axis=1)
         x2 = x1 + d * np.cos(phi)
         y2 = y1 + d * np.sin(phi)
         i1, j1 = _tile_indices_vectorized(x1, y1)

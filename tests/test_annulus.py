@@ -165,6 +165,46 @@ def test_radial_scheme_valid_below_max(ks):
     assert not radial_violation_exists(k, s, b, n_pairs=1_000_000, seed=1)
 
 
+def _full_matrix_strata_violation(k, s, b):
+    # the strata by the whole same-color distance matrix: every ordered pair,
+    # its distances by the (n, m, 2) broadcast form
+    offs = np.array([1e-9, 1e-7, -1e-9, -1e-7])
+    boundary = np.add.outer(np.arange(s) * (annulus.TWO_PI / s), offs).ravel() % annulus.TWO_PI
+    ang = np.repeat(boundary, 2)
+    rad = np.tile([1.0, b], boundary.size)
+    pts = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
+    diff = pts[:, None, :] - pts[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    cols = annulus._sector_colors(k, s, ang)
+    return bool(np.any((cols[:, None] == cols[None, :]) & annulus.forbidden_distances(d, b)))
+
+
+def test_radial_strata_decide_as_the_full_same_color_matrix():
+    # the same-color pairs i < j, built once, give every verdict the full
+    # matrix gives: around each cap of each scheme, and at seeded b across
+    # NUMERIC_BRACKET; and so the same bisection bracket
+    rng = np.random.default_rng(30)
+    schemes = sorted(annulus.RADIAL_SECTORS.items()) + [(2, 4), (3, 6), (4, 8), (5, 15), (2, 10)]
+    verdicts = set()
+    for k, s in schemes:
+        caps = radial_max_b_detail(k, s)[1].values()
+        bs = [c + sign * off for c in caps for off in (0.0, 1e-9, 1e-8, 1e-7, 1e-6)
+              for sign in (1, -1)]
+        bs += rng.uniform(*annulus.NUMERIC_BRACKET, 300).tolist()
+        probe = annulus._radial_strata(k, s)
+        for b in filter(lambda b: b > 1.0, bs):
+            want = _full_matrix_strata_violation(k, s, b)
+            assert probe(b) == want, (k, s, b)
+            verdicts.add(want)
+    assert verdicts == {False, True}
+    for k, s in annulus.RADIAL_SECTORS.items():
+        def bracket(probe):
+            return annulus._bisect(probe, *annulus.NUMERIC_BRACKET, annulus.NUMERIC_TOL, "invalid")
+
+        want = bracket(lambda b: _full_matrix_strata_violation(k, s, b))
+        assert bracket(annulus._radial_strata(k, s)) == want, (k, s)
+
+
 @pytest.mark.parametrize("pairs_only", [False, True])
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("ks", sorted(annulus.RADIAL_SECTORS.items()))
@@ -178,7 +218,7 @@ def test_radial_max_b_numeric_is_the_bisection_of_radial_violation_exists(
     k, s = ks
     n_pairs = 100_000
     if pairs_only:
-        monkeypatch.setattr(annulus, "_strata_violation", lambda scheme: False)
+        monkeypatch.setattr(annulus, "_radial_strata", lambda k, s: lambda b: False)
         n_pairs = 20_000
         with pytest.raises(BracketInvalid):
             radial_max_b_numeric(k, s, n_pairs, seed)
@@ -252,7 +292,7 @@ def test_radial_max_b_numeric_reports_a_pair_the_strata_miss(monkeypatch):
     # strata that accept up to 1.9 leave (4, 12) invalid at the largest b
     # they accept, within NUMERIC_TOL below 1.9, and the one check of the
     # random pairs there says so rather than moving the result
-    monkeypatch.setattr(annulus, "_strata_violation", lambda scheme: scheme.b > 1.9)
+    monkeypatch.setattr(annulus, "_radial_strata", lambda k, s: lambda b: b > 1.9)
     with pytest.raises(RuntimeError, match=r"\(4, 12\) scheme invalid at b = 1\.89999"):
         radial_max_b_numeric(4, 12)
 
@@ -449,13 +489,13 @@ def test_threshold_bisect_ends_for_every_tol(monkeypatch):
 def test_radial_max_b_numeric_ends_for_every_tol(monkeypatch):
     probes = []
 
-    # each bisection probe is one _strata_violation; the pairs check of the
-    # accepted end (n_pairs = 0 here: the strata alone) probes it once more
-    def fake(scheme):
-        probes.append(scheme.b)
-        return scheme.b > 1.5
+    # each bisection probe is one call of the _radial_strata probe; the pairs
+    # check of the accepted end (n_pairs = 0 here: the strata alone) probes once more
+    def fake(b):
+        probes.append(b)
+        return b > 1.5
 
-    monkeypatch.setattr(annulus, "_strata_violation", fake)
+    monkeypatch.setattr(annulus, "_radial_strata", lambda k, s: fake)
     bracket, default_tol = annulus.NUMERIC_BRACKET, annulus.NUMERIC_TOL
     # probes 1.5, 1.625, 1.5625, 1.53125, 1.515625 after the bracket ends
     monkeypatch.setattr(annulus, "NUMERIC_BRACKET", (1.25, 1.75))

@@ -166,7 +166,7 @@ def test_graph_from_points_refuses_coordinates_whose_squares_overflow():
 
 def test_graph_from_points_refuses_pairs_past_the_row_cap():
     # 2,897 points are 8,392,609 > 2**23 pair distances: refused before the
-    # dense pass's n x n x 2 temporary (134 MB here) is made
+    # dense pass's two n x n coordinate planes (134 MB here) are made
     points = np.column_stack((np.arange(2_897.0), np.zeros(2_897)))
     tracemalloc.start()
     try:
@@ -177,6 +177,21 @@ def test_graph_from_points_refuses_pairs_past_the_row_cap():
     finally:
         tracemalloc.stop()
     assert peak_mb < 1, peak_mb
+
+
+def test_graph_from_points_at_the_row_cap_holds_two_planes():
+    # 2,896 points, the most under MAX_GRAPH_ROWS: the dense pass peaks at its
+    # two n x n float planes, 128 MB; the broadcast n x n x 2 form peaked at 320 MB
+    points = np.random.default_rng(29).uniform(-40.0, 40.0, (2_896, 2))
+    assert len(points) ** 2 <= distgraph.MAX_GRAPH_ROWS < (len(points) + 1) ** 2
+    tracemalloc.start()
+    try:
+        g = graph_from_points(points, 1.5)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) > 0
+    assert peak_mb < 160, peak_mb
 
 
 def test_build_graph_triangle_no_edges():
@@ -305,10 +320,11 @@ def test_circulant_build_matches_dense_full_scale(case, b, edges):
         tracemalloc.stop()
     assert len(g.edges) == edges
     assert np.array_equal(g.edges, dense_edges(g))
-    # the dense pass needs an n x n x 2 float temporary: 258 MB for case 1;
-    # a tuple of 388,700 Python pairs alone took some 45 MB of it. Case 1's
-    # build peaks at 12.5 MB, 6.2 MB of edges and the constructor's copy of
-    # them; splitting the sorted keys by // and % peaked at 20.4 MB
+    # the dense pass peaks at its two n x n float planes, 103 MB for case 1
+    # (258 MB with the n x n x 2 broadcast form); a tuple of 388,700 Python
+    # pairs alone took some 45 MB. Case 1's build peaks at 12.5 MB, 6.2 MB of
+    # edges and the constructor's copy of them; splitting the sorted keys by
+    # // and % peaked at 20.4 MB
     assert peak_mb < 16, peak_mb
 
 

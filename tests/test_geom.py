@@ -4,7 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from chromaplane import distgraph
+from chromaplane.annulus import CASE_CIRCLE_COUNTS, CASE_THRESHOLDS, lower_bound_config
 from chromaplane.geom import (
+    COORD_LIMIT,
     DRAW_CHUNK,
     FORBIDDEN_BAND,
     chord,
@@ -43,6 +46,42 @@ def test_pair_distances_matches_hypot():
     assert d.shape == (7, 5)
     want = np.hypot(p[:, None, 0] - q[None, :, 0], p[:, None, 1] - q[None, :, 1])
     assert np.allclose(d, want, rtol=0, atol=1e-15)
+
+
+def _broadcast_distances(p, q):
+    # the (n, m, 2) broadcast form pair_distances had before its coordinate planes
+    diff = p[:, None, :] - q[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def test_pair_distances_bit_identical_to_broadcast_form(monkeypatch):
+    rng = np.random.default_rng(17)
+    shapes = [(0, 4), (6, 0), (0, 0), (1, 1300), (7, 5), (180, 180), (500, 800)]
+    inputs = [(rng.uniform(-3, 3, (n, 2)), rng.uniform(-3, 3, (m, 2))) for n, m in shapes]
+    # near +-2**499 (below COORD_LIMIT) each squared difference is near 2**1000,
+    # still finite, and their sum too
+    big = rng.choice([-1.0, 1.0], (40, 2)) * rng.uniform(0.5, 1.0, (40, 2)) * 2.0**499
+    assert np.abs(big).max() < COORD_LIMIT
+    inputs.append((big, big[::-1]))
+    # every slice the circulant build measures, on cases 1-5 at full scale
+    slices = []
+
+    def record(p, q):
+        slices.append((p.copy(), q.copy()))
+        return pair_distances(p, q)
+
+    monkeypatch.setattr(distgraph, "pair_distances", record)
+    for case in CASE_CIRCLE_COUNTS:
+        b = CASE_THRESHOLDS[case]
+        distgraph.build_graph(lower_bound_config(case, b), b)
+    monkeypatch.undo()
+    rings = [CASE_CIRCLE_COUNTS[case][1] for case in CASE_CIRCLE_COUNTS]
+    assert len(slices) == sum(r * (r + 1) // 2 for r in rings)
+    for p, q in inputs + slices:
+        got = pair_distances(p, q)
+        assert got.shape == (len(p), len(q))
+        assert np.array_equal(got, _broadcast_distances(p, q)), (p.shape, q.shape)
+        assert np.isfinite(got).all()
 
 
 @pytest.mark.parametrize("first", ["radial", "hex"])

@@ -340,8 +340,11 @@ def radial_violation_exists(
     """
     RadialScheme(k, s, b)  # validate (k, s, b)
     check_draw_count(n_pairs, "n_pairs")
-    if _radial_strata(k, s)(b):
-        return True
+    return _radial_strata(k, s)(b) or _random_pair_violation(k, s, b, n_pairs, seed)
+
+
+def _random_pair_violation(k: int, s: int, b: float, n_pairs: int, seed: int) -> bool:
+    """radial_violation_exists' random half, on arguments it has checked."""
     b_sq = b * b
     # r^2 of the first point is uniform on (1, b^2): uniform by area
     for r1_sq, a1, d, phi in forbidden_pair_draws(seed, n_pairs, (1.0, b_sq), (0.0, TWO_PI), b):
@@ -365,21 +368,21 @@ def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) 
 
     Independent numerical route to the same quantity as radial_max_b;
     the two must agree to 1e-6. The strata decide: above the cap they
-    find a violation, and below it the scheme is valid. Then
-    radial_violation_exists(k, s, lo, n_pairs, seed) runs once at lo, the
-    largest b the strata accepted, and a violation there is a
-    RuntimeError. That one check covers every accepted probe: for b' < lo,
-    A_b' lies in A_lo, forbidden_window(b') in forbidden_window(lo), and
-    the sector colors do not depend on b, so a pair that violates the
-    scheme at b' violates it at lo too. With the strata left out, 100k
-    pairs alone (seeds 0-2) stop 0.04-0.11 above the cap.
+    find a violation, and below it the scheme is valid. Then the random
+    pairs of radial_violation_exists(k, s, lo, n_pairs, seed) run once at
+    lo, the largest b the strata accepted (the strata are not probed there
+    again), and a violation there is a RuntimeError. That one check covers
+    every accepted probe: for b' < lo, A_b' lies in A_lo, forbidden_window(b')
+    in forbidden_window(lo), and the sector colors do not depend on b, so a
+    pair that violates the scheme at b' violates it at lo too. With the
+    strata left out, 100k pairs alone (seeds 0-2) stop 0.04-0.11 above the cap.
     """
     RadialScheme(k, s, 1.5)  # validate (k, s) before bisecting
     check_draw_count(n_pairs, "n_pairs")
     lo, hi = _bisect(
         _radial_strata(k, s), *NUMERIC_BRACKET, NUMERIC_TOL, f"the ({k}, {s}) scheme is invalid"
     )
-    if radial_violation_exists(k, s, lo, n_pairs, seed):
+    if _random_pair_violation(k, s, lo, n_pairs, seed):
         raise RuntimeError(
             f"the random pairs find the ({k}, {s}) scheme invalid at b = {lo!r}, "
             "where the strata accept it"

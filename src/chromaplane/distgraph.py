@@ -18,11 +18,12 @@ turns the edges into per-vertex bitmask ints with numpy's packbits, and
 no step of either makes a Python object per point or edge.
 
 The exports (DIMACS here, CNF and LP in solver) are generators of text
-chunks over export_runs, so the CLI streams them; each export_* function
-is the join of its generator. The edge lines come from edge_texts, which
-lays per-vertex string tables (vertex_table, each cell one join of a
-template's literal text and labels made once per table) end to end and
-writes each run of edges with one index array, one gather and one join.
+chunks, so the CLI streams them; each export_* function is the join of its
+generator. Every line comes from row_texts, which lays n x k per-vertex
+string tables (vertex_table, each cell one join of a template's literal
+text and labels made once per table) end to end and writes each chunk of
+rows, edge rows (i, j) or vertex rows (i,), with one index array, one
+gather and one join.
 """
 from __future__ import annotations
 
@@ -60,8 +61,8 @@ EPS_STABILITY_SCALES = (1e-5, 1e-6, 1e-7)
 # edge key holds each point index in 32 bits.
 MAX_GRAPH_ROWS = 2**23
 
-# Exports are built and written this many edges (or, in the per-vertex
-# sections, vertices) at a time: about 0.7 MB of LP text at k = 4, so an
+# row_texts builds and writes exports this many rows at a time, edges or (in
+# the per-vertex sections) vertices: about 0.7 MB of LP text at k = 4, so an
 # export's memory is set by the graph, not by the length of its text.
 EXPORT_CHUNK = 4096
 
@@ -279,49 +280,45 @@ def graph_from_points(points, b: float) -> DistanceGraph:
     return DistanceGraph(points, _edges_for_points(points, b), b)
 
 
-def export_runs(items):
-    """Consecutive slices of items, each at most EXPORT_CHUNK long."""
-    for start in range(0, len(items), EXPORT_CHUNK):
-        yield items[start : start + EXPORT_CHUNK]
-
-
 def vertex_table(template: str, n: int, k: int = 1) -> np.ndarray:
     """n x k object array: row i, column c - 1 is template.format(v=i + 1, c=c,
     x=i * k + c), with v the vertex's 1-based label and x its color c literal.
 
-    The template is parsed once, each field's labels are made once per
-    table, and each cell is one join of the literal text and its labels.
+    Fields are bare {v}, {c} and {x}; {v:>4} or {v!r} fills as {v} does. The
+    template is parsed once, each field's labels are made once per table,
+    and each cell is one join of the literal text and its labels.
     """
     values = {"v": np.repeat(np.arange(1, n + 1), k), "c": np.tile(np.arange(1, k + 1), n),
               "x": np.arange(1, n * k + 1)}
-    columns = [itertools.repeat("")]  # so that an empty template gives empty cells
-    for literal, field, spec, conversion in string.Formatter().parse(template):
+    columns = []
+    for literal, field, _, _ in string.Formatter().parse(template):
         if literal:
             columns.append(itertools.repeat(literal))
-        if field is not None:  # !s, !r and !a all write an int as str does
-            columns.append([format(str(x) if conversion else x, spec) for x in values[field].tolist()])
+        if field is not None:
+            columns.append([str(x) for x in values[field].tolist()])
     cells = ["".join(t) for t in itertools.islice(zip(*columns), n * k)]
     return np.array(cells, dtype=object).reshape(n, k)
 
 
-def edge_texts(edges: np.ndarray, *parts: tuple[np.ndarray, int]):
-    """Text of the rows (i, j) of edges, one chunk per export_runs run.
+def row_texts(rows: np.ndarray, *parts: tuple[np.ndarray, int]):
+    """Text of the rows of an index array, one chunk per EXPORT_CHUNK rows.
 
-    Each part is (table, end): the n x 1 or n x k vertex_table read at the
-    edge's i (end 0) or j (end 1). For each edge and each of the k columns
-    the parts' pieces are written in order. The tables are laid end to end
-    once; each run is one intp index array, one gather and one join.
+    rows holds vertex indices: edge rows (i, j), or vertex rows (i,) from
+    np.arange(n)[:, None]. Each part is (table, column): an n x k table, all
+    of one k, read at the vertex in that column of the row. For each row and
+    each of the k table columns the parts' pieces are written in order. The
+    tables are laid end to end once; each chunk is one intp index array, one
+    gather and one join.
     """
-    k = max(table.shape[1] for table, _ in parts)
+    k = parts[0][0].shape[1]
     cells = np.concatenate([table.ravel() for table, _ in parts])
-    ends = [end for _, end in parts]
-    widths = np.array([table.shape[1] for table, _ in parts])
-    # base[c, t]: the cell of part t at vertex 0 and color c + 1; an n x 1
-    # table has one cell per vertex, read for every color
-    base = np.cumsum([0] + [table.size for table, _ in parts])[:-1] + np.arange(k)[:, None] * (widths > 1)
-    for run in export_runs(edges):
+    columns = [column for _, column in parts]
+    # base[c, t]: the cell of part t at vertex 0 and table column c
+    base = np.cumsum([0] + [table.size for table, _ in parts])[:-1] + np.arange(k)[:, None]
+    for start in range(0, len(rows), EXPORT_CHUNK):
+        run = rows[start : start + EXPORT_CHUNK]
         index = np.empty((len(run), k, len(parts)), dtype=np.intp)
-        np.add((run[:, ends] * widths)[:, None, :], base, out=index)
+        np.add((run[:, columns] * k)[:, None, :], base, out=index)
         yield "".join(cells[index].ravel().tolist())
 
 
@@ -329,7 +326,7 @@ def dimacs_chunks(g: DistanceGraph):
     """export_dimacs's text in pieces of at most EXPORT_CHUNK edges."""
     yield f"p edge {g.n} {len(g.edges)}\n"
     head, tail = vertex_table("e {v} ", g.n), vertex_table("{v}\n", g.n)
-    yield from edge_texts(g.edges, (head, 0), (tail, 1))
+    yield from row_texts(g.edges, (head, 0), (tail, 1))
 
 
 def export_dimacs(g: DistanceGraph) -> str:

@@ -24,9 +24,9 @@ two restores. The branch vertex comes from narrowing the uncolored mask
 plane by plane, highest first. No step loops over neighbors.
 
 The CNF and LP exports are generators of text chunks (cnf_chunks,
-lp_chunks) over distgraph.export_runs; their edge lines come from
-distgraph.edge_texts, one gather from per-vertex string tables per run of
-edges. export_cnf and export_lp are their joins.
+lp_chunks); every line, per edge or per vertex, comes from
+distgraph.row_texts, one gather from n x k per-vertex string tables per
+chunk of rows. export_cnf and export_lp are their joins.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .distgraph import DistanceGraph, edge_texts, export_runs, neighbor_masks, vertex_table
+from .distgraph import DistanceGraph, neighbor_masks, row_texts, vertex_table
 
 COLORABLE = "colorable"
 NOT_COLORABLE = "not_colorable"
@@ -98,14 +98,8 @@ def _rank_clique(radj: list[int], rank: list[int], seed: int) -> list[int]:
     n = len(radj)
     rng = random.Random(seed)
     best: list[int] = []
-    tried = set()
     for it in range(_CLIQUE_RESTARTS):
-        # a start tried before gives the same clique, which cannot beat best;
-        # randrange is still drawn so later starts do not change
         start = 0 if it == 0 else rank[rng.randrange(n)]
-        if start in tried:
-            continue
-        tried.add(start)
         clique = [start]
         cand = radj[start]
         while cand:
@@ -145,8 +139,9 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
     never reported as not_colorable. `progress(nodes, elapsed)` is invoked
     roughly every _PROGRESS_INTERVAL seconds when supplied.
     """
-    g, k = query.graph, query.k
-    n = g.n
+    # no search uses more than n colors: state for k > n colors would go unused
+    g, n = query.graph, query.graph.n
+    k = min(query.k, n)
     start = time.monotonic()
     if n == 0:
         return ColoringOutcome(COLORABLE, (), 0, 0.0)
@@ -273,17 +268,18 @@ def chromatic_number(graph: DistanceGraph) -> int:
 def cnf_chunks(graph: DistanceGraph, k: int):
     """export_cnf's text in pieces of at most EXPORT_CHUNK edges or vertices.
 
-    A conflict line "-a -b 0" is split as "-a -" + "b 0" so each half is
-    taken from a per-vertex table.
+    A clause line is k "{x} " cells beside one "0\n". A conflict line
+    "-a -b 0" is split as "-a -" + "b 0" so each half is taken from a
+    per-vertex table.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n = graph.n
     yield f"p cnf {n * k} {n + len(graph.edges) * k}\n"
-    for run in export_runs(vertex_table("{x} ", n, k).tolist()):
-        yield "".join(["".join(row) + "0\n" for row in run])
+    clauses = np.hstack((vertex_table("{x} ", n, k), vertex_table("0\n", n)))
+    yield from row_texts(np.arange(n)[:, None], (clauses, 0))
     heads, tails = vertex_table("-{x} -", n, k), vertex_table("{x} 0\n", n, k)
-    yield from edge_texts(graph.edges, (heads, 0), (tails, 1))
+    yield from row_texts(graph.edges, (heads, 0), (tails, 1))
 
 
 def export_cnf(graph: DistanceGraph, k: int) -> str:
@@ -303,23 +299,24 @@ def lp_chunks(graph: DistanceGraph, k: int):
     Each per-vertex section is an n x 1 vertex_table whose template holds
     all k of a vertex's lines (the cover line names all k). A conflict line
     " conflict_a_b_c: x_a_c + x_b_c <= 1" is split at its vertex labels into
-    four pieces, each from a per-vertex table.
+    four pieces, each from an n x k per-vertex table.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n = graph.n
     colors = range(1, k + 1)
+    vertices = np.arange(n)[:, None]
 
     def rows(template):
-        return ("".join(run.flat) for run in export_runs(vertex_table(template, n)))
+        return row_texts(vertices, (vertex_table(template, n), 0))
 
     yield "Minimize\n obj: " + " + ".join(f"{c} y{c}" for c in colors) + "\nSubject To\n"
     yield from rows(" cover_{v}: " + " + ".join(f"x_{{v}}_{c}" for c in colors) + " >= 1\n")
-    name = vertex_table(" conflict_{v}_", n)
+    name = np.repeat(vertex_table(" conflict_{v}_", n), k, axis=1)  # n strings, not n * k
     first = vertex_table("{v}_{c}: x_", n, k)
     second = vertex_table("{v}_{c} + x_", n, k)
     end = vertex_table("{v}_{c} <= 1\n", n, k)
-    yield from edge_texts(graph.edges, (name, 0), (first, 1), (second, 0), (end, 1))
+    yield from row_texts(graph.edges, (name, 0), (first, 1), (second, 0), (end, 1))
     yield from rows("".join(f" link_{{v}}_{c}: x_{{v}}_{c} - y{c} <= 0\n" for c in colors))
     yield "Binary\n"
     yield from rows("".join(f" x_{{v}}_{c}\n" for c in colors))

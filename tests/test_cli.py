@@ -589,6 +589,16 @@ def test_export_refuses_a_config_of_more_points_than_edge_keys_hold(tmp_path, ca
     assert (rc, out) == (2, "") and want in err, err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux process")
+def test_a_huge_k_is_solved_within_a_small_cap():
+    # the search holds state for min(k, n) colors, so k = 10**9 on 10 vertices
+    # runs in a 1 GB address space; state for k colors would be a MemoryError
+    proc = run_capped("annulus-lower", "--case", "1", "--b", "1.35", "--k", "1000000000",
+                      "--n", "5", cap_gb=1)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1,1.35,10,1000000000,3.5e-07,colorable,,"
+
+
 # --n values whose configuration passes 2**31 points, and so MAX_GRAPH_ROWS:
 # two circles of 2**31, and three of 715,827,883
 OVERSIZED_N = [

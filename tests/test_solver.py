@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,18 @@ def test_k_colorable_seeds_with_greedy_clique(monkeypatch):
         for seed in (0, 1, 2):
             k_colorable(KColorQuery(g, 4), seed=seed)
     assert seen == want
+
+
+def test_k_past_the_vertex_count_solves_as_k_equal_to_it():
+    # no search uses more than n colors, so k_colorable solves with min(k, n):
+    # a larger k gives k = n's status, assignment and node count
+    g = case_graph(1, 1.35, None, 130)
+
+    def solve(k):
+        out = k_colorable(KColorQuery(g, k))
+        return out.status, out.assignment, out.search_nodes
+
+    assert [solve(k) for k in (g.n + 1, 2 * g.n + 7, 1000)] == [solve(g.n)] * 3
 
 
 def reference_dsatur(g, k, seed=0, use_clique_seed=True):
@@ -582,10 +595,23 @@ def test_exports_match_reference(monkeypatch):
         for k in (1, 3):
             assert export_cnf(g, k) == reference_export_cnf(g, k)
             assert export_lp(g, k) == reference_export_lp(g, k)
-            # no chunk holds the conflict lines of more than EXPORT_CHUNK edges
-            for chunks, conflict in ((cnf_chunks, "-"), (lp_chunks, " conflict_")):
-                for text in chunks(g, k):
-                    assert sum(ln.startswith(conflict) for ln in text.splitlines()) <= chunk * k
+            # no chunk holds the conflict lines of more than EXPORT_CHUNK edges,
+            # nor the per-vertex lines of more than EXPORT_CHUNK vertices: one
+            # CNF clause each, and LP cover, link and binary lines
+            for text in cnf_chunks(g, k):
+                lines = text.splitlines()
+                assert sum(ln.startswith("-") for ln in lines) <= chunk * k
+                assert sum(ln[0].isdigit() for ln in lines) <= chunk
+            for text in lp_chunks(g, k):
+                lines = text.splitlines()
+                assert sum(ln.startswith(" conflict_") for ln in lines) <= chunk * k
+                vertices = {m.groups() for m in map(LP_VERTEX_LINE.match, lines) if m}
+                for section in ("cover", "link", "x"):
+                    assert sum(s == section for s, _ in vertices) <= chunk
+
+
+# a per-vertex LP line: its section and its vertex
+LP_VERTEX_LINE = re.compile(r" (cover|link|x)_(\d+)[_:]")
 
 
 def test_exports_reject_k_below_one():

@@ -8,8 +8,6 @@ graph provably needs many colors; any annulus lower bound k lifts to a
 plane lower bound k + 3 because some closed eps-ball already shows three
 colors that the annulus around it cannot reuse.
 """
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -139,6 +137,8 @@ def radial_best(k: int, s_max: int) -> tuple[int, float] | None:
         raise ValueError(f"need s_max >= 2k, got {s_max}")
     best: tuple[int, float] | None = None
     for s in range(2 * k, s_max + 1, k):
+        if chord((k - 1) * (TWO_PI / s)) <= (1.0 + B_TOL if best is None else best[1]):
+            break  # the gap cap bounds b and falls as s grows: no later s beats best
         b = radial_max_b(k, s)
         if b is not None and (best is None or b > best[1]):
             best = (s, b)

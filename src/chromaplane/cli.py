@@ -7,10 +7,9 @@ Tables and records are printed by the text module. Each flag's range is
 its argparse type. Rules that join two flags raise UsageError, as does a
 value the library refuses in the instance the flags give (an --eps too wide
 for --b, a radius of 2**500 or more, points or edges past
-distgraph.MAX_GRAPH_ROWS), naming its flags.
+distgraph.MAX_GRAPH_ROWS, a sweep past hexcolor.MAX_SWEEP_PAIRS, an export
+past solver.MAX_EXPORT_CELLS), naming its flags.
 """
-from __future__ import annotations
-
 import argparse
 import functools
 import math
@@ -145,23 +144,10 @@ def cmd_annulus_lower(args) -> str:
 def cmd_threshold(args) -> str:
     # the point count does not depend on b, so an --n it refuses exits before any probe
     _case_config(args, args.b_hi)
-    b_star = annulus.threshold_bisect(
-        args.case,
-        args.n,
-        args.k,
-        args.b_lo,
-        args.b_hi,
-        args.tol,
-        time_budget=args.budget,
-        seed=args.seed,
-    )
-    record = {
-        "case": args.case,
-        "k": args.k,
-        "n_override": args.n,
-        "tol": args.tol,
-        "b_star": b_star,
-    }
+    b_star = annulus.threshold_bisect(args.case, args.n, args.k, args.b_lo, args.b_hi, args.tol,
+                                      time_budget=args.budget, seed=args.seed)
+    record = {"case": args.case, "k": args.k, "n_override": args.n, "tol": args.tol,
+              "b_star": b_star}
     return record_text(record, args.format)
 
 
@@ -319,6 +305,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except distgraph.GraphTooLarge as exc:  # edges past the cap, which only the build counts
         print(f"chromaplane: error: usage: {_instance_flags(args)}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except solver.ExportTooLarge as exc:  # per-vertex tables past the cap, n * k
+        print(f"chromaplane: error: usage: --k, {_instance_flags(args)}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except hexcolor.SweepTooLarge as exc:  # hex-table's or min-colors' (p, q) sweep
+        bounds = "--p-max, --q-max" if args.command == "hex-table" else "--search-max"
+        print(f"chromaplane: error: usage: {bounds}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except annulus.InstanceError as exc:  # a statement about the instance, not a bug
         print(f"chromaplane: error: {exc.label}: {exc}", file=sys.stderr)

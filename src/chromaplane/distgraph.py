@@ -25,8 +25,6 @@ text and labels made once per table) end to end and writes each chunk of
 rows, edge rows (i, j) or vertex rows (i,), with one index array, one
 gather and one join.
 """
-from __future__ import annotations
-
 import itertools
 import json
 import math
@@ -195,21 +193,15 @@ def _in_window(d: np.ndarray, b: float) -> np.ndarray:
     return (d >= 1.0 - BOUNDARY_TOL) & (d <= b + BOUNDARY_TOL)
 
 
-def _edges_for_points(points: np.ndarray, b: float) -> np.ndarray:
-    """Dense O(n^2) edge pass for an (n, 2) point array, edges sorted (i asc, j asc)."""
-    ii, jj = np.nonzero(_in_window(pair_distances(points, points), b))
-    keep = ii < jj
-    return np.column_stack((ii[keep], jj[keep]))
-
-
 def _circulant_edges(config: PointConfig, points: np.ndarray, b: float) -> np.ndarray:
     """Edges of a circle configuration from one offset slice per circle pair.
 
     With g = gcd(n_a, n_b), rotating by 2 pi / g maps point i of circle A to
     i + n_a/g and point j of circle B to j + n_b/g, so the distances from the
     first n_a/g points of A to all of B fix the whole A-B block. The slice
-    uses the dense pass's pair_distances on the same coordinates, and
-    the edges come out sorted (i asc, j asc) as there.
+    uses the pair_distances and _in_window of graph_from_points' dense pass
+    on the same coordinates, and the edges come out sorted (i asc, j asc) as
+    there.
 
     Every slice's hits are counted before any block is tiled: a slice of more
     than MAX_GRAPH_ROWS pair distances, or blocks of more than MAX_GRAPH_ROWS
@@ -277,7 +269,9 @@ def graph_from_points(points, b: float) -> DistanceGraph:
     if np.abs(points).max(initial=0.0) >= COORD_LIMIT:
         raise ValueError(f"need coordinates of magnitude < 2**500, got {np.abs(points).max()}")
     _check_rows(len(points) ** 2, "pair distances")
-    return DistanceGraph(points, _edges_for_points(points, b), b)
+    ii, jj = np.nonzero(_in_window(pair_distances(points, points), b))
+    keep = ii < jj
+    return DistanceGraph(points, np.column_stack((ii[keep], jj[keep])), b)
 
 
 def vertex_table(template: str, n: int, k: int = 1) -> np.ndarray:

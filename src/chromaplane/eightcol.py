@@ -7,8 +7,6 @@ size) and y (hexagon size). Properness reduces to four inequalities in
 (x, y, b). The largest feasible b is a closed-form vertex, checked and
 not searched: constraints 1 and 3 fix (x, y) and constraint 4 caps b.
 """
-from __future__ import annotations
-
 import math
 from dataclasses import asdict, dataclass
 

@@ -10,8 +10,6 @@ strata finish their own pairs' differences with its difference_norms.
 Everything here works in plain double precision. Threshold comparisons
 elsewhere in the package use absolute tolerances; no exact arithmetic.
 """
-from __future__ import annotations
-
 import math
 from numbers import Integral
 from typing import NamedTuple

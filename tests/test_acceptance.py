@@ -208,7 +208,7 @@ def test_criterion_9_cli_determinism():
         outs = []
         for _ in range(2):
             proc = subprocess.run(
-                [sys.executable, "-m", "chromaplane.cli", *args],
+                [sys.executable, "-m", "chromaplane", *args],
                 capture_output=True,
                 cwd=PKG_ROOT,
                 timeout=300,

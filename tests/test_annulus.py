@@ -143,6 +143,26 @@ def test_radial_best():
         radial_best(3, 5)
 
 
+def test_radial_best_stops_once_the_gap_cap_cannot_beat_its_best(monkeypatch):
+    # the gap cap bounds b and falls as s grows, so the walk ends early and
+    # gives a full scan's answer; the scan solved every s, 1,000 at 1000k
+    def full_scan(k, s_max):
+        best = None
+        for s in range(2 * k, s_max + 1, k):
+            b = radial_max_b(k, s)
+            if b is not None and (best is None or b > best[1]):
+                best = (s, b)
+        return best
+
+    solved = []
+    monkeypatch.setattr(annulus, "radial_max_b", lambda k, s: solved.append(s) or radial_max_b(k, s))
+    for k in range(2, 13):
+        for s_max in (2 * k, 10 * k, 100 * k, 1000 * k):
+            solved.clear()
+            assert radial_best(k, s_max) == full_scan(k, s_max), (k, s_max)
+            assert len(solved) < 10, (k, s_max, solved)
+
+
 def test_radial_binding_constraints():
     assert radial_max_b_detail(3, 9)[2] == "gap"
     assert radial_max_b_detail(4, 12)[2] == "gap"

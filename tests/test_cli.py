@@ -21,13 +21,14 @@ from chromaplane.cli import build_parser, main
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=300):
+    # the package's entry, python -m chromaplane, as README and CI start it
     proc = subprocess.run(
-        [sys.executable, "-m", "chromaplane.cli", *args],
+        [sys.executable, "-m", "chromaplane", *args],
         capture_output=True,
         text=True,
         cwd=PKG_ROOT,
-        timeout=300,
+        timeout=timeout,
     )
     return proc
 
@@ -244,7 +245,7 @@ def test_export_failure_leaves_no_out_file(tmp_path, monkeypatch, capsys):
 
 def test_export_reader_closing_pipe_is_not_an_error():
     proc = subprocess.Popen(
-        [sys.executable, "-m", "chromaplane.cli", *CASE2_LP.split()],
+        [sys.executable, "-m", "chromaplane", *CASE2_LP.split()],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         cwd=PKG_ROOT,
@@ -556,14 +557,15 @@ def test_usage_errors(tmp_path, capsys):
     assert (rc, out) == (0, "p edge 4 0\n"), err
 
 
-CAPPED_MAIN = ("import resource, sys; cap = int(sys.argv.pop(1)) << 30; "
+CAPPED_MAIN = ("import resource, runpy, sys; cap = int(sys.argv.pop(1)) << 30; "
                "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
-               "from chromaplane.cli import main; sys.exit(main(sys.argv[1:]))")
+               "runpy.run_module('chromaplane', run_name='__main__')")
 
 
 def run_capped(*args, cap_gb=3):
-    # main in a fresh process capped at cap_gb GB of address space, where a
-    # build past what the host holds fails fast with a MemoryError (exit 4)
+    # python -m chromaplane in a fresh process capped at cap_gb GB of address
+    # space, where a build past what the host holds fails fast with a
+    # MemoryError (exit 4)
     return subprocess.run(
         [sys.executable, "-c", CAPPED_MAIN, str(cap_gb), *args], capture_output=True, text=True,
         cwd=PKG_ROOT, timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
@@ -700,6 +702,38 @@ def test_points_at_the_row_cap_are_built_within_1_gb():
     want = (f"usage: --case, --b, --n, --eps: need at most {distgraph.MAX_GRAPH_ROWS} "
             "edge index pairs at b=1.35")
     assert want in proc.stderr, proc.stderr
+
+
+# sweeps past hexcolor.MAX_SWEEP_PAIRS and exports past solver.MAX_EXPORT_CELLS,
+# refused before any pair or table is made: each was a MemoryError (exit 4) in
+# a 1 GB address space, or, at p, q <= 3000, ran on past 20 s
+SWEEP = "usage: --p-max, --q-max: need at most 1048576 (p, q) pairs, got "
+CELLS = "usage: --k, --case, --b, --n, --eps: need at most 1048576 vertices x k"
+OVERSIZED_TABLES = [
+    (("hex-table", "--p-max", "100000", "--q-max", "100000"), SWEEP + "5000150000"),
+    (("hex-table", "--p-max", "3000", "--q-max", "3000"), SWEEP + "4504500"),
+    (("min-colors", "--b-lo", "1.3", "--b-hi", "1.4", "--search-max", "100000"),
+     "usage: --search-max: need at most 1048576 (p, q) pairs, got 5000150000"),
+    *((("export", "--what", what, "--case", "1", "--b", "1.35", "--n", "5", "--k", k),
+       f"{CELLS}, got {10 * int(k)}")
+      for what in ("cnf", "lp") for k in ("838860", "10000000")),
+]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux process")
+@pytest.mark.parametrize("args, want", OVERSIZED_TABLES,
+                         ids=[" ".join(a[:3] + a[-1:]) for a, _ in OVERSIZED_TABLES])
+def test_oversized_sweeps_and_exports_exit_2_within_1_gb(args, want):
+    proc = run_capped(*args, cap_gb=1)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert f"chromaplane: error: {want}\n" in proc.stderr, proc.stderr
+
+
+def test_annulus_upper_with_a_huge_s_max_ends():
+    # radial_best stops once the gap cap cannot beat its best; k = 2 has no
+    # valid b, and the walk over all 5e8 sector counts never ended
+    proc = run_cli("annulus-upper", "--k", "2", "--s-max", "1000000000", timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, "k,s,b_max,binding\n2,,,no_valid_b\n"), proc.stderr
 
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])

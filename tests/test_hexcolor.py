@@ -254,6 +254,39 @@ def test_scheme_validation():
             sweep_pairs(p_max, q_max)
 
 
+def test_sweep_pairs_are_counted_and_capped_before_any_is_made():
+    # the closed-form count is the sweep's length, and a sweep past
+    # MAX_SWEEP_PAIRS is refused before its pairs (5e9 of them at 100,000) are made
+    for p_max in range(8):
+        for q_max in range(8):
+            want = sum(min(p_max, q) + 1 for q in range(q_max + 1)) - 1
+            assert len(sweep_pairs(p_max, q_max)) == want, (p_max, q_max)
+    assert len(sweep_pairs(0, hexcolor.MAX_SWEEP_PAIRS)) == hexcolor.MAX_SWEEP_PAIRS
+    assert len(sweep_pairs(1446, 1446)) == 1_047_627
+    assert len(sweep_pairs(10**12, 3)) == 9  # a p_max past q_max sweeps p <= q alone
+    for bounds, count in (((0, hexcolor.MAX_SWEEP_PAIRS + 1), 2**20 + 1), ((1447, 1447), 1_049_075),
+                          ((100_000, 100_000), 5_000_150_000)):
+        with pytest.raises(hexcolor.SweepTooLarge, match=f"^need at most 1048576 .* got {count}$"):
+            sweep_pairs(*bounds)
+    with pytest.raises(hexcolor.SweepTooLarge):
+        min_colors_curve([1.5], 100_000)
+
+
+def test_boundary_strata_are_the_per_edge_loop_bit_for_bit():
+    # the module's read-only strata array equals the per-edge loop that built
+    # it on every call: 30 points per edge of the base tile, pulled in by 1e-7
+    pts = []
+    for i in range(6):
+        a = np.array(BASE_TILE[i])
+        c = np.array(BASE_TILE[(i + 1) % 6])
+        t = np.linspace(0.0, 1.0, 30, endpoint=False)[:, None]
+        pts.append(a + t * (c - a))
+    want = np.vstack(pts) * (1.0 - 1e-7)
+    got = hexcolor._BOUNDARY_STRATA
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    assert not got.flags.writeable
+
+
 def test_generator_vectors():
     for p, q in sweep_pairs(10, 10):
         s = HexScheme(p, q)
@@ -425,9 +458,11 @@ def test_best_scheme_for_b_examples():
     assert best_scheme_for_b(1.5) == (0, 3, 9)
     assert best_scheme_for_b(2.0) == (2, 2, 12)
     assert best_scheme_for_b(100.0) is None
-    for b in (0.5, math.nan):
-        with pytest.raises(ValueError):
+    for b in (0.5, 1.0, math.nan):
+        with pytest.raises(ValueError, match="need b > 1"):
             best_scheme_for_b(b)
+        with pytest.raises(ValueError, match="need b > 1"):
+            min_colors_curve([b])
 
 
 def test_min_colors_curve():

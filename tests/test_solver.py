@@ -614,6 +614,25 @@ def test_exports_match_reference(monkeypatch):
 LP_VERTEX_LINE = re.compile(r" (cover|link|x)_(\d+)[_:]")
 
 
+def test_exports_refuse_more_vertex_color_cells_than_the_cap(moser_spindle, monkeypatch):
+    # n * k up to MAX_EXPORT_CELLS is written as before; past it the export is
+    # refused at the first chunk, before any per-vertex table is made
+    g = moser_spindle
+    want = {export: export(g, 3) for export in (export_cnf, export_lp)}
+
+    def no_table(*args):
+        raise AssertionError("a table was made")
+
+    monkeypatch.setattr(solver, "MAX_EXPORT_CELLS", 3 * g.n)
+    for export in (export_cnf, export_lp):
+        assert export(g, 3) == want[export]
+    monkeypatch.setattr(solver, "vertex_table", no_table)
+    for chunks in (cnf_chunks, lp_chunks):
+        with pytest.raises(solver.ExportTooLarge,
+                           match="^need at most 21 vertices x k, got 28$"):
+            next(chunks(g, 4))
+
+
 def test_exports_reject_k_below_one():
     g = graph_from_points([(0, 0), (1, 0)], b=1.5)
     for export in (export_cnf, export_lp):

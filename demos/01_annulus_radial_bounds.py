@@ -30,7 +30,7 @@ print(f"caps: d1 -> {caps['d1']:.6f}, d2 -> {caps['d2']:.6f}, gap -> {caps['gap'
 print(f"maximal width b = {b3:.6f} (binding constraint: {binding})")
 print(f"algebraic form sqrt(2 - 2 sin(pi/18)) = {math.sqrt(2 - 2 * math.sin(math.pi / 18)):.6f}")
 
-scheme = RadialScheme(3, 9, b3)
+scheme = RadialScheme(3, 9)
 print(f"at that width the wrap-around gap equals b itself: gap = {caps['gap']:.9f}")
 print("sector colors around the circle:",
       [radial_color(scheme, (s + 0.5) * scheme.alpha) for s in range(9)])

@@ -23,8 +23,8 @@ from .distgraph import (
     build_graph,
     default_eps,
 )
-from .geom import (B_TOL, check_draw_count, chord, difference_norms, forbidden_distances,
-                   forbidden_pair_draws)
+from .geom import (B_TOL, check_count, check_width, chord, difference_norms,
+                   forbidden_distances, forbidden_pair_draws)
 from .solver import ColoringOutcome, KColorQuery, NOT_COLORABLE, k_colorable
 from .text import table_text
 
@@ -73,19 +73,16 @@ class EpsInstability(InstanceError):
 
 @dataclass(frozen=True)
 class RadialScheme:
-    """k colors cycled around s equal sectors of the annulus A_b."""
+    """k colors cycled around s equal sectors of an annulus, of any width."""
 
     k: int
     s: int
-    b: float
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"need k >= 2, got {self.k}")
-        if self.s % self.k != 0 or self.s < 2 * self.k:
-            raise ValueError(f"need s a multiple of k with s >= 2k, got k={self.k}, s={self.s}")
-        if not 1.0 < self.b < math.inf:  # NaN fails too
-            raise ValueError(f"need 1 < b < inf, got {self.b}")
+        check_count(self.k, "k", low=2)
+        check_count(self.s, "s", low=2 * self.k)
+        if self.s % self.k:
+            raise ValueError(f"need s a multiple of k, got k={self.k}, s={self.s}")
 
     @property
     def alpha(self) -> float:
@@ -115,8 +112,7 @@ def radial_max_b_detail(k: int, s: int) -> tuple[float | None, dict[str, float],
     not above 1 by more than B_TOL, as a cap of exactly 1 computes to 1 plus
     float noise (at k = 3, s = 6).
     """
-    RadialScheme(k, s, 1.5)  # validate (k, s) only
-    a = TWO_PI / s
+    a = RadialScheme(k, s).alpha
     caps = {
         "d1": 1.0 / chord(a),
         "d2": 2.0 * math.cos(a),
@@ -133,8 +129,8 @@ def radial_max_b(k: int, s: int) -> float | None:
 
 def radial_best(k: int, s_max: int) -> tuple[int, float] | None:
     """Sector count s <= s_max (k | s) maximizing radial_max_b; ties to smaller s."""
-    if s_max < 2 * k:
-        raise ValueError(f"need s_max >= 2k, got {s_max}")
+    check_count(k, "k", low=2)
+    check_count(s_max, "s_max", low=2 * k)
     best: tuple[int, float] | None = None
     for s in range(2 * k, s_max + 1, k):
         if chord((k - 1) * (TWO_PI / s)) <= (1.0 + B_TOL if best is None else best[1]):
@@ -147,8 +143,7 @@ def radial_best(k: int, s_max: int) -> tuple[int, float] | None:
 
 def lift_lower_bound(annulus_colors: int) -> int:
     """Plane lower bound from an annulus lower bound: k colors become k + 3."""
-    if annulus_colors < 1:
-        raise ValueError(f"need annulus_colors >= 1, got {annulus_colors}")
+    check_count(annulus_colors, "annulus_colors", low=1)
     return annulus_colors + 3
 
 
@@ -163,10 +158,10 @@ def lower_bound_config(
     property). The case threshold is deliberately not enforced so the
     same configs can be built on both sides of a bisection bracket.
     """
+    check_count(case, "case", low=1)
     if case not in CASE_CIRCLE_COUNTS:
         raise ValueError(f"case must be 1..5, got {case}")
-    if not 1.0 < b < math.inf:  # NaN fails too
-        raise ValueError(f"need 1 < b < inf, got b={b}")
+    check_width(b)
     if eps is None:
         eps = default_eps(b)
     if not 0.0 < eps < (b - 1.0) / 2.0:
@@ -188,8 +183,7 @@ def annulus_verdict(
 ) -> ColoringOutcome:
     """Solve (k-1)-colorability of a lower-bound graph, such as case_graph's; not_colorable
     certifies that the annulus at g.b needs at least k colors, so the plane k + 3."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    check_count(k, "k", low=2)
     return k_colorable(KColorQuery(g, k - 1, time_budget), seed=seed, progress=progress)
 
 
@@ -243,8 +237,7 @@ def threshold_bisect(
     """
     if not 1.0 < b_lo < b_hi < math.inf:
         raise BracketInvalid(f"need 1 < b_lo < b_hi < inf, got b_lo={b_lo}, b_hi={b_hi}")
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    check_count(k, "k", low=2)
     verdicts: dict[bytes, bool] = {}  # edge bytes -> needs >= k colors
 
     def needs(b: float, scale: float) -> bool:
@@ -338,8 +331,9 @@ def radial_violation_exists(
     checked, so memory does not grow with n_pairs; n_pairs = 0 checks the
     strata alone.
     """
-    RadialScheme(k, s, b)  # validate (k, s, b)
-    check_draw_count(n_pairs, "n_pairs")
+    RadialScheme(k, s)  # validate (k, s)
+    check_width(b)
+    check_count(n_pairs, "n_pairs")
     return _radial_strata(k, s)(b) or _random_pair_violation(k, s, b, n_pairs, seed)
 
 
@@ -377,8 +371,8 @@ def radial_max_b_numeric(k: int, s: int, n_pairs: int = 100_000, seed: int = 0) 
     pair that violates the scheme at b' violates it at lo too. With the
     strata left out, 100k pairs alone (seeds 0-2) stop 0.04-0.11 above the cap.
     """
-    RadialScheme(k, s, 1.5)  # validate (k, s) before bisecting
-    check_draw_count(n_pairs, "n_pairs")
+    RadialScheme(k, s)  # validate (k, s) before bisecting
+    check_count(n_pairs, "n_pairs")
     lo, hi = _bisect(
         _radial_strata(k, s), *NUMERIC_BRACKET, NUMERIC_TOL, f"the ({k}, {s}) scheme is invalid"
     )

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import COORD_LIMIT, pair_distances
+from .geom import COORD_LIMIT, check_width, pair_distances
 
 # Edge rule: distance in [1 - BOUNDARY_TOL, b + BOUNDARY_TOL]. The point
 # configurations keep all pairwise distances safely off the interval
@@ -246,8 +246,7 @@ def build_graph(config: PointConfig, b: float, eps: float | None = None) -> Dist
     caller's responsibility); eps is recorded on the graph, whose
     constructor checks it against the annulus being nonempty.
     """
-    if not 1.0 < b < math.inf:  # NaN fails too
-        raise ValueError(f"need 1 < b < inf, got b={b}")
+    check_width(b)
     if eps is None:
         eps = default_eps(b)
     coords = (c for n, r in config.circles for k in range(n)

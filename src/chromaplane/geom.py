@@ -1,6 +1,6 @@
-"""Planar geometry primitives: points, unit-circle chords, and the numpy
-pair distances, forbidden-window test, seeded pair draws and draw-count
-rule the sampled checks share.
+"""Planar geometry primitives: points, unit-circle chords, the numpy pair
+distances, forbidden-window test and seeded pair draws the sampled checks
+share, and the count and width rules every library entry checks its arguments by.
 
 pair_distances, the one distance kernel of the graph builds and the
 sampled checks, works on two (n, m) coordinate planes and is bit-identical
@@ -71,11 +71,17 @@ def forbidden_distances(d: np.ndarray, b: float) -> np.ndarray:
     return (d > low) & (d < high)
 
 
-def check_draw_count(n, name: str) -> None:
-    """ValueError naming the count unless n is an integer >= 0 (a numpy
-    integer passes, a bool or a float does not)."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 0:
-        raise ValueError(f"need {name} an integer >= 0, got {n!r}")
+def check_count(n, name: str, low: int = 0) -> None:
+    """ValueError naming the count unless n is an integer >= low (a numpy integer
+    passes, a bool or a float does not); a Python int skips the slower Integral test."""
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, Integral)) or n < low:
+        raise ValueError(f"need {name} an integer >= {low}, got {n!r}")
+
+
+def check_width(b) -> None:
+    """ValueError naming b unless 1 < b < inf (NaN fails too)."""
+    if not 1.0 < b < math.inf:
+        raise ValueError(f"need 1 < b < inf, got b={b}")
 
 
 def forbidden_pair_draws(seed: int, n: int, u_range, v_range, b: float):

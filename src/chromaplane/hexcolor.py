@@ -21,7 +21,6 @@ As reach <= |v| - sqrt(3)/2, the band reaches at most 1 - sqrt(3)/2 ~ 0.134
 below the reach: too few draws land there to decide a verdict near it.
 """
 import bisect
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -29,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import (B_TOL, Point2, check_draw_count, forbidden_distances, forbidden_pair_draws,
-                   pair_distances)
+from .geom import (B_TOL, Point2, check_count, check_width, forbidden_distances,
+                   forbidden_pair_draws, pair_distances)
 from .text import table_text
 
 SQRT3 = math.sqrt(3.0)
@@ -67,8 +66,10 @@ class HexScheme:
     q: int
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0 or (self.p == 0 and self.q == 0):
-            raise ValueError(f"need p, q >= 0 and (p, q) != (0, 0), got ({self.p}, {self.q})")
+        check_count(self.p, "p")
+        check_count(self.q, "q")
+        if self.p == self.q == 0:
+            raise ValueError("need (p, q) != (0, 0)")
 
     @property
     def v(self) -> Point2:
@@ -224,8 +225,8 @@ class SweepTooLarge(ValueError):
 
 def sweep_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
     """The (p, q) sweep with p <= q (the reflected schemes are identical)."""
-    if p_max < 0 or q_max < 0:
-        raise ValueError("bounds must be >= 0")
+    check_count(p_max, "p_max")
+    check_count(q_max, "q_max")
     p_top = min(p_max, q_max)  # q + 1 values of p for q <= p_top, p_top + 1 for each later q
     count = (p_top + 1) * (2 * q_max - p_top + 2) // 2 - 1
     if count > MAX_SWEEP_PAIRS:
@@ -239,17 +240,19 @@ def sweep_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
 
 
 def _scheme_rows(
-    p_max: int, q_max: int, b_values: dict[tuple[int, int], float | None] | None = None
+    p_max: int, q_max: int, b_top: float = math.inf, b_values: dict | None = None
 ) -> tuple[list[SchemeRow], list[float]]:
-    """One row per swept (p, q) that has a reach, sorted by (n_colors, p, q),
-    and the running maximum of their reaches in that order."""
-    rows = []
-    for p, q in sweep_pairs(p_max, q_max):
+    """Swept (p, q) rows that have a reach, by (n_colors, p, q), and their running maximum
+    reach, computed in that order until it covers b_top: no later row answers a b <= b_top."""
+    rows, reach_max, cover = [], [-math.inf], float(b_top) - B_TOL
+    for p, q in sorted(sweep_pairs(p_max, q_max), key=lambda pq: (_color_count(*pq), pq)):
+        if reach_max[-1] >= cover:
+            break
         b = b_values[(p, q)] if b_values is not None else hex_b_max(p, q)
         if b is not None:
             rows.append(SchemeRow(b, _color_count(p, q), p, q))
-    rows.sort(key=lambda r: (r.n_colors, r.p, r.q))
-    return rows, list(itertools.accumulate((r.b for r in rows), max))
+            reach_max.append(max(reach_max[-1], b))
+    return rows, reach_max[1:]
 
 
 def _fewest_colors(sweep: tuple[list[SchemeRow], list[float]], b: float) -> SchemeRow | None:
@@ -276,7 +279,7 @@ def pareto_table(
     Sorted by b. b_values (one caller: perfbench's traced replay) holds the
     hex_b_max reach of every swept pair; by default they are computed here.
     """
-    sweep = _scheme_rows(p_max, q_max, b_values)
+    sweep = _scheme_rows(p_max, q_max, b_values=b_values)
     return sorted(r for r in sweep[0] if _fewest_colors(sweep, r.b).n_colors == r.n_colors)
 
 
@@ -286,9 +289,8 @@ def best_scheme_for_b(b: float) -> tuple[int, int, int] | None:
 
     Ties break to the lexicographically smallest (p, q).
     """
-    if not b > 1.0:  # NaN fails too
-        raise ValueError(f"need b > 1, got {b}")
-    best = _fewest_colors(_scheme_rows(10, 10), b)
+    check_width(b)
+    best = _fewest_colors(_scheme_rows(10, 10, b), b)
     return None if best is None else (best.p, best.q, best.n_colors)
 
 
@@ -302,8 +304,7 @@ FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def _family(family: str, r: int) -> tuple[tuple[int, int], float]:
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    check_count(r, "r", low=1)
     if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     return _FAMILY_TABLE[family](r)
@@ -375,9 +376,8 @@ def verify_scheme_sampled(
     is the coset colored 0, so this is the test of the two tiles' colors
     for equality, one color per pair instead of two.
     """
-    if not 1.0 < b < math.inf:  # NaN fails too
-        raise ValueError(f"need 1 < b < inf, got {b}")
-    check_draw_count(samples, "samples")
+    check_width(b)
+    check_count(samples, "samples")
     if _strata_violation(scheme, b):
         return False
     v, vb = scheme.v, scheme.vbar
@@ -400,15 +400,14 @@ def pareto_table_csv(rows: list[SchemeRow]) -> str:
 
 
 def min_colors_curve(b_values, search_max: int = 10) -> list[tuple[float, int | None]]:
-    """Fewest colors reachable at each b of the grid (None when out of range)."""
-    sweep = _scheme_rows(search_max, search_max)
-    out = []
-    for b in b_values:
-        if not b > 1.0:  # NaN fails too
-            raise ValueError(f"need b > 1, got {b}")
-        best = _fewest_colors(sweep, b)
-        out.append((b, best.n_colors if best is not None else None))
-    return out
+    """Fewest colors reachable at each b of the grid (None when out of range); every
+    b is checked before the sweep, which ends once it covers the largest."""
+    grid = list(b_values)
+    for b in grid:
+        check_width(b)
+    sweep = _scheme_rows(search_max, search_max, max(grid, default=-math.inf))
+    return [(b, None if (best := _fewest_colors(sweep, b)) is None else best.n_colors)
+            for b in grid]
 
 
 MIN_COLORS_FIELDS = ("b", "min_colors")

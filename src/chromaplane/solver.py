@@ -36,6 +36,7 @@ from numbers import Integral
 import numpy as np
 
 from .distgraph import DistanceGraph, neighbor_masks, row_texts, vertex_table
+from .geom import check_count
 
 COLORABLE = "colorable"
 NOT_COLORABLE = "not_colorable"
@@ -67,8 +68,9 @@ class KColorQuery:
     time_budget: float | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got {self.k}")
+        check_count(self.k, "k", low=1)
+        if not (self.time_budget is None or self.time_budget > 0):  # NaN fails too
+            raise ValueError(f"need time_budget None or > 0, got {self.time_budget!r}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
     """
     # no search uses more than n colors: state for k > n colors would go unused
     g, n = query.graph, query.graph.n
-    k = min(query.k, n)
+    k = min(int(query.k), n)  # a Python int, as k.bit_length() needs, for a numpy k too
     start = time.monotonic()
     if n == 0:
         return ColoringOutcome(COLORABLE, (), 0, 0.0)
@@ -273,8 +275,7 @@ class ExportTooLarge(ValueError):
 
 def _export_size(graph: DistanceGraph, k: int) -> int:
     """graph.n, once k >= 1 and n * k is within MAX_EXPORT_CELLS."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    check_count(k, "k", low=1)
     if graph.n * k > MAX_EXPORT_CELLS:
         raise ExportTooLarge(f"need at most {MAX_EXPORT_CELLS} vertices x k, got {graph.n * k}")
     return graph.n

@@ -32,24 +32,22 @@ from chromaplane.solver import COLORABLE, NOT_COLORABLE, BudgetExhausted
 
 
 def test_radial_scheme_validation():
-    RadialScheme(3, 9, 1.2)
-    with pytest.raises(ValueError):
-        RadialScheme(1, 2, 1.2)
-    with pytest.raises(ValueError):
-        RadialScheme(3, 10, 1.2)  # k does not divide s
-    with pytest.raises(ValueError):
-        RadialScheme(3, 3, 1.2)  # s < 2k
+    # a scheme is (k, s) alone: no color depends on the annulus' width. The
+    # count rules of k and s are in test_geom.py's table; k must divide s
+    assert RadialScheme(3, 9).alpha == 2 * math.pi / 9
+    with pytest.raises(ValueError, match="^need s a multiple of k, got k=3, s=10$"):
+        RadialScheme(3, 10)
+    with pytest.raises(ValueError, match="^need s an integer >= 6, got 3$"):
+        RadialScheme(3, 3)
     # NaN and infinity are refused, not taken as valid: at b = inf the pair
     # check would draw NaN radii and report a violation
     for b in (0.9, math.nan, math.inf):
-        with pytest.raises(ValueError, match="1 < b < inf"):
-            RadialScheme(3, 9, b)
         with pytest.raises(ValueError, match="1 < b < inf"):
             radial_violation_exists(4, 12, b, n_pairs=10)
 
 
 def test_radial_color_examples():
-    scheme = RadialScheme(3, 9, 1.2)
+    scheme = RadialScheme(3, 9)
     assert radial_color(scheme, 0.0) == 0
     assert radial_color(scheme, 2 * math.pi / 9 + 1e-9) == 1
     assert radial_color(scheme, 2 * math.pi - 1e-12) == 8 % 3
@@ -58,7 +56,7 @@ def test_radial_color_examples():
 
 
 def test_radial_color_sector_structure():
-    scheme = RadialScheme(4, 12, 1.3)
+    scheme = RadialScheme(4, 12)
     alpha = scheme.alpha
     for s in range(12):
         mid = (s + 0.5) * alpha
@@ -72,7 +70,7 @@ def test_radial_color_is_the_vectorized_sector_rule():
     # radial_color and the sampled checker color through one rule: sector
     # t (angles in [t alpha, (t + 1) alpha)) gets color t mod k
     for k, s in sorted(annulus.RADIAL_SECTORS.items()):
-        scheme = RadialScheme(k, s, 1.2)
+        scheme = RadialScheme(k, s)
         alpha = scheme.alpha
         angles, want = [], []
         for t in range(s):
@@ -139,7 +137,7 @@ def test_radial_best():
 
     assert radial_best(2, 8) is None
     # the radial scheme needs at least 2k sectors
-    with pytest.raises(ValueError, match="need s_max >= 2k, got 5"):
+    with pytest.raises(ValueError, match="^need s_max an integer >= 6, got 5$"):
         radial_best(3, 5)
 
 
@@ -419,12 +417,12 @@ def test_desk_scale_case1_refutation():
 def test_annulus_verdict_names_the_callers_k(monkeypatch):
     # k colors are certified by refuting k - 1, so k = 1 would ask for 0
     for k in (1, 0):
-        with pytest.raises(ValueError, match=f"need k >= 2, got {k}$"):
+        with pytest.raises(ValueError, match=f"^need k an integer >= 2, got {k}$"):
             annulus_verdict(case_graph(1, 1.35, n_override=5), k)
     # threshold_bisect refuses it before its first probe builds a graph
     builds, solves = _spy_solves(monkeypatch)
     for k in (1, 0):
-        with pytest.raises(ValueError, match=f"need k >= 2, got {k}$"):
+        with pytest.raises(ValueError, match=f"^need k an integer >= 2, got {k}$"):
             threshold_bisect(1, 5, k, 1.25, 1.4, 1e-3)
     assert builds == solves == []
 

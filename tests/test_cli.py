@@ -123,6 +123,37 @@ def test_min_colors_points():
     assert proc.stdout == "b,min_colors\n1.01,7\n"
 
 
+def test_min_colors_stops_once_its_largest_b_is_covered(capsys, monkeypatch):
+    # the reaches are computed in (n_colors, p, q) order and end once their
+    # running maximum covers 1.4: of the 1,047,627 swept pairs, a few answer
+    calls = []
+    reach = hexcolor.hex_b_max
+    monkeypatch.setattr(hexcolor, "hex_b_max", lambda p, q: calls.append((p, q)) or reach(p, q))
+    rc, out, _ = run_main(capsys, "min-colors", "--b-lo", "1.3", "--b-hi", "1.4",
+                          "--search-max", "1446")
+    assert (rc, out) == (0, "b,min_colors\n1.3,7\n1.4,9\n")
+    assert 0 < len(calls) < 100
+
+
+def test_min_colors_is_the_full_sweeps_answer(capsys):
+    # the fewest colors at b: the least (n_colors, p, q) over every swept
+    # pair whose reach is at least b - B_TOL, from a sweep that computes all
+    reaches = sorted((p * p + p * q + q * q, p, q, hexcolor.hex_b_max(p, q))
+                     for q in range(41) for p in range(q + 1) if (p, q) != (0, 0))
+    grids = ((1.01, 3.0, 0.1), (1.3, 1.4, 0.1), (1.72, 1.74, 0.005), (2.0, 14.0, 0.5),
+             (14.0, 60.0, 2.0))
+    for search_max in range(41):
+        for lo, hi, step in grids:
+            rows = []
+            for b in np.arange(lo, hi + step / 2, step):
+                fewest = next((n for n, p, q, r in reaches if max(p, q) <= search_max
+                               and r is not None and r >= float(b) - hexcolor.B_TOL), None)
+                rows.append((b, fewest))
+            rc, out, _ = run_main(capsys, "min-colors", "--b-lo", str(lo), "--b-hi", str(hi),
+                                  "--step", str(step), "--search-max", str(search_max))
+            assert (rc, out) == (0, hexcolor.min_colors_csv(rows)), (search_max, lo, hi)
+
+
 # sha256 of the full-size outputs; the CSV and eight-opt ones as recorded in
 # perfbench/expected.json
 PINNED_STDOUT = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chromaplane import distgraph, solver
-from chromaplane.annulus import case_graph
+from chromaplane.annulus import annulus_verdict, case_graph, threshold_bisect
 from chromaplane.distgraph import (
     CircleSpec,
     DistanceGraph,
@@ -470,6 +470,24 @@ def test_budget_exhausted_distinct():
         k_colorable(KColorQuery(g, 4, time_budget=0.05))
 
 
+def test_time_budget_is_none_or_a_number_above_zero():
+    # a NaN budget never compares greater than the elapsed time, so it was no
+    # budget at all (the seed-2 solve of this graph ran on for millions of
+    # nodes); one of 0 or less stopped the search at its first budget check.
+    # inf is no budget
+    g = case_graph(2, 1.48, n_override=95)
+    for budget in (math.nan, np.float64(math.nan), 0, 0.0, -1.0, -math.inf):
+        want = rf"^need time_budget None or > 0, got {re.escape(repr(budget))}$"
+        with pytest.raises(ValueError, match=want):
+            KColorQuery(g, 4, budget)
+        with pytest.raises(ValueError, match=want):
+            annulus_verdict(g, 5, budget)
+        with pytest.raises(ValueError, match=want):
+            threshold_bisect(1, 5, 3, 1.01, 1.9, 1e-2, time_budget=budget)
+    for budget in (None, math.inf, 1e-9, 5, np.float64(5.0)):
+        assert KColorQuery(g, 4, budget).time_budget == budget
+
+
 def test_progress_callback_fires(monkeypatch):
     monkeypatch.setattr(solver, "_PROGRESS_INTERVAL", 0.0)
     b = 1.48
@@ -636,8 +654,8 @@ def test_exports_refuse_more_vertex_color_cells_than_the_cap(moser_spindle, monk
 def test_exports_reject_k_below_one():
     g = graph_from_points([(0, 0), (1, 0)], b=1.5)
     for export in (export_cnf, export_lp):
-        with pytest.raises(ValueError, match="k >= 1"):
+        with pytest.raises(ValueError, match="^need k an integer >= 1, got 0$"):
             export(g, 0)
     # and so does the query the solver takes
-    with pytest.raises(ValueError, match="need k >= 1, got 0"):
+    with pytest.raises(ValueError, match="^need k an integer >= 1, got 0$"):
         KColorQuery(g, 0)

@@ -168,6 +168,7 @@ def lower_bound_config(
         raise ValueError(f"need 0 < eps < (b-1)/2, got eps={eps} for b={b}")
     n_full, rings = CASE_CIRCLE_COUNTS[case]
     n = n_full if n_override is None else n_override
+    check_count(n, "n_override", low=1)  # every n_full passes
     radii = [1.0 + eps, b - eps] if rings == 2 else [1.0 + eps, (1.0 + b) / 2.0, b - eps]
     return PointConfig(tuple(CircleSpec(n, r) for r in radii))
 

@@ -73,8 +73,8 @@ def forbidden_distances(d: np.ndarray, b: float) -> np.ndarray:
 
 def check_count(n, name: str, low: int = 0) -> None:
     """ValueError naming the count unless n is an integer >= low (a numpy integer
-    passes, a bool or a float does not); a Python int skips the slower Integral test."""
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, Integral)) or n < low:
+    passes, a bool or a float does not)."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < low:
         raise ValueError(f"need {name} an integer >= {low}, got {n!r}")
 
 

@@ -242,17 +242,22 @@ def sweep_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
 def _scheme_rows(
     p_max: int, q_max: int, b_top: float = math.inf, b_values: dict | None = None
 ) -> tuple[list[SchemeRow], list[float]]:
-    """Swept (p, q) rows that have a reach, by (n_colors, p, q), and their running maximum
-    reach, computed in that order until it covers b_top: no later row answers a b <= b_top."""
-    rows, reach_max, cover = [], [-math.inf], float(b_top) - B_TOL
-    for p, q in sorted(sweep_pairs(p_max, q_max), key=lambda pq: (_color_count(*pq), pq)):
-        if reach_max[-1] >= cover:
+    """Swept (p, q) rows that have a reach, by (n_colors, p, q), and the running maximum
+    of their reaches in that order, up to the first row at which it covers b_top (no
+    later row answers a b <= b_top)."""
+    cover = float(b_top) - B_TOL
+    rows, reach_max = [], []
+    reach = -math.inf
+    for n, p, q in sorted((_color_count(p, q), p, q) for p, q in sweep_pairs(p_max, q_max)):
+        if reach >= cover:
             break
         b = b_values[(p, q)] if b_values is not None else hex_b_max(p, q)
-        if b is not None:
-            rows.append(SchemeRow(b, _color_count(p, q), p, q))
-            reach_max.append(max(reach_max[-1], b))
-    return rows, reach_max[1:]
+        if b is None:
+            continue
+        reach = max(reach, b)
+        rows.append(SchemeRow(b, n, p, q))
+        reach_max.append(reach)
+    return rows, reach_max
 
 
 def _fewest_colors(sweep: tuple[list[SchemeRow], list[float]], b: float) -> SchemeRow | None:
@@ -400,14 +405,14 @@ def pareto_table_csv(rows: list[SchemeRow]) -> str:
 
 
 def min_colors_curve(b_values, search_max: int = 10) -> list[tuple[float, int | None]]:
-    """Fewest colors reachable at each b of the grid (None when out of range); every
-    b is checked before the sweep, which ends once it covers the largest."""
-    grid = list(b_values)
+    """Fewest colors reachable at each b of the grid (None when out of range); every b
+    is checked before the sweep, which stops once it covers the largest."""
+    grid = [float(b) for b in b_values]
     for b in grid:
         check_width(b)
     sweep = _scheme_rows(search_max, search_max, max(grid, default=-math.inf))
-    return [(b, None if (best := _fewest_colors(sweep, b)) is None else best.n_colors)
-            for b in grid]
+    bests = [_fewest_colors(sweep, b) for b in grid]
+    return [(b, None if best is None else best.n_colors) for b, best in zip(grid, bests)]
 
 
 MIN_COLORS_FIELDS = ("b", "min_colors")

@@ -158,6 +158,11 @@ def _argument_table():
         ("annulus_verdict", "k", 2, lambda v: annulus_verdict(g, v), 4),
         ("threshold_bisect", "k", 2, lambda v: threshold_bisect(1, 5, v, 1.01, 1.9, 1e-2), 3),
         ("lower_bound_config", "case", 1, lambda v: lower_bound_config(v, 1.35), 2),
+        ("lower_bound_config", "n_override", 1,
+         lambda v: lower_bound_config(1, 1.35, n_override=v), 5),
+        ("case_graph", "n_override", 1, lambda v: case_graph(1, 1.35, n_override=v), 5),
+        ("threshold_bisect", "n_override", 1,
+         lambda v: threshold_bisect(1, v, 3, 1.01, 1.9, 1e-2), 5),
         ("HexScheme", "p", 0, lambda v: HexScheme(v, 2), 1),
         ("HexScheme", "q", 0, lambda v: HexScheme(1, v), 2),
         ("hex_b_max", "p", 0, lambda v: hex_b_max(v, 2), 1),

@@ -9,7 +9,9 @@ not searched: constraints 1 and 3 fix (x, y) and constraint 4 caps b.
 """
 import math
 from dataclasses import asdict, dataclass
+from numbers import Real
 
+from .geom import check_width
 from .text import json_text
 
 SQRT3 = math.sqrt(3.0)
@@ -24,8 +26,10 @@ class EightParams:
     b: float
 
     def __post_init__(self):
-        if not (self.x > 0 and self.y > 0 and self.b > 1):  # NaN fails too
-            raise ValueError(f"need x, y > 0 and b > 1, got {self}")
+        for v in (self.x, self.y):  # a bool, or a numpy one, is no coordinate; NaN fails too
+            if isinstance(v, bool) or not (isinstance(v, Real) and 0 < v < math.inf):
+                raise ValueError(f"need 0 < x, y < inf, got {self}")
+        check_width(self.b)
 
 
 def constraint_slacks(params: EightParams) -> tuple[float, float, float, float]:

@@ -186,12 +186,15 @@ def min_same_color_distance(p: int, q: int) -> float:
     the six shortest, +-v, +-vbar, +-(vbar - v), are >= sqrt(3)|v| long:
     sqrt(3)|v| - 1 > |v| - sqrt(3)/2 as |v| >= sqrt(3)/2, so six suffice.
     """
-    scheme = HexScheme(p, q)
-    v, vb = scheme.v, scheme.vbar
-    return min(
-        _tile_gap(k * v.x + l * vb.x, k * v.y + l * vb.y)
-        for k, l in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
-    )
+    HexScheme(p, q)  # refuses a bad (p, q)
+    return _reach(p, q)
+
+
+def _reach(p: int, q: int) -> float:
+    """min_same_color_distance without its check, for pairs sweep_pairs made."""
+    v, vb = tile_center(p, q), tile_center(p + q, -p)
+    return min(_tile_gap(k * v.x + l * vb.x, k * v.y + l * vb.y)
+               for k, l in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1)))
 
 
 def hex_b_max(p: int, q: int) -> float | None:
@@ -251,8 +254,8 @@ def _scheme_rows(
     for n, p, q in sorted((_color_count(p, q), p, q) for p, q in sweep_pairs(p_max, q_max)):
         if reach >= cover:
             break
-        b = b_values[(p, q)] if b_values is not None else hex_b_max(p, q)
-        if b is None:
+        b = b_values[(p, q)] if b_values is not None else _reach(p, q)
+        if b is None or b < 1.0:  # no valid b: hex_b_max's None
             continue
         reach = max(reach, b)
         rows.append(SchemeRow(b, n, p, q))

@@ -17,11 +17,15 @@ row into one int, so no set-up step loops over edges in Python.
 
 The search state is masks of ranks only: seen[c] holds the ranks with a
 neighbor colored c, and the count of colors each rank sees is bit-sliced
-over k.bit_length() planes (plane p holds bit p of every count).
-Coloring v with c adds radj[v] & ~seen[c] to seen[c] and ripple-adds it
-into the planes; each frame saves the old seen[c] and planes, so undo is
-two restores. The branch vertex comes from narrowing the uncolored mask
-plane by plane, highest first. No step loops over neighbors.
+over k.bit_length() planes, stored highest first (cnt[-1 - p] holds bit p
+of every count), so the branch rank comes from one AND per plane, in list
+order. Coloring rank v with c adds radj[v] & ~seen[c] to seen[c] and
+ripple-adds it into a copy of the planes, from the list's end. It pushes
+one frame, the tuple (v, its bit, c, and from before: the number of colors
+allowed, seen[c] and the planes). Undo pops it, restores those three and
+puts v back in the uncolored mask; v's next color is scanned for from
+c + 1. A colorable answer is rebuilt from the clique and the frames. No
+step loops over neighbors.
 
 The CNF and LP exports are generators of text chunks (cnf_chunks,
 lp_chunks); every line, per edge or per vertex, comes from
@@ -156,18 +160,16 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
     if len(clique) > k:
         return ColoringOutcome(NOT_COLORABLE, None, 0, time.monotonic() - start)
 
-    color = [-1] * n
     seen = [0] * k  # seen[c]: ranks with a neighbor colored c
-    cnt = [0] * k.bit_length()  # cnt[p]: bit p of each rank's count of colors seen
+    cnt = [0] * k.bit_length()  # cnt[-1 - p]: bit p of each rank's count of colors seen
     unc = (1 << n) - 1  # uncolored ranks
     for idx, r in enumerate(clique):
-        color[r] = idx
         unc ^= 1 << r
         seen[idx] = new = radj[r]
-        p = 0
-        while new:  # ripple-add one to the count of each rank in new
+        p = -1
+        while new:  # ripple-add one to the count of each rank in new, lowest plane first
             cnt[p], new = cnt[p] ^ new, cnt[p] & new
-            p += 1
+            p -= 1
 
     nodes = 0
     next_check = _BUDGET_CHECK_INTERVAL
@@ -184,64 +186,54 @@ def k_colorable(query: KColorQuery, seed: int = 0, progress=None) -> ColoringOut
             progress(nodes, now - start)
             next_progress = now + _PROGRESS_INTERVAL
 
-    def outcome(status: str) -> ColoringOutcome:
-        elapsed = time.monotonic() - start
-        if status == NOT_COLORABLE:
-            return ColoringOutcome(status, None, nodes, elapsed)
-        assignment = tuple(color[r] for r in rank)
-        if not (verify_coloring(g, assignment) and max(assignment) < k):
-            raise RuntimeError("search produced an improper coloring")
-        return ColoringOutcome(status, assignment, nodes, elapsed)
-
-    # each frame: [rank, its bit, next color to try, colors allowed, saved
-    # max_used, and, once the rank is colored, seen[color] and cnt from before]
+    # one frame per colored rank, pushed as it gets its color: (rank, its bit,
+    # its color, and from before: limit, seen[color] and cnt)
     stack = []
-    max_used = len(clique)
-    while True:
-        # push the most saturated uncolored rank, lowest rank on ties. One that
+    limit = min(len(clique) + 1, k)  # colors allowed: to one past the highest used, at most k
+    while unc:
+        # pick the most saturated uncolored rank, lowest rank on ties. One that
         # sees all k colors is a dead end: it is picked first and has no color
         # to try, so the search backs up without counting a node
-        if not unc:
-            return outcome(COLORABLE)
         top = unc
-        for plane in reversed(cnt):
-            if top & plane:
-                top &= plane
+        for plane in cnt:
+            t = top & plane
+            if t:
+                top = t
         bit = top & -top
-        unc ^= bit
-        limit = max_used + 1 if max_used < k else k
-        stack.append([bit.bit_length() - 1, bit, 0, limit, max_used, 0, None])
-        while stack:
-            frame = stack[-1]
-            v, bit, c, limit, saved_max, saved_seen, saved_cnt = frame
-            if saved_cnt:
-                seen[color[v]] = saved_seen
-                cnt = saved_cnt
+        v, c = bit.bit_length() - 1, 0
+        while c < limit and seen[c] & bit:
+            c += 1
+        while c == limit:  # no color left: undo the last colored rank, try its next color
+            if not stack:
+                return ColoringOutcome(NOT_COLORABLE, None, nodes, time.monotonic() - start)
+            v, bit, c, limit, s, cnt = stack.pop()
+            seen[c] = s
+            unc |= bit
+            c += 1
             while c < limit and seen[c] & bit:
                 c += 1
-            if c == limit:
-                color[v] = -1
-                unc |= bit
-                stack.pop()
-                continue
-            frame[2] = c + 1
-            color[v] = c
-            nodes += 1
-            if nodes >= next_check:
-                tick()
-            frame[5] = s = seen[c]
-            frame[6] = cnt
-            cnt = cnt[:]
-            new = radj[v] & ~s
-            seen[c] = s | new
-            p = 0
-            while new:  # the ripple add, on a copy: the frame keeps the old planes
-                cnt[p], new = cnt[p] ^ new, cnt[p] & new
-                p += 1
-            max_used = c + 1 if c >= saved_max else saved_max
-            break
-        else:
-            return outcome(NOT_COLORABLE)
+        nodes += 1
+        if nodes >= next_check:
+            tick()
+        unc ^= bit
+        s = seen[c]
+        stack.append((v, bit, c, limit, s, cnt))
+        new = radj[v] & ~s
+        seen[c] = s | new
+        cnt = cnt[:]
+        p = -1
+        while new:  # the ripple add, on a copy: the frame keeps the old planes
+            cnt[p], new = cnt[p] ^ new, cnt[p] & new
+            p -= 1
+        if c + 1 == limit < k:  # c was a new color, so one more is allowed
+            limit += 1
+
+    color = {r: c for c, r in enumerate(clique)}  # rank -> color: the clique's, then the frames'
+    color.update((frame[0], frame[2]) for frame in stack)
+    assignment = tuple(color[r] for r in rank)
+    if not (verify_coloring(g, assignment) and max(assignment) < k):
+        raise RuntimeError("search produced an improper coloring")
+    return ColoringOutcome(COLORABLE, assignment, nodes, time.monotonic() - start)
 
 
 def verify_coloring(graph: DistanceGraph, assignment) -> bool:

@@ -127,8 +127,8 @@ def test_min_colors_stops_once_its_largest_b_is_covered(capsys, monkeypatch):
     # the reaches are computed in (n_colors, p, q) order and end once their
     # running maximum covers 1.4: of the 1,047,627 swept pairs, a few answer
     calls = []
-    reach = hexcolor.hex_b_max
-    monkeypatch.setattr(hexcolor, "hex_b_max", lambda p, q: calls.append((p, q)) or reach(p, q))
+    reach = hexcolor._reach
+    monkeypatch.setattr(hexcolor, "_reach", lambda p, q: calls.append((p, q)) or reach(p, q))
     rc, out, _ = run_main(capsys, "min-colors", "--b-lo", "1.3", "--b-hi", "1.4",
                           "--search-max", "1446")
     assert (rc, out) == (0, "b,min_colors\n1.3,7\n1.4,9\n")

@@ -135,11 +135,17 @@ def test_maximize_b_rejects_bad_tol():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        EightParams(0.0, 0.5, 1.3)
-    for b in (0.9, math.nan):
-        with pytest.raises(ValueError):
+    # x and y are real numbers in (0, inf), not bools; b is a width, 1 < b < inf
+    for x in (0.0, -0.1, math.nan, math.inf, True, np.True_, "0.1", None):
+        with pytest.raises(ValueError, match=r"^need 0 < x, y < inf, got EightParams"):
+            EightParams(x, 0.5, 1.3)
+        with pytest.raises(ValueError, match=r"^need 0 < x, y < inf, got EightParams"):
+            EightParams(0.5, x, 1.3)
+    for b in (0.9, 1.0, math.nan, math.inf, True, np.True_):
+        with pytest.raises(ValueError, match=r"^need 1 < b < inf, got b="):
             EightParams(0.1, 0.5, b)
+    for x, y, b in ((0.1, 0.1, 1.2), (1, 2, 3), (np.float64(0.1), np.int64(1), np.float64(1.2))):
+        assert EightParams(x, y, b).b == b
 
 
 def test_optimum_json_shape():

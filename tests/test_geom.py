@@ -201,7 +201,7 @@ def test_library_entries_refuse_bad_counts_and_widths(monkeypatch):
 
     for module, name in ((annulus, "build_graph"), (annulus, "k_colorable"),
                          (annulus, "_radial_strata"), (annulus, "forbidden_pair_draws"),
-                         (distgraph, "_circulant_edges"), (hexcolor, "hex_b_max"),
+                         (distgraph, "_circulant_edges"), (hexcolor, "_reach"),
                          (hexcolor, "_strata_violation"), (hexcolor, "forbidden_pair_draws"),
                          (solver, "vertex_table")):
         monkeypatch.setattr(module, name, no_work)

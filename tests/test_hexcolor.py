@@ -488,9 +488,9 @@ def _reference_fewest_colors(reach, b, search_max=10):
 
 
 def test_min_colors_selection_matches_reference(monkeypatch):
-    reach = {(p, q): hex_b_max(p, q) for p, q in sweep_pairs(10, 10)}
     # the selection under test sees the same reaches without recomputing them
-    monkeypatch.setattr(hexcolor, "hex_b_max", lambda p, q: reach[(p, q)])
+    monkeypatch.setattr(hexcolor, "_reach", functools.cache(hexcolor._reach))
+    reach = {(p, q): hex_b_max(p, q) for p, q in sweep_pairs(10, 10)}
 
     grid = list(np.arange(1.3, 14 + 0.05, 0.1))  # the README grid
     covered = [r + B_TOL / 2 for r in reach.values() if r is not None]
@@ -529,7 +529,7 @@ def _full_scan_fewest(rows, b):
 
 def test_sorted_sweep_matches_all_pairs_rule(monkeypatch):
     # each (p, q) reach is computed once, for the code under test and the reference alike
-    monkeypatch.setattr(hexcolor, "hex_b_max", functools.cache(hex_b_max))
+    monkeypatch.setattr(hexcolor, "_reach", functools.cache(hexcolor._reach))
     for m in list(range(31)) + [60]:
         for p_max, q_max in ((m, m), (m, m // 2 + 1), (m // 3, m)):
             assert pareto_table(p_max, q_max) == _all_pairs_pareto(_swept_rows(p_max, q_max))

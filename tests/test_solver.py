@@ -334,15 +334,16 @@ def test_search_matches_reference_dsatur(monkeypatch):
                 want = reference_dsatur(g, k, use_clique_seed=use_clique_seed)
                 assert (out.status, out.assignment, out.search_nodes) == want, (g.edges, k)
     monkeypatch.undo()
-    # the desk-scale instances the benchmark times
-    for case, b, n, k, seed, nodes in (
-        (2, 1.48, 95, 4, 1, 225),
-        (2, 1.48, 95, 4, 3, 2416),
-        (1, 1.35, 130, 3, 0, 7706),
-    ):
-        out = k_colorable(KColorQuery(case_graph(case, b, None, n), k), seed=seed)
-        assert out.search_nodes == nodes, (case, seed)
-        assert out.colorable == (case == 2)
+    # the desk-scale instances the benchmark times: every find seed that ends
+    # inside its budget (seed 2 does not), colorable, and the refute instance
+    find = case_graph(2, 1.48, None, 95)
+    for seed, nodes in zip((0, 1, 3, 4, 5, 6, 7, 8, 9),
+                           (104190, 225, 2416, 2416, 1483, 1493, 225, 32015, 104190)):
+        out = k_colorable(KColorQuery(find, 4), seed=seed)
+        assert (out.status, out.search_nodes) == (COLORABLE, nodes), seed
+        assert verify_coloring(find, out.assignment) and max(out.assignment) < 4
+    out = k_colorable(KColorQuery(case_graph(1, 1.35, None, 130), 3))
+    assert (out.status, out.search_nodes) == (NOT_COLORABLE, 7706)
 
 
 def test_search_matches_reference_dsatur_at_every_plane_boundary(monkeypatch):
